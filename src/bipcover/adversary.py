@@ -91,7 +91,9 @@ def _lower3_colouring(g: BipartiteGraph, r_idx: int, b_idx: int,
             uncovered = blue & ~y_mask
         else:
             uncovered = blue & ~nr & ~(1 << b_idx)
-        assert uncovered == 0, f"edge of 1:{i} escaped the zone colouring rules"
+        if uncovered:
+            raise ConstructionInfeasibleError(
+                f"edge of 1:{i} escaped the zone colouring rules")
     colouring = TwoColouring.from_red_rows(g, red1)
     witness = Lower3Witness(Vertex(1, r_idx), Vertex(2, b_idx),
                             vertex_set(x_mask, 0), vertex_set(0, y_mask))

@@ -28,6 +28,7 @@ with a reason tag rather than ever emitting an invalid cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -577,7 +578,8 @@ def audit_state(g: BipartiteGraph, colouring: TwoColouring, params: CoverParams,
     add("uncovered-total", uncovered, float(200 / p), Fraction(uncovered) <= 200 / p)
 
     eps = state.epsilon
-    lo, hi = (1 - eps) * p * n, (1 + eps) * p * n
+    # Degrees are integers, so the exact band is the integer one.
+    lo, hi = math.ceil((1 - eps) * p * n), math.floor((1 + eps) * p * n)
     in_band = sum(1 for part in (1, 2) for i in range(g.part_size(part))
                   if lo <= g.row(part, i).bit_count() <= hi)
     add("degree-band-fraction", in_band / g.vertex_count, None, None)

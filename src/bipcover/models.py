@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import BipartiteGraph, TwoColouring
+from .graph import BipartiteGraph, TwoColouring, rows_from_matrix
 from .rng import (TAG_COLOURING, TAG_GRAPH, TAG_MINDEG, combine, hash_block,
                   threshold_u64)
 
@@ -72,16 +72,11 @@ def _slot_matrix(seed: int, n1: int, n2: int, probability: Fraction) -> np.ndarr
     return out.reshape(n1, n2)
 
 
-def _rows_from_matrix(matrix: np.ndarray) -> tuple[int, ...]:
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
 def sample_bipartite(params: ModelParams, seed: int) -> BipartiteGraph:
     """Each of the n1*n2 possible edges appears independently with probability p."""
     present = _slot_matrix(combine(seed, TAG_GRAPH), params.n1, params.n2, params.p)
-    rows1 = _rows_from_matrix(present)
-    rows2 = _rows_from_matrix(np.ascontiguousarray(present.T))
+    rows1 = rows_from_matrix(present)
+    rows2 = rows_from_matrix(present.T)
     return BipartiteGraph(params.n1, params.n2, rows1, rows2)
 
 
@@ -91,9 +86,8 @@ def sample_colouring(g: BipartiteGraph, red_probability, seed: int) -> TwoColour
     if not 0 <= q <= 1:
         raise InvalidArgumentError("red probability must be in [0, 1]")
     red_slots = _slot_matrix(combine(seed, TAG_COLOURING), g.n1, g.n2, q)
-    red1 = tuple(g.row(1, i) & mask for i, mask in enumerate(_rows_from_matrix(red_slots)))
-    red2_slots = np.ascontiguousarray(red_slots.T)
-    red2 = tuple(g.row(2, j) & mask for j, mask in enumerate(_rows_from_matrix(red2_slots)))
+    red1 = tuple(g.row(1, i) & mask for i, mask in enumerate(rows_from_matrix(red_slots)))
+    red2 = tuple(g.row(2, j) & mask for j, mask in enumerate(rows_from_matrix(red_slots.T)))
     return TwoColouring(g, red1, red2)
 
 
@@ -121,6 +115,6 @@ def sample_mindeg_subgraph(n: int, min_degree_fraction, seed: int) -> BipartiteG
                 flat[slot] = False
                 deg1[i] -= 1
                 deg2[j] -= 1
-    rows1 = _rows_from_matrix(present)
-    rows2 = _rows_from_matrix(np.ascontiguousarray(present.T))
+    rows1 = rows_from_matrix(present)
+    rows2 = rows_from_matrix(present.T)
     return BipartiteGraph(n, n, rows1, rows2)

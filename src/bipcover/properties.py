@@ -10,13 +10,16 @@ violated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import (BipartiteGraph, Vertex, components_from_rows, iter_bits,
-                    vertex_set)
+                    transpose_rows, vertex_set)
 from .models import as_fraction
 
 
@@ -50,6 +53,20 @@ def _require_balanced(g: BipartiteGraph) -> int:
     return g.n1
 
 
+def _codegree_tails(rows: Sequence[int], width: int) -> Iterator[np.ndarray]:
+    """For each row i but the last, |N(i) cap N(j)| for j = i+1, i+2, ...
+
+    Rows are packed into 64-bit words and each pair is an AND and a
+    popcount: exact at any width, and no BLAS call, so no thread pool is
+    left spinning after the check.
+    """
+    nbytes = (width + 63) // 64 * 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    words = np.frombuffer(buf, dtype=np.uint64).reshape(len(rows), nbytes // 8)
+    for i in range(len(rows) - 1):
+        yield np.bitwise_count(words[i + 1:] & words[i]).sum(axis=1, dtype=np.int64)
+
+
 def check_degrees(g: BipartiteGraph, p, epsilon) -> tuple[PropertyReport, PropertyReport]:
     """Degree and codegree concentration: d(v) within (1 +- eps) * p * n and
     |N(u) cap N(v)| within (1 +- eps) * p^2 * n for same-part pairs.
@@ -62,6 +79,10 @@ def check_degrees(g: BipartiteGraph, p, epsilon) -> tuple[PropertyReport, Proper
     eps = as_fraction(epsilon)
     d_lo, d_hi = (1 - eps) * p * n, (1 + eps) * p * n
     c_lo, c_hi = (1 - eps) * p * p * n, (1 + eps) * p * p * n
+    d_band, c_band = (float(d_lo), float(d_hi)), (float(c_lo), float(c_hi))
+    # Degrees and codegrees are integers, so the exact band is the integer one.
+    d_min, d_max = math.ceil(d_lo), math.floor(d_hi)
+    c_min, c_max = math.ceil(c_lo), math.floor(c_hi)
 
     degree_report = PropertyReport("degree-band")
     codegree_report = PropertyReport("codegree-band")
@@ -70,17 +91,13 @@ def check_degrees(g: BipartiteGraph, p, epsilon) -> tuple[PropertyReport, Proper
         for i, row in enumerate(rows):
             degree_report.checked_instances += 1
             d = row.bit_count()
-            if not d_lo <= d <= d_hi:
-                degree_report.violations.append(
-                    (Vertex(part, i), d, (float(d_lo), float(d_hi))))
-        for i in range(n):
-            for j in range(i + 1, n):
-                codegree_report.checked_instances += 1
-                c = (rows[i] & rows[j]).bit_count()
-                if not c_lo <= c <= c_hi:
-                    codegree_report.violations.append(
-                        ((Vertex(part, i), Vertex(part, j)), c,
-                         (float(c_lo), float(c_hi))))
+            if not d_min <= d <= d_max:
+                degree_report.violations.append((Vertex(part, i), d, d_band))
+        codegree_report.checked_instances += n * (n - 1) // 2
+        for i, tail in enumerate(_codegree_tails(rows, n)):
+            for k in np.flatnonzero((tail < c_min) | (tail > c_max)).tolist():
+                codegree_report.violations.append(
+                    ((Vertex(part, i), Vertex(part, i + 1 + k)), int(tail[k]), c_band))
     for rep in (degree_report, codegree_report):
         rep.satisfied = not rep.violations
         rep.stats["violation_count"] = len(rep.violations)
@@ -178,10 +195,8 @@ def check_min_degree_connectivity(
         if h_edge_filter is not None:
             row = mask_of_filtered(row, i, h_edge_filter)
         rows1.append(row)
-    rows2 = [0] * g.n2
-    for i, row in enumerate(rows1):
-        for j in iter_bits(row):
-            rows2[j] |= 1 << i
+    rows1 = tuple(rows1)
+    rows2 = transpose_rows(rows1, g.n2)
     degrees = [rows1[i].bit_count() for i in iter_bits(m1)]
     degrees += [rows2[j].bit_count() for j in iter_bits(m2)]
     floor = (Fraction(1, 2) + eps) * p * n
@@ -190,7 +205,7 @@ def check_min_degree_connectivity(
         report.stats["reason"] = (f"min degree {min(degrees) if degrees else 0} "
                                   f"below {float(floor):.2f}")
         return report
-    comps = [c for c in components_from_rows(g.n1, g.n2, tuple(rows1), tuple(rows2))
+    comps = [c for c in components_from_rows(g.n1, g.n2, rows1, rows2)
              if (c[0] & m1) or (c[1] & m2)]
     report.checked_instances = 1
     report.satisfied = len(comps) == 1
@@ -213,14 +228,8 @@ def mask_of_filtered(row: int, i: int, edge_filter) -> int:
 def count_no_common_neighbour_pairs(g: BipartiteGraph) -> tuple[int, int]:
     """Per part, how many same-part pairs share no neighbour at all."""
     counts = []
-    for part in (1, 2):
-        size = g.part_size(part)
-        rows = [g.row(part, i) for i in range(size)]
-        c = 0
-        for i in range(size):
-            ri = rows[i]
-            for j in range(i + 1, size):
-                if not ri & rows[j]:
-                    c += 1
-        counts.append(c)
+    for part, width in ((1, g.n2), (2, g.n1)):
+        rows = [g.row(part, i) for i in range(g.part_size(part))]
+        counts.append(sum(int(np.count_nonzero(tail == 0))
+                          for tail in _codegree_tails(rows, width)))
     return counts[0], counts[1]

@@ -29,7 +29,7 @@ from .adversary import colour_lower3, colour_lower4
 from .cover import CoverParams, almost_cover, audit_state
 from .errors import BipcoverError
 from .exact import tc_exact
-from .graph import validate_cover, validate_partition
+from .graph import monochromatic_components, validate_cover, validate_partition
 from .mindeg import PartitionParams, audit_partition_state, partition3
 from .models import (ModelParams, as_fraction, sample_bipartite,
                      sample_colouring, sample_mindeg_subgraph)
@@ -144,9 +144,21 @@ def _trial(config: SweepConfig, n: int, p_index: int, p: Fraction,
             return finish(len(partition.parts), 0, ok, state.branch,
                           audit_ok=audit_ok)
         result = tc_exact(g, colouring)
-        return finish(result.value, 0, True, "exact")
+        return finish(result.value, 0, _tc_witness_ok(g, colouring, result), "exact")
     except BipcoverError as exc:
         return finish(0, 0, False, "error", error=type(exc).__name__)
+
+
+def _tc_witness_ok(g, colouring, result) -> bool:
+    """The witness is ``value`` monochromatic components that cover V(G)."""
+    if len(result.witness) != result.value:
+        return False
+    covered: set = set()
+    for colour, vertices in result.witness:
+        if vertices not in monochromatic_components(g, colouring, colour):
+            return False
+        covered |= vertices
+    return covered == set(g.vertices())
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:

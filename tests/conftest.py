@@ -7,6 +7,8 @@ can serve as independent cross-checks.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from bipcover import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex)
 
 
@@ -160,3 +162,47 @@ def _block_ok(g, colouring, block: set[Vertex], allow_singletons: bool) -> bool:
         if naive_connected(block, edges):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Per-bit and per-pair loops: references for the numpy bit-matrix kernel
+
+
+def naive_matrix(rows, width) -> list[list[int]]:
+    """Row i, column j holds bit j of rows[i]."""
+    return [[row >> j & 1 for j in range(width)] for row in rows]
+
+
+def naive_transpose(rows, width) -> tuple[int, ...]:
+    out = [0] * width
+    for i, row in enumerate(rows):
+        for j in range(width):
+            if row >> j & 1:
+                out[j] |= 1 << i
+    return tuple(out)
+
+
+def naive_degree_bands(g: BipartiteGraph, p: Fraction, eps: Fraction):
+    """(degree checked, degree violations, codegree checked, codegree
+    violations) by exact Fraction comparisons, pair by pair, in the
+    report's order: per part, vertices ascending, pairs row-major."""
+    n = g.n1
+    d_lo, d_hi = (1 - eps) * p * n, (1 + eps) * p * n
+    c_lo, c_hi = (1 - eps) * p * p * n, (1 + eps) * p * p * n
+    d_checked = c_checked = 0
+    d_bad, c_bad = [], []
+    for part in (1, 2):
+        rows = [g.row(part, i) for i in range(n)]
+        for i, row in enumerate(rows):
+            d_checked += 1
+            d = bin(row).count("1")
+            if not d_lo <= d <= d_hi:
+                d_bad.append((Vertex(part, i), d, (float(d_lo), float(d_hi))))
+        for i in range(n):
+            for j in range(i + 1, n):
+                c_checked += 1
+                c = bin(rows[i] & rows[j]).count("1")
+                if not c_lo <= c <= c_hi:
+                    c_bad.append(((Vertex(part, i), Vertex(part, j)), c,
+                                  (float(c_lo), float(c_hi))))
+    return d_checked, d_bad, c_checked, c_bad

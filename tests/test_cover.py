@@ -11,7 +11,7 @@ from bipcover import (BLUE, RED, BipartiteGraph, CoverCase, CoverParams,
                       sample_colouring, validate_cover)
 from bipcover.errors import InvalidArgumentError, PropertyFailureError
 from bipcover.models import ModelParams
-from conftest import naive_validate_cover
+from conftest import naive_degree_bands, naive_validate_cover
 
 
 def threshold_p(n: int, c: float) -> Fraction:
@@ -256,3 +256,18 @@ class TestAudit:
                     and audit.entry("uncovered-total").satisfied:
                 satisfied += 1
         assert satisfied >= 9
+
+
+@pytest.mark.parametrize("n", (20, 21))
+def test_audit_degree_band_fraction_matches_fraction_band(n):
+    # (1 -+ 1/5) * p * n is 8, 12 at n = 20 (integer band edges) and
+    # 8.4, 12.6 at n = 21.
+    p, eps = Fraction(1, 2), Fraction(1, 5)
+    for seed in range(4):
+        g = sample_bipartite(ModelParams(n, n, p), seed)
+        col = sample_colouring(g, Fraction(1, 2), seed)
+        params = CoverParams(p=p, epsilon=eps, seed=seed)
+        _, state = almost_cover(g, col, params)
+        measured = audit_state(g, col, params, state).entry("degree-band-fraction").measured
+        _, d_bad, _, _ = naive_degree_bands(g, p, eps)
+        assert measured == (2 * n - len(d_bad)) / (2 * n)

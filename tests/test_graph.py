@@ -1,7 +1,9 @@
 """Core graph types, queries, validators, and their invariants."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,11 @@ from bipcover import (BLUE, RED, BipartiteGraph, MonoPartition, MonoTree,
                       sample_bipartite, sample_colouring, spanning_tree_of,
                       validate_cover, validate_partition)
 from bipcover.errors import InvalidArgumentError, NotConnectedError
+from bipcover.graph import rows_from_matrix, rows_to_matrix, transpose_rows
 from bipcover.models import ModelParams
-from conftest import (graph_from_coloured_edges, matching_graph,
-                      naive_validate_cover, naive_validate_partition)
+from conftest import (graph_from_coloured_edges, matching_graph, naive_matrix,
+                      naive_transpose, naive_validate_cover,
+                      naive_validate_partition)
 
 
 def v1(i):
@@ -301,3 +305,55 @@ def test_partition_validator_agrees_with_naive():
     ))
     assert not validate_partition(g, col, bad).ok
     assert not naive_validate_partition(g, col, bad)
+
+
+BIT_WIDTHS = (1, 7, 8, 9, 63, 64, 65, 1000)
+
+
+def bit_rows(count: int, width: int, fill: str, seed: int = 0) -> tuple[int, ...]:
+    full = (1 << width) - 1
+    if fill == "zero":
+        return (0,) * count
+    if fill == "one":
+        return (full,) * count
+    rng = random.Random(seed * 10007 + width * 31 + count)
+    return tuple(rng.getrandbits(width) for _ in range(count))
+
+
+class TestBitMatrix:
+    @pytest.mark.parametrize("width", BIT_WIDTHS)
+    @pytest.mark.parametrize("count", (1, 5, 66))
+    @pytest.mark.parametrize("fill", ("random", "zero", "one"))
+    def test_kernel_matches_per_bit_oracle(self, width, count, fill):
+        rows = bit_rows(count, width, fill)
+        matrix = rows_to_matrix(rows, width)
+        assert matrix.dtype == np.uint8 and matrix.shape == (count, width)
+        assert matrix.tolist() == naive_matrix(rows, width)
+        assert rows_from_matrix(matrix) == rows
+        assert rows_from_matrix(matrix.astype(bool)) == rows
+        assert transpose_rows(rows, width) == naive_transpose(rows, width)
+
+    @pytest.mark.parametrize("width", BIT_WIDTHS)
+    def test_transpose_round_trip(self, width):
+        for seed in range(3):
+            rows = bit_rows(width + 3, width, "random", seed)
+            back = transpose_rows(transpose_rows(rows, width), len(rows))
+            assert back == rows
+
+    def test_transposed_view_packs_like_a_copy(self):
+        rows = bit_rows(9, 70, "random")
+        view = rows_to_matrix(rows, 70).T
+        assert rows_from_matrix(view) == rows_from_matrix(view.copy())
+        assert rows_from_matrix(view) == naive_transpose(rows, 70)
+
+    def test_empty_shapes(self):
+        assert transpose_rows((), 5) == (0,) * 5
+        assert transpose_rows((0, 0), 0) == ()
+        assert rows_to_matrix((), 9).shape == (0, 9)
+
+    def test_unbalanced_graph_rows_agree(self):
+        g = sample_bipartite(ModelParams(13, 70, Fraction(1, 3)), 4)
+        rows1 = tuple(g.row(1, i) for i in range(13))
+        rows2 = tuple(g.row(2, j) for j in range(70))
+        assert transpose_rows(rows1, 70) == rows2 == naive_transpose(rows1, 70)
+        assert transpose_rows(rows2, 13) == rows1

@@ -1,6 +1,7 @@
 """Pseudo-randomness property checks and their naive cross-checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from bipcover import (BLUE, RED, BipartiteGraph, Vertex, almost_cover,
 from bipcover.cover import CoverParams
 from bipcover.errors import InvalidArgumentError
 from bipcover.models import ModelParams
+from bipcover.properties import _codegree_tails
+from conftest import naive_degree_bands
 
 
 class TestDegreeBand:
@@ -49,6 +52,55 @@ class TestDegreeBand:
             if deg.satisfied:
                 clean += 1
         assert clean >= 19
+
+
+class TestCodegreeKernel:
+    @staticmethod
+    def assert_matches_oracle(g, p, eps):
+        deg, codeg = check_degrees(g, p, eps)
+        d_checked, d_bad, c_checked, c_bad = naive_degree_bands(g, p, eps)
+        assert deg.checked_instances == d_checked
+        assert codeg.checked_instances == c_checked
+        assert deg.violations == d_bad
+        assert codeg.violations == c_bad
+        assert all(type(v[1]) is int for v in deg.violations + codeg.violations)
+        assert codeg.satisfied is (not c_bad)
+        return c_bad
+
+    @pytest.mark.parametrize("n", (1, 2, 9, 30))
+    @pytest.mark.parametrize("p", (Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)))
+    def test_matches_pair_loop(self, n, p):
+        for seed in range(3):
+            g = sample_bipartite(ModelParams(n, n, p), seed)
+            self.assert_matches_oracle(g, p, Fraction(1, 5))
+
+    def test_integer_band_edges(self):
+        # p^2 n = 5 and (1 -+ 1/5) * 5 = 4, 6: codegrees 4 and 6 are in
+        # band, 3 and 7 are not; degrees likewise at 8 and 12.
+        p, eps = Fraction(1, 2), Fraction(1, 5)
+        on_edge = set()
+        for seed in range(4):
+            g = sample_bipartite(ModelParams(20, 20, p), seed)
+            self.assert_matches_oracle(g, p, eps)
+            for part in (1, 2):
+                rows = [g.row(part, i) for i in range(20)]
+                on_edge.update((rows[i] & rows[j]).bit_count()
+                               for i in range(20) for j in range(i + 1, 20))
+        assert {3, 4, 6, 7} <= on_edge
+
+    @pytest.mark.parametrize("width", (0, 1, 63, 64, 65, 130))
+    def test_tails_match_pair_loop(self, width):
+        rng = random.Random(width)
+        rows = [rng.getrandbits(width) for _ in range(7)]
+        rows[2] = (1 << width) - 1
+        tails = [t.tolist() for t in _codegree_tails(rows, width)]
+        assert tails == [[(rows[i] & rows[j]).bit_count() for j in range(i + 1, 7)]
+                         for i in range(6)]
+
+    def test_no_common_pairs_unbalanced(self):
+        for n1, n2 in ((1, 1), (1, 7), (9, 2), (30, 65)):
+            g = sample_bipartite(ModelParams(n1, n2, Fraction(1, 6)), n1 + n2)
+            assert count_no_common_neighbour_pairs(g) == _naive_pair_counts(g)
 
 
 class TestExpansion:

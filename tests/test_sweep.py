@@ -6,8 +6,10 @@ import pytest
 
 from bipcover import SweepConfig, records_to_csv, run_sweep, summarise
 from bipcover.errors import BipcoverError
-from bipcover.sweep import (RECORD_HEADER, SUMMARY_HEADER, config_from_mapping,
-                            parse_config_file)
+from bipcover.exact import ExactResult, tc_exact
+from bipcover.models import ModelParams, sample_bipartite, sample_colouring
+from bipcover.sweep import (RECORD_HEADER, SUMMARY_HEADER, _tc_witness_ok,
+                            config_from_mapping, parse_config_file)
 
 
 def small_config(**overrides):
@@ -95,6 +97,26 @@ def test_exact_tc_sweep():
     for r in records:
         if not r.error:
             assert r.trees >= 3  # exact tc of a lower3 colouring
+
+
+def test_exact_tc_records_check_the_witness():
+    config = small_config(algorithm="exact_tc", n_values=(8,), trials=4,
+                          p_values=(Fraction(1, 2),))
+    assert all(r.valid for r in run_sweep(config) if not r.error)
+
+    g = sample_bipartite(ModelParams(6, 6, Fraction(1, 2)), 3)
+    col = sample_colouring(g, Fraction(1, 2), 3)
+    result = tc_exact(g, col)
+    assert result.value >= 2 and _tc_witness_ok(g, col, result)
+    (colour, comp), *rest = result.witness
+    shrunk = comp - {min(comp)}
+    broken = (
+        rest,                                   # fewer sets than the value
+        [(colour, comp)] * result.value,        # components, but not V(G)
+        [(colour, shrunk)] + rest,              # not a component
+    )
+    for witness in broken:
+        assert not _tc_witness_ok(g, col, ExactResult(result.value, witness, 0))
 
 
 def test_lower4_source_records_errors_without_aborting():
