@@ -6,6 +6,7 @@ Library layout:
   cover and partition validators.
 * :mod:`bipcover.models` - seeded random graph and colouring samplers.
 * :mod:`bipcover.adversary` - lower-bound colouring constructions.
+* :mod:`bipcover.construct` - the construction steps cover and mindeg share.
 * :mod:`bipcover.cover` - the almost-cover algorithm (at most 3 trees).
 * :mod:`bipcover.mindeg` - the minimum-degree 3-partition algorithm.
 * :mod:`bipcover.exact` - exact brute-force cover/partition solvers.

@@ -23,11 +23,11 @@ from .errors import BipcoverError
 from .exact import exhaustive_knn_check, tc_exact, tp_exact
 from .graph import TwoColouring, validate_cover, validate_partition
 from .mindeg import PartitionParams, audit_partition_state, partition3
-from .models import (ModelParams, as_fraction, sample_bipartite,
-                     sample_colouring, sample_mindeg_subgraph)
+from .models import ModelParams, as_fraction, sample_bipartite, sample_colouring
 from .properties import check_degrees, count_no_common_neighbour_pairs
-from .sweep import (config_from_mapping, parse_config_file, plot_script,
-                    records_to_csv, run_sweep, summarise)
+from .sweep import (RECORD_HEADER, SweepRecord, config_from_mapping,
+                    parse_config_file, plot_script, records_to_csv, run_sweep,
+                    summarise)
 
 
 def _outpath(name: str | None) -> Path | None:
@@ -259,7 +259,6 @@ def _cmd_summarise(args) -> int:
 
 
 def _records_from_csv(text: str):
-    from .sweep import RECORD_HEADER, SweepRecord
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines or lines[0] != RECORD_HEADER:
         raise BipcoverError("not a sweep records CSV")

@@ -113,6 +113,16 @@ def _min_cover(universe: int, sets: list[int]) -> tuple[int, list[int], int]:
     return best_size, [order[k] for k in best], nodes
 
 
+def _maximal(masks: list[int]) -> list[int]:
+    """Distinct masks sorted by decreasing size, minus each one inside a
+    kept one: by transitivity, exactly those inside any earlier mask."""
+    kept: list[int] = []
+    for m in masks:
+        if not any(m & ~other == 0 for other in kept):
+            kept.append(m)
+    return kept
+
+
 def tc_exact(g: BipartiteGraph, colouring) -> ExactResult:
     """Minimum number of monochromatic components covering V(G), with witness."""
     comps = _component_sets(g, colouring)
@@ -123,11 +133,7 @@ def tc_exact(g: BipartiteGraph, colouring) -> ExactResult:
     for k, (_, mask, _) in enumerate(comps):
         if mask not in seen_masks:
             seen_masks[mask] = k
-    masks = sorted(seen_masks, key=lambda m: -m.bit_count())
-    kept: list[int] = []
-    for m in masks:
-        if not any(m & ~other == 0 and other != m for other in kept):
-            kept.append(m)
+    kept = _maximal(sorted(seen_masks, key=lambda m: -m.bit_count()))
     value, chosen, nodes = _min_cover(universe, kept)
     two = colouring.num_colours == 2
     witness = []
@@ -303,9 +309,7 @@ def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> Knn
                     rows2[j] |= 1 << i
             for m1, m2 in components_from_rows(n, n, tuple(rows1), tuple(rows2)):
                 masks.add(m1 | (m2 << n))
-        kept = sorted(masks, key=lambda m: -m.bit_count())
-        kept = [m for k, m in enumerate(kept)
-                if not any(m & ~other == 0 for other in kept[:k])]
+        kept = _maximal(sorted(masks, key=lambda m: -m.bit_count()))
         value, _, _ = _min_cover(universe, kept)
         report.tc_histogram[value] = report.tc_histogram.get(value, 0) + 1
         if value > report.max_tc:

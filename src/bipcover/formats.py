@@ -19,20 +19,19 @@ are ``i-j``.
 from __future__ import annotations
 
 import io
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import FormatError
 from .graph import (BipartiteGraph, Colour, MonoPartition, MonoTree, RColouring,
                     TreeCover, TwoColouring, Vertex)
 
 Colouring = TwoColouring | RColouring
+_RB = {"R": Colour.RED, "B": Colour.BLUE}
 
 
 def _parse_colour_token(token: str) -> int:
-    if token == "R":
-        return 0
-    if token == "B":
-        return 1
+    if token in _RB:
+        return _RB[token]
     try:
         c = int(token)
     except ValueError:
@@ -42,18 +41,24 @@ def _parse_colour_token(token: str) -> int:
     return c
 
 
+def content_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line that is not blank once its
+    ``#`` comment is stripped."""
+    text = source if isinstance(source, str) else source.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]:
     """Parse the graph format; returns (graph, colouring or None)."""
-    text = source if isinstance(source, str) else source.read()
     n1 = n2 = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     colours: dict[tuple[int, int], int] = {}
     bare_lines = coloured_lines = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(source):
         fields = line.split()
         if n1 is None:
             if fields[0] != "bipartite" or len(fields) != 3:
@@ -148,17 +153,13 @@ def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = (
 
 
 def parse_cover(source: str | TextIO) -> TreeCover:
-    text = source if isinstance(source, str) else source.read()
     trees: list[MonoTree] = []
     uncovered: frozenset[Vertex] = frozenset()
     colour: Colour | None = None
     vertices: list[Vertex] = []
     edges: list[tuple[Vertex, Vertex]] = []
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(source):
         fields = line.split()
         kind = fields[0]
         if not header_seen:
@@ -169,7 +170,9 @@ def parse_cover(source: str | TextIO) -> TreeCover:
         if kind == "tree":
             if colour is not None:
                 raise FormatError(f"line {lineno}: previous tree not ended")
-            colour = Colour.RED if fields[1] == "R" else Colour.BLUE
+            if len(fields) != 2 or fields[1] not in _RB:
+                raise FormatError(f"line {lineno}: expected 'tree <R|B>'")
+            colour = _RB[fields[1]]
             vertices, edges = [], []
         elif kind == "vertices":
             vertices.extend(_parse_vertex(t, lineno) for t in fields[1:])
@@ -209,22 +212,18 @@ def write_partition(partition: MonoPartition, g: BipartiteGraph,
 
 
 def parse_partition(source: str | TextIO) -> MonoPartition:
-    text = source if isinstance(source, str) else source.read()
     parts: list[tuple[Colour, frozenset[Vertex]]] = []
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(source):
         fields = line.split()
         if not header_seen:
             if fields[0] != "partition" or len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'partition <n1> <n2>'")
             header_seen = True
             continue
-        if fields[0] != "part" or len(fields) < 2:
+        if fields[0] != "part" or len(fields) < 2 or fields[1] not in _RB:
             raise FormatError(f"line {lineno}: expected 'part <R|B> <vertices...>'")
-        colour = Colour.RED if fields[1] == "R" else Colour.BLUE
+        colour = _RB[fields[1]]
         parts.append((colour, frozenset(_parse_vertex(t, lineno) for t in fields[2:])))
     if not header_seen:
         raise FormatError("missing 'partition <n1> <n2>' header")

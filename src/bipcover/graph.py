@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +60,26 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def lowest(mask: int) -> int:
+    """Index of the lowest set bit (-1 for an empty mask)."""
+    return (mask & -mask).bit_length() - 1
+
+
+def select(mask: int, keep: Callable[[int], object]) -> int:
+    """The bits i of ``mask`` for which ``keep(i)`` is truthy, tested ascending."""
+    out = 0
+    for i in iter_bits(mask):
+        if keep(i):
+            out |= 1 << i
+    return out
+
+
+def edges_between(row_of: Callable[[int], int], mask_x: int, mask_y: int) -> int:
+    """Sum over i in ``mask_x`` of |row_of(i) & mask_y|: the edges between
+    two opposite-part masks, ``row_of`` giving the rows on mask_x's side."""
+    return sum((row_of(i) & mask_y).bit_count() for i in iter_bits(mask_x))
 
 
 def rows_to_matrix(rows: Sequence[int], width: int) -> np.ndarray:
@@ -339,7 +359,7 @@ class RColouring:
 # Queries
 
 
-def _vertex_masks(g: BipartiteGraph, vertices: Iterable[Vertex]) -> tuple[int, int]:
+def vertex_masks(g: BipartiteGraph, vertices: Iterable[Vertex]) -> tuple[int, int]:
     """Split a vertex set into (part-1 mask, part-2 mask), validating ids."""
     m1 = m2 = 0
     for v in vertices:
@@ -351,10 +371,13 @@ def _vertex_masks(g: BipartiteGraph, vertices: Iterable[Vertex]) -> tuple[int, i
     return m1, m2
 
 
+def part_vertices(part: int, mask: int) -> list[Vertex]:
+    """The vertices of one part that ``mask`` names, ascending."""
+    return [Vertex(part, i) for i in iter_bits(mask)]
+
+
 def vertex_set(mask1: int, mask2: int) -> frozenset[Vertex]:
-    return frozenset(
-        [Vertex(1, i) for i in iter_bits(mask1)] + [Vertex(2, j) for j in iter_bits(mask2)]
-    )
+    return frozenset(part_vertices(1, mask1) + part_vertices(2, mask2))
 
 
 def degree(g: BipartiteGraph, v: Vertex, *, within: Iterable[Vertex] | None = None,
@@ -366,7 +389,7 @@ def degree(g: BipartiteGraph, v: Vertex, *, within: Iterable[Vertex] | None = No
     row = colouring.coloured_row(v.part, v.index, colour) if colouring else g.row(v.part, v.index)
     if within is None:
         return row.bit_count()
-    m1, m2 = _vertex_masks(g, within)
+    m1, m2 = vertex_masks(g, within)
     opposite = m2 if v.part == 1 else m1
     if (m1 if v.part == 1 else m2):
         raise InvalidArgumentError("'within' must lie in the part opposite to v")
@@ -379,8 +402,8 @@ def edge_count_between(g: BipartiteGraph, a: Iterable[Vertex], b: Iterable[Verte
     """Number of (optionally colour-restricted) edges with one end in each set."""
     if (colouring is None) != (colour is None):
         raise InvalidArgumentError("colouring and colour must be given together")
-    a1, a2 = _vertex_masks(g, a)
-    b1, b2 = _vertex_masks(g, b)
+    a1, a2 = vertex_masks(g, a)
+    b1, b2 = vertex_masks(g, b)
     if (a1 and a2) or (b1 and b2):
         raise InvalidArgumentError("each set must lie within a single part")
     if (a1 or a2) == 0 or (b1 or b2) == 0:
@@ -388,11 +411,9 @@ def edge_count_between(g: BipartiteGraph, a: Iterable[Vertex], b: Iterable[Verte
     if (a1 and b1) or (a2 and b2):
         raise InvalidArgumentError("sets must lie in opposite parts")
     left, right = (a1, b2) if a1 else (b1, a2)
-    total = 0
-    for i in iter_bits(left):
-        row = colouring.coloured_row(1, i, colour) if colouring else g.row(1, i)
-        total += (row & right).bit_count()
-    return total
+    if colouring:
+        return edges_between(lambda i: colouring.coloured_row(1, i, colour), left, right)
+    return edges_between(lambda i: g.row(1, i), left, right)
 
 
 def components_from_rows(n1: int, n2: int, rows1: tuple[int, ...],
@@ -434,6 +455,16 @@ def components_from_rows(n1: int, n2: int, rows1: tuple[int, ...],
             m2 |= frontier2
         comps.append((m1, m2))
     return comps
+
+
+def restricted_components(g: BipartiteGraph, rows1: Sequence[int], rows2: Sequence[int],
+                          m1: int, m2: int) -> list[tuple[int, int]]:
+    """Components of the subgraph that ``rows1``/``rows2`` induce on the
+    vertex set (m1, m2); vertices outside the set are left out."""
+    sub1 = tuple(rows1[i] & m2 if m1 >> i & 1 else 0 for i in range(g.n1))
+    sub2 = tuple(rows2[j] & m1 if m2 >> j & 1 else 0 for j in range(g.n2))
+    return [c for c in components_from_rows(g.n1, g.n2, sub1, sub2)
+            if (c[0] & m1) or (c[1] & m2)]
 
 
 def monochromatic_components(g: BipartiteGraph, colouring, colour) -> list[frozenset[Vertex]]:
@@ -579,14 +610,8 @@ def validate_partition(g: BipartiteGraph, colouring: TwoColouring,
         if overlap:
             report.add(f"part {k} overlaps an earlier part at {sorted(overlap)[0]}")
         seen |= part
-        m1, m2 = _vertex_masks(g, part)
-        rows1, rows2 = colouring.layer_rows(colour)
-        sub1 = tuple(rows1[i] & m2 if m1 >> i & 1 else 0 for i in range(g.n1))
-        sub2 = tuple(rows2[j] & m1 if m2 >> j & 1 else 0 for j in range(g.n2))
-        # Rows restricted to the part: components that touch the part lie
-        # entirely inside it, everything else shows up as a foreign singleton.
-        inside = [c for c in components_from_rows(g.n1, g.n2, sub1, sub2)
-                  if (c[0] & m1) or (c[1] & m2)]
+        inside = restricted_components(g, *colouring.layer_rows(colour),
+                                       *vertex_masks(g, part))
         if len(inside) != 1:
             report.add(f"part {k}: {len(inside)} {colour.token}-components, expected 1")
     missing = set(g.vertices()) - seen
@@ -601,7 +626,7 @@ def spanning_tree_of(g: BipartiteGraph, colouring: TwoColouring, colour: Colour,
     vset = frozenset(vertices)
     if not vset:
         raise InvalidArgumentError("cannot build a tree on no vertices")
-    m1, m2 = _vertex_masks(g, vset)
+    m1, m2 = vertex_masks(g, vset)
     root = min(vset)
     reached1, reached2 = (1 << root.index, 0) if root.part == 1 else (0, 1 << root.index)
     frontier = [root]

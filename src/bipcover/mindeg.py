@@ -32,11 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
+from .construct import (AuditReport, coin_split, heavy_masks, orient, pick_roots,
+                        retry_draw)
 from .errors import InvalidArgumentError, PartitionFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
-                    TwoColouring, Vertex, components_from_rows, iter_bits,
-                    vertex_set)
+                    TwoColouring, Vertex, components_from_rows, edges_between,
+                    iter_bits, lowest, part_vertices, restricted_components,
+                    select, vertex_masks, vertex_set)
 from .models import as_fraction
 from .rng import RandomStream
 
@@ -90,10 +94,6 @@ class PartitionState:
     min_bulk_matches: int | None = None  # smallest per-bulk-vertex joker match count
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def _lowest_k(mask: int, k: int) -> int:
     out = 0
     for idx in iter_bits(mask):
@@ -130,16 +130,7 @@ class _Run:
     def run(self) -> tuple[MonoPartition, PartitionState]:
         n, delta = self.n, self.delta
         heavy_thr = (Fraction(9, 16) + 3 * delta / 4) * n
-        heavy = {}
-        for colour in (RED, BLUE):
-            masks = []
-            for part in (1, 2):
-                m = 0
-                for i in range(self.g.part_size(part)):
-                    if self.crow(part, i, colour).bit_count() >= heavy_thr:
-                        m |= 1 << i
-                masks.append(m)
-            heavy[colour] = (masks[0], masks[1])
+        heavy = heavy_masks(self.g, self.col, lambda d, dc: dc >= heavy_thr)
 
         state = PartitionState(
             n=n, delta=delta, subsample_p=self.params.subsample_p, branch="one-colour",
@@ -149,7 +140,7 @@ class _Run:
             if heavy[missing] == (0, 0):
                 return self._one_colour_partition(keep, state), state
 
-        roots = self._pick_roots(heavy)
+        roots = pick_roots(heavy)
         if roots is None:
             raise PartitionFailureError(
                 "opposite-roots", "both colours' heavy vertices lie in a single part")
@@ -181,37 +172,23 @@ class _Run:
                 state.preference[v] = colour_
         return MonoPartition(parts)
 
-    def _pick_roots(self, heavy) -> tuple[Vertex, Vertex] | None:
-        hr1, hr2 = heavy[RED]
-        hb1, hb2 = heavy[BLUE]
-        if hr1 and hb2:
-            return Vertex(1, _lowest(hr1)), Vertex(2, _lowest(hb2))
-        if hr2 and hb1:
-            return Vertex(2, _lowest(hr2)), Vertex(1, _lowest(hb1))
-        return None
-
     def _deep(self, state: PartitionState, root_red: Vertex,
               root_blue: Vertex) -> tuple[MonoPartition, PartitionState]:
-        g, col, n, delta = self.g, self.col, self.n, self.delta
+        g, crow, n, delta = self.g, self.crow, self.n, self.delta
         retry = self.params.retry_limit
 
         base_size = int((Fraction(9, 16) + delta / 2) * n)
-        nr = self.crow(root_red.part, root_red.index, RED) & ~(1 << root_blue.index)
-        nb = self.crow(root_blue.part, root_blue.index, BLUE) & ~(1 << root_red.index)
+        nr = crow(root_red.part, root_red.index, RED) & ~(1 << root_blue.index)
+        nb = crow(root_blue.part, root_blue.index, BLUE) & ~(1 << root_red.index)
         base_red_mask = _lowest_k(nr, base_size)    # on root_blue's part side
         base_blue_mask = _lowest_k(nb, base_size)   # on root_red's part side
-        side_red_base = root_blue.part  # the side base_red lives on
-        side_blue_base = root_red.part
-        state.base_red = vertex_set(*((base_red_mask, 0) if side_red_base == 1
-                                      else (0, base_red_mask)))
-        state.base_blue = vertex_set(*((base_blue_mask, 0) if side_blue_base == 1
-                                       else (0, base_blue_mask)))
+        state.base_red = frozenset(part_vertices(root_blue.part, base_red_mask))
+        state.base_blue = frozenset(part_vertices(root_red.part, base_blue_mask))
 
-        e_red = e_blue = 0
-        for i in iter_bits(base_blue_mask):
-            row = self.crow(side_blue_base, i, RED)
-            e_red += (row & base_red_mask).bit_count()
-            e_blue += (g.row(side_blue_base, i) & ~row & base_red_mask).bit_count()
+        e_red = edges_between(lambda i: crow(root_red.part, i, RED),
+                              base_blue_mask, base_red_mask)
+        e_blue = edges_between(lambda i: crow(root_red.part, i, BLUE),
+                               base_blue_mask, base_red_mask)
         total_bound = (Fraction(3, 8) + delta) * n * base_size
         if e_red + e_blue < total_bound:
             raise PartitionFailureError(
@@ -226,57 +203,44 @@ class _Run:
         minr = maj.other
 
         # Orient: jokers sit in the minority root's base, the sample is
-        # drawn from the majority root's base.
-        if maj is RED:
-            root_p, root_s = root_red, root_blue
-            base_p, base_s = base_red_mask, base_blue_mask
-            side_p_base, side_s_base = side_red_base, side_blue_base
-        else:
-            root_p, root_s = root_blue, root_red
-            base_p, base_s = base_blue_mask, base_red_mask
-            side_p_base, side_s_base = side_blue_base, side_red_base
+        # drawn from the majority root's base, which lies on the minority
+        # root's side.
+        root_p, root_s = orient(maj, root_red, root_blue)
+        base_p, base_s = orient(maj, base_red_mask, base_blue_mask)
+        side_p_base, side_s_base = root_s.part, root_p.part
 
         joker_thr = delta * n / 100
-        jokers = 0
-        for v in iter_bits(base_s):
-            if (self.crow(side_s_base, v, maj) & base_p).bit_count() >= joker_thr:
-                jokers |= 1 << v
+        jokers = select(base_s, lambda v: (crow(side_s_base, v, maj) & base_p).bit_count()
+                        >= joker_thr)
         if jokers.bit_count() < Fraction(3, 16) * n:
             raise PartitionFailureError(
                 "joker-count", f"{jokers.bit_count()} jokers, "
                 f"below 3n/16={float(Fraction(3, 16) * n):.1f}")
-        state.jokers = vertex_set(*((jokers, 0) if side_s_base == 1 else (0, jokers)))
+        state.jokers = frozenset(part_vertices(side_s_base, jokers))
 
         # Thin the majority base to a small random sample that every joker
         # still reaches in the majority colour.
         sp = self.params.subsample_p
         lo, hi = sp * n / 2, sp * n
         match_thr = delta * sp * n / 200
-        sample = 0
-        for attempt in range(retry):
-            sample = 0
-            for v in iter_bits(base_p):
-                if self.rng.bernoulli(sp):
-                    sample |= 1 << v
-            if not lo <= sample.bit_count() <= hi:
-                continue
-            if all((self.crow(side_s_base, y, maj) & sample).bit_count() >= match_thr
-                   for y in iter_bits(jokers)):
-                break
-        else:
+        sample, failed = retry_draw(
+            retry, lambda: select(base_p, lambda _: self.rng.bernoulli(sp)),
+            lambda s: not lo <= s.bit_count() <= hi or any(
+                (crow(side_s_base, y, maj) & s).bit_count() < match_thr
+                for y in iter_bits(jokers)))
+        if failed:
             raise PartitionFailureError(
                 "sample-retry", f"no draw in {retry} tries hit size "
                 f"[{float(lo):.1f}, {float(hi):.1f}] with all jokers matched")
-        state.base_sample = vertex_set(*((sample, 0) if side_p_base == 1
-                                         else (0, sample)))
+        state.base_sample = frozenset(part_vertices(side_p_base, sample))
 
         # Everyone else on the sample's side picks the colour with more
         # joker neighbours (guaranteed at least delta*n/2 in one colour).
         bulk = self.full(side_p_base) & ~(1 << root_s.index) & ~sample
         bulk_choice: dict[int, Colour] = {}
         for w in iter_bits(bulk):
-            cnt_p = (self.crow(side_p_base, w, maj) & jokers).bit_count()
-            cnt_s = (self.crow(side_p_base, w, minr) & jokers).bit_count()
+            cnt_p = (crow(side_p_base, w, maj) & jokers).bit_count()
+            cnt_s = (crow(side_p_base, w, minr) & jokers).bit_count()
             if max(cnt_p, cnt_s) * 2 < delta * n:
                 raise PartitionFailureError(
                     "bulk-choice", f"vertex {side_p_base}:{w} has only "
@@ -286,43 +250,27 @@ class _Run:
         # Joker preference draw: every bulk vertex must keep enough
         # matching jokers of its chosen colour.
         match_floor = delta * n / 8
-        jok_p = jok_s = 0
-        min_matches = None
-        for attempt in range(retry):
-            jok_p = jok_s = 0
-            for v in iter_bits(jokers):
-                if self.rng.coin():
-                    jok_p |= 1 << v
-                else:
-                    jok_s |= 1 << v
-            min_matches = None
-            ok = True
-            for w, cw in bulk_choice.items():
-                match = jok_p if cw is maj else jok_s
-                cnt = (self.crow(side_p_base, w, cw) & match).bit_count()
-                min_matches = cnt if min_matches is None else min(min_matches, cnt)
-                if cnt < match_floor:
-                    ok = False
-                    break
-            if ok:
-                break
-        else:
+
+        def matches(drawn: tuple[int, int]) -> Iterator[int]:
+            jok_p, jok_s = drawn
+            return ((crow(side_p_base, w, cw) & (jok_p if cw is maj else jok_s)).bit_count()
+                    for w, cw in bulk_choice.items())
+
+        (jok_p, jok_s), failed = retry_draw(
+            retry, lambda: coin_split(self.rng, jokers),
+            lambda d: any(cnt < match_floor for cnt in matches(d)))
+        if failed:
             raise PartitionFailureError(
                 "joker-retry", f"some bulk vertex kept fewer than "
                 f"{float(match_floor):.1f} matching jokers in {retry} draws")
-        state.min_bulk_matches = min_matches
+        state.min_bulk_matches = min(matches((jok_p, jok_s)), default=None)
 
-        bulk_p = 0
-        bulk_s = 0
-        for w, cw in bulk_choice.items():
-            if cw is maj:
-                bulk_p |= 1 << w
-            else:
-                bulk_s |= 1 << w
-        pack_p_side = lambda m: (m, 0) if side_p_base == 1 else (0, m)  # noqa: E731
-        state.bulk = vertex_set(*pack_p_side(bulk))
-        state.bulk_red = vertex_set(*pack_p_side(bulk_p if maj is RED else bulk_s))
-        state.bulk_blue = vertex_set(*pack_p_side(bulk_s if maj is RED else bulk_p))
+        bulk_p = select(bulk, lambda w: bulk_choice[w] is maj)
+        bulk_s = bulk & ~bulk_p
+        bulk_red, bulk_blue = orient(maj, bulk_p, bulk_s)
+        state.bulk = frozenset(part_vertices(side_p_base, bulk))
+        state.bulk_red = frozenset(part_vertices(side_p_base, bulk_red))
+        state.bulk_blue = frozenset(part_vertices(side_p_base, bulk_blue))
 
         # The big preference class on the bulk side absorbs the leftover part.
         two_fifths = Fraction(2, 5) * n
@@ -336,7 +284,7 @@ class _Run:
                 f"({bulk_p.bit_count()} vs {bulk_s.bit_count()})")
 
         rest = self.full(side_s_base) & ~(1 << root_p.index) & ~base_s
-        state.rest = vertex_set(*((rest, 0) if side_s_base == 1 else (0, rest)))
+        state.rest = frozenset(part_vertices(side_s_base, rest))
         reach_bound = (Fraction(3, 16) + delta) * n
         for u in iter_bits(rest):
             if (g.row(side_s_base, u) & big_mask).bit_count() < reach_bound:
@@ -346,27 +294,17 @@ class _Run:
 
         # preference assembly (absolute colours)
         prefs: dict[Vertex, Colour] = {root_p: maj, root_s: minr}
-        for v in iter_bits(sample):
-            prefs[Vertex(side_p_base, v)] = maj
-        for v in iter_bits(base_s & ~jokers):
-            prefs[Vertex(side_s_base, v)] = minr
-        for v in iter_bits(jok_p):
-            prefs[Vertex(side_s_base, v)] = maj
-        for v in iter_bits(jok_s):
-            prefs[Vertex(side_s_base, v)] = minr
+        prefs.update(dict.fromkeys(part_vertices(side_p_base, sample), maj))
+        prefs.update(dict.fromkeys(part_vertices(side_s_base, base_s & ~jokers), minr))
+        prefs.update(dict.fromkeys(part_vertices(side_s_base, jok_p), maj))
+        prefs.update(dict.fromkeys(part_vertices(side_s_base, jok_s), minr))
         for w, cw in bulk_choice.items():
             prefs[Vertex(side_p_base, w)] = cw
         # note: base_p minus the sample is part of the bulk, already chosen
 
-        stuck = None
-        for u in iter_bits(rest):
-            if not self.crow(side_s_base, u, big_colour) & big_mask:
-                stuck = u
-                break
-
-        if stuck is None:
-            for u in iter_bits(rest):
-                prefs[Vertex(side_s_base, u)] = big_colour
+        stuck = select(rest, lambda u: not crow(side_s_base, u, big_colour) & big_mask)
+        if not stuck:
+            prefs.update(dict.fromkeys(part_vertices(side_s_base, rest), big_colour))
             state.branch = "two-parts"
             state.preference = prefs
             partition = self._assemble(prefs, {RED: 1, BLUE: 1})
@@ -376,17 +314,17 @@ class _Run:
         # relink set around it so every leftover vertex can still choose.
         state.branch = "relink"
         other_colour = big_colour.other
-        u0 = Vertex(side_s_base, stuck)
-        state.second_root = u0
+        u0 = lowest(stuck)
+        state.second_root = Vertex(side_s_base, u0)
         relink_size = int((Fraction(3, 16) + delta) * n)
-        relink_pool = self.crow(side_s_base, stuck, other_colour) & big_mask
+        relink_pool = crow(side_s_base, u0, other_colour) & big_mask
         relink = _lowest_k(relink_pool, relink_size)
-        state.relink = vertex_set(*pack_p_side(relink))
+        state.relink = frozenset(part_vertices(side_p_base, relink))
 
         rest_choice: dict[int, Colour] = {}
         for u in iter_bits(rest):
-            cnt_other = (self.crow(side_s_base, u, other_colour) & relink).bit_count()
-            cnt_big = (self.crow(side_s_base, u, big_colour) & relink).bit_count()
+            cnt_other = (crow(side_s_base, u, other_colour) & relink).bit_count()
+            cnt_big = (crow(side_s_base, u, big_colour) & relink).bit_count()
             if cnt_other + cnt_big < 2 * delta * n:
                 raise PartitionFailureError(
                     "relink-degree", f"vertex {side_s_base}:{u} sees only "
@@ -397,32 +335,23 @@ class _Run:
                     f"{float(delta * n):.1f} relink neighbours")
             rest_choice[u] = other_colour if cnt_other >= cnt_big else big_colour
 
-        relink_other = relink_big = 0
         half_floor = delta * n / 2
-        for attempt in range(retry):
-            relink_other = relink_big = 0
-            for v in iter_bits(relink):
-                if self.rng.coin():
-                    relink_other |= 1 << v
-                else:
-                    relink_big |= 1 << v
-            ok = True
-            for u, cu in rest_choice.items():
-                match = relink_other if cu is other_colour else relink_big
-                if (self.crow(side_s_base, u, cu) & match).bit_count() < half_floor:
-                    ok = False
-                    break
-            if ok:
-                break
-        else:
+
+        def short(drawn: tuple[int, int]) -> bool:
+            relink_other, relink_big = drawn
+            return any((crow(side_s_base, u, cu)
+                        & (relink_other if cu is other_colour else relink_big)).bit_count()
+                       < half_floor for u, cu in rest_choice.items())
+
+        (relink_other, relink_big), failed = retry_draw(
+            retry, lambda: coin_split(self.rng, relink), short)
+        if failed:
             raise PartitionFailureError(
                 "relink-retry", f"some leftover vertex kept fewer than "
                 f"{float(half_floor):.1f} matching relink vertices in {retry} draws")
 
-        for v in iter_bits(relink_other):
-            prefs[Vertex(side_p_base, v)] = other_colour
-        for v in iter_bits(relink_big):
-            prefs[Vertex(side_p_base, v)] = big_colour
+        prefs.update(dict.fromkeys(part_vertices(side_p_base, relink_other), other_colour))
+        prefs.update(dict.fromkeys(part_vertices(side_p_base, relink_big), big_colour))
         for u, cu in rest_choice.items():
             prefs[Vertex(side_s_base, u)] = cu
         state.preference = prefs
@@ -436,20 +365,10 @@ class _Run:
         g = self.g
         parts = []
         for colour in (RED, BLUE):
-            m1 = m2 = 0
-            for v, c in prefs.items():
-                if c is colour:
-                    if v.part == 1:
-                        m1 |= 1 << v.index
-                    else:
-                        m2 |= 1 << v.index
+            m1, m2 = vertex_masks(g, [v for v, c in prefs.items() if c is colour])
             if not (m1 | m2):
                 continue
-            rows1, rows2 = self.col.layer_rows(colour)
-            sub1 = tuple(rows1[i] & m2 if m1 >> i & 1 else 0 for i in range(g.n1))
-            sub2 = tuple(rows2[j] & m1 if m2 >> j & 1 else 0 for j in range(g.n2))
-            comps = [c_ for c_ in components_from_rows(g.n1, g.n2, sub1, sub2)
-                     if (c_[0] & m1) or (c_[1] & m2)]
+            comps = restricted_components(g, *self.col.layer_rows(colour), m1, m2)
             if len(comps) > allowed[colour]:
                 raise PartitionFailureError(
                     "connectivity", f"{colour.token}-preference class spans "
@@ -475,44 +394,36 @@ def partition3(g: BipartiteGraph, colouring: TwoColouring,
 
 def audit_partition_state(state: PartitionState, g: BipartiteGraph,
                           colouring: TwoColouring,
-                          params: PartitionParams):
+                          params: PartitionParams) -> AuditReport:
     """Measured values against the construction's claimed bounds."""
-    from .cover import AuditEntry, AuditReport  # shared report shape
-
     report = AuditReport()
     n, delta = state.n, state.delta
-
-    def add(name, measured, bound, satisfied):
-        report.entries.append(AuditEntry(name, measured, bound, satisfied))
-
     deep = state.majority is not None
     if deep:
         maj = state.majority
-        red_base_mask = 0
-        for w in state.base_red:
-            red_base_mask |= 1 << w.index
-        e_total = e_maj = 0
-        for v in state.base_blue:  # opposite side of base_red by construction
-            e_total += (g.row(v.part, v.index) & red_base_mask).bit_count()
-            e_maj += (colouring.coloured_row(v.part, v.index, maj)
-                      & red_base_mask).bit_count()
+        side = state.root_red.part  # base_blue's side; base_red is opposite
+        blue_base_mask = vertex_masks(g, state.base_blue)[side - 1]
+        red_base_mask = vertex_masks(g, state.base_red)[2 - side]
+        e_total = edges_between(lambda i: g.row(side, i), blue_base_mask, red_base_mask)
+        e_maj = edges_between(lambda i: colouring.coloured_row(side, i, maj),
+                              blue_base_mask, red_base_mask)
         size = len(state.base_red)
-        add("base-edges", e_total, float((Fraction(3, 8) + delta) * n * size),
-            Fraction(e_total) >= (Fraction(3, 8) + delta) * n * size)
-        add("majority-base-edges", e_maj,
-            float((Fraction(3, 16) + delta / 2) * n * size),
-            Fraction(e_maj) >= (Fraction(3, 16) + delta / 2) * n * size)
-        add("joker-count", len(state.jokers), float(Fraction(3, 16) * n),
-            Fraction(len(state.jokers)) >= Fraction(3, 16) * n)
+        report.add("base-edges", e_total, float((Fraction(3, 8) + delta) * n * size),
+                   Fraction(e_total) >= (Fraction(3, 8) + delta) * n * size)
+        report.add("majority-base-edges", e_maj,
+                   float((Fraction(3, 16) + delta / 2) * n * size),
+                   Fraction(e_maj) >= (Fraction(3, 16) + delta / 2) * n * size)
+        report.add("joker-count", len(state.jokers), float(Fraction(3, 16) * n),
+                   Fraction(len(state.jokers)) >= Fraction(3, 16) * n)
         sp = state.subsample_p
         sample_size = len(state.base_sample)
-        add("sample-size", sample_size, float(sp * n),
-            sp * n / 2 <= sample_size <= sp * n)
-        add("bulk-matches", state.min_bulk_matches, float(delta * n / 8),
-            None if state.min_bulk_matches is None
-            else Fraction(state.min_bulk_matches) >= delta * n / 8)
+        report.add("sample-size", sample_size, float(sp * n),
+                   sp * n / 2 <= sample_size <= sp * n)
+        report.add("bulk-matches", state.min_bulk_matches, float(delta * n / 8),
+                   None if state.min_bulk_matches is None
+                   else Fraction(state.min_bulk_matches) >= delta * n / 8)
     else:
         for name in ("base-edges", "majority-base-edges", "joker-count",
                      "sample-size", "bulk-matches"):
-            add(name, None, None, None)
+            report.add(name, None, None, None)
     return report

@@ -63,12 +63,10 @@ def _slot_matrix(seed: int, n1: int, n2: int, probability: Fraction) -> np.ndarr
         return np.zeros((n1, n2), dtype=bool)
     thr = np.uint64(threshold_u64(probability))
     total = n1 * n2
-    if total <= _CHUNK_SLOTS:
-        return (hash_block(seed, 0, total) < thr).reshape(n1, n2)
     out = np.empty(total, dtype=bool)
     for start in range(0, total, _CHUNK_SLOTS):
         count = min(_CHUNK_SLOTS, total - start)
-        out[start:start + count] = hash_block(seed, start, count) < thr
+        np.less(hash_block(seed, start, count), thr, out=out[start:start + count])
     return out.reshape(n1, n2)
 
 

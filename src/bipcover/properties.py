@@ -18,8 +18,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import (BipartiteGraph, Vertex, components_from_rows, iter_bits,
-                    transpose_rows, vertex_set)
+from .graph import (BipartiteGraph, Vertex, edges_between, iter_bits,
+                    restricted_components, select, transpose_rows, vertex_masks,
+                    vertex_set)
 from .models import as_fraction
 
 
@@ -106,13 +107,7 @@ def check_degrees(g: BipartiteGraph, p, epsilon) -> tuple[PropertyReport, Proper
 
 def _split_side(g: BipartiteGraph, vertices: Iterable[Vertex]) -> tuple[int, int]:
     """(part, mask) of a single-part vertex set."""
-    m1 = m2 = 0
-    for v in vertices:
-        g.check_vertex(v)
-        if v.part == 1:
-            m1 |= 1 << v.index
-        else:
-            m2 |= 1 << v.index
+    m1, m2 = vertex_masks(g, vertices)
     if m1 and m2:
         raise InvalidArgumentError("vertex set spans both parts")
     return (1, m1) if m1 else (2, m2)
@@ -133,7 +128,7 @@ def check_expansion(g: BipartiteGraph, p, u_set: Iterable[Vertex],
         report.applicable = False
         report.stats["reason"] = "set sizes below the check's scale"
         return report
-    edges = sum((g.row(side_u, i) & mask_w).bit_count() for i in iter_bits(mask_u))
+    edges = edges_between(lambda i: g.row(side_u, i), mask_u, mask_w)
     bound = p * cu * cw / 2
     report.checked_instances = 1
     report.satisfied = Fraction(edges) >= bound
@@ -179,13 +174,7 @@ def check_min_degree_connectivity(
     p = as_fraction(p)
     eps = as_fraction(epsilon)
     report = PropertyReport("min-degree-connectivity")
-    m1 = m2 = 0
-    for v in h_vertices:
-        g.check_vertex(v)
-        if v.part == 1:
-            m1 |= 1 << v.index
-        else:
-            m2 |= 1 << v.index
+    m1, m2 = vertex_masks(g, h_vertices)
     rows1 = []
     for i in range(g.n1):
         if not m1 >> i & 1:
@@ -205,8 +194,7 @@ def check_min_degree_connectivity(
         report.stats["reason"] = (f"min degree {min(degrees) if degrees else 0} "
                                   f"below {float(floor):.2f}")
         return report
-    comps = [c for c in components_from_rows(g.n1, g.n2, rows1, rows2)
-             if (c[0] & m1) or (c[1] & m2)]
+    comps = restricted_components(g, rows1, rows2, m1, m2)
     report.checked_instances = 1
     report.satisfied = len(comps) == 1
     report.stats = {"components": len(comps), "vertices": m1.bit_count() + m2.bit_count()}
@@ -218,11 +206,7 @@ def check_min_degree_connectivity(
 
 
 def mask_of_filtered(row: int, i: int, edge_filter) -> int:
-    kept = 0
-    for j in iter_bits(row):
-        if edge_filter(Vertex(1, i), Vertex(2, j)):
-            kept |= 1 << j
-    return kept
+    return select(row, lambda j: edge_filter(Vertex(1, i), Vertex(2, j)))
 
 
 def count_no_common_neighbour_pairs(g: BipartiteGraph) -> tuple[int, int]:

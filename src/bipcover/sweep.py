@@ -29,6 +29,7 @@ from .adversary import colour_lower3, colour_lower4
 from .cover import CoverParams, almost_cover, audit_state
 from .errors import BipcoverError
 from .exact import tc_exact
+from .formats import content_lines
 from .graph import monochromatic_components, validate_cover, validate_partition
 from .mindeg import PartitionParams, audit_partition_state, partition3
 from .models import (ModelParams, as_fraction, sample_bipartite,
@@ -241,10 +242,7 @@ plot '{summary_path}' using ($2/$3):7 with linespoints title 'valid rate', \\
 def parse_config_file(text: str) -> dict:
     """Flat ``key = value`` config format mirroring the CLI flags."""
     out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
             raise BipcoverError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))

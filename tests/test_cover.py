@@ -271,3 +271,20 @@ def test_audit_degree_band_fraction_matches_fraction_band(n):
         measured = audit_state(g, col, params, state).entry("degree-band-fraction").measured
         _, d_bad, _, _ = naive_degree_bands(g, p, eps)
         assert measured == (2 * n - len(d_bad)) / (2 * n)
+
+
+@pytest.mark.parametrize("seed", (0, 4, 5))
+def test_retry_exhaustion_demotes_and_stays_valid(seed):
+    # One draw of joker preferences is not enough on these lower3 hosts:
+    # the vertices left unmatched are demoted, not emitted in a tree.
+    n = 40
+    p = threshold_p(n, 3.0)
+    g = sample_bipartite(ModelParams(n, n, p), seed)
+    col, _ = colour_lower3(g)
+    cover, state = almost_cover(g, col, CoverParams(p=p, retry_limit=1, seed=seed))
+    exhausted = {v for v, why in state.uncovered_reasons.items() if why == "retry-exhausted"}
+    assert exhausted
+    assert exhausted <= state.demoted
+    assert exhausted <= cover.uncovered
+    assert validate_cover(g, col, cover).ok
+    assert naive_validate_cover(g, col, cover)

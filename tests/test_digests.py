@@ -6,11 +6,23 @@ a fixed seed produces: that is a behaviour change, to be stated, not a
 digest to refresh.
 """
 
+import dataclasses
 import hashlib
+import json
+import math
 from fractions import Fraction
 
 from bipcover import SweepConfig, records_to_csv, run_sweep, summarise
+from bipcover import (RED, BipartiteGraph, Colour, CoverCase, CoverParams,
+                      PartitionParams, TwoColouring, Vertex, almost_cover,
+                      audit_partition_state, audit_state, classify_case,
+                      colour_lower3, partition3, sample_bipartite,
+                      sample_colouring, sample_mindeg_subgraph)
 from bipcover.cli import main
+from bipcover.errors import BipcoverError
+from bipcover.formats import write_cover, write_partition
+from bipcover.models import ModelParams
+from test_cover import hand_instance_split_roots, hand_instance_third_tree
 
 SWEEP_DIGESTS = {
     ("uniform", "almost_cover"):
@@ -57,3 +69,165 @@ def test_sweep_outputs_pinned():
 
 def test_check_output_pinned(tmp_path, capsys):
     assert sha256(check_output(tmp_path, capsys)) == CHECK_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Construction state digests
+#
+# The sweep digests above see only record columns.  These hash what the
+# constructions decided (every state field, including preferences in
+# insertion order), the cover/partition files, the audits, and each
+# failure's class, step and message, over a seeded grid that reaches
+# every case and branch at desk scale.  Taken before the construction
+# skeleton of almost_cover and partition3 was shared.
+
+STATE_DIGESTS = {
+    "almost_cover":
+        "1cacc42a6be2b64c8c9b9d636484dc794994d0f5d5186d49897d763d65274b07",
+    "partition3":
+        "ff03f938afb9c7b2667acd425c9a0406eb739a5e0aa41463c5fb152c33848bb3",
+}
+
+
+def canon(value):
+    """JSON-ready form of a state field: sets sorted, dicts in insertion order."""
+    if isinstance(value, Colour):
+        return value.token
+    if isinstance(value, CoverCase):
+        return value.value
+    if isinstance(value, Vertex):
+        return str(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, frozenset):
+        return [str(v) for v in sorted(value)]
+    if isinstance(value, dict):
+        return [[canon(k), canon(v)] for k, v in value.items()]
+    return value
+
+
+def state_record(state) -> dict:
+    return {f.name: canon(getattr(state, f.name)) for f in dataclasses.fields(state)}
+
+
+def failure_record(exc: BipcoverError) -> dict:
+    return {"error": type(exc).__name__, "step": getattr(exc, "step", None),
+            "message": str(exc)}
+
+
+def threshold_p(n: int, c: int) -> Fraction:
+    p = Fraction(c * math.sqrt(math.log(n) / n)).limit_denominator(10 ** 9)
+    return min(Fraction(1), p)
+
+
+def cover_instances():
+    """(label, graph, colouring or error, p, seed) for the almost_cover grid."""
+    for n in (12, 20, 40, 80, 200):
+        for c in (1, 3, 5):
+            p = threshold_p(n, c)
+            for seed in range(6):
+                g = sample_bipartite(ModelParams(n, n, p), seed)
+                yield f"G({n},{c},{seed}) uniform", g, \
+                    sample_colouring(g, Fraction(1, 2), seed), p, seed
+                try:
+                    lower3, _ = colour_lower3(g)
+                except BipcoverError as exc:
+                    yield f"G({n},{c},{seed}) lower3", g, exc, p, seed
+                    continue
+                yield f"G({n},{c},{seed}) lower3", g, lower3, p, seed
+                yield f"G({n},{c},{seed}) lower3-swapped", g, lower3.swapped(), p, seed
+    for name, (g, col) in (("split-roots", hand_instance_split_roots()),
+                           ("third-tree", hand_instance_third_tree())):
+        for seed in (3, 5, 11):
+            yield f"{name} {seed}", g, col, Fraction(1, 2), seed
+            yield f"{name} {seed} swapped", g, col.swapped(), Fraction(1, 2), seed
+    empty = BipartiteGraph.from_edges(3, 3, [])
+    yield "empty", empty, TwoColouring.monochromatic(empty, RED), Fraction(1, 2), 0
+
+
+def cover_grid_text() -> str:
+    lines = []
+    for label, g, col, p, seed in cover_instances():
+        if isinstance(col, BipcoverError):
+            lines.append(json.dumps([label, failure_record(col)]))
+            continue
+        for retry_limit in (1, 16):
+            params = CoverParams(p=p, retry_limit=retry_limit, seed=seed)
+            try:
+                cover, state = almost_cover(g, col, params)
+            except BipcoverError as exc:
+                record = failure_record(exc)
+            else:
+                record = {"state": state_record(state), "cover": write_cover(cover, g),
+                          "audit": audit_state(g, col, params, state).as_dict(),
+                          "case": classify_case(g, col, state).value}
+            lines.append(json.dumps([label, retry_limit, record], sort_keys=True))
+    return "\n".join(lines)
+
+
+def complete_with_red_rows(n: int, red_rows: int):
+    g = BipartiteGraph.complete(n, n)
+    full = (1 << n) - 1
+    return g, TwoColouring.from_red_rows(g, [full if i < red_rows else 0 for i in range(n)])
+
+
+def minority_relink_instance():
+    n = 64
+    full = (1 << n) - 1
+    red_rows = [full] + [((1 << 38) - 1) & ~1] * 37 + [full & ~1] * 26
+    g = BipartiteGraph.complete(n, n)
+    return g, TwoColouring.from_red_rows(g, red_rows)
+
+
+def partition_instances():
+    """(label, graph, colouring or error, delta, seed) for the partition3 grid."""
+    for n in (32, 64, 120, 200):
+        for delta in (Fraction(1, 20), Fraction(1, 10)):
+            for seed in range(6):
+                g = sample_mindeg_subgraph(n, Fraction(13, 16) + delta, seed)
+                cell = f"M({n},{delta},{seed})"
+                yield f"{cell} uniform", g, sample_colouring(g, Fraction(1, 2), seed), delta, seed
+                yield f"{cell} red-1/8", g, sample_colouring(g, Fraction(1, 8), seed), delta, seed
+                try:
+                    lower3, _ = colour_lower3(g)
+                except BipcoverError as exc:
+                    yield f"{cell} lower3", g, exc, delta, seed
+                    continue
+                yield f"{cell} lower3", g, lower3, delta, seed
+    for n, red_rows in ((32, 5), (64, 10), (64, 20)):
+        g, col = complete_with_red_rows(n, red_rows)
+        for seed in range(3):
+            yield f"K({n}) red rows {red_rows} seed {seed}", g, col, Fraction(1, 20), seed
+    g, col = minority_relink_instance()
+    for seed, delta in ((0, Fraction(1, 20)), (1, Fraction(1, 20)),
+                        (2, Fraction(1, 20)), (41, Fraction(1, 10))):
+        yield f"minority-relink {delta} {seed}", g, col, delta, seed
+
+
+def partition_grid_text() -> str:
+    lines = []
+    for label, g, col, delta, seed in partition_instances():
+        if isinstance(col, BipcoverError):
+            lines.append(json.dumps([label, failure_record(col)]))
+            continue
+        for retry_limit in (1, 32):
+            params = PartitionParams(delta=delta, retry_limit=retry_limit, seed=seed)
+            try:
+                partition, state = partition3(g, col, params)
+            except BipcoverError as exc:
+                record = failure_record(exc)
+            else:
+                audit = audit_partition_state(state, g, col, params)
+                record = {"state": state_record(state),
+                          "partition": write_partition(partition, g),
+                          "audit": audit.as_dict()}
+            lines.append(json.dumps([label, retry_limit, record], sort_keys=True))
+    return "\n".join(lines)
+
+
+def test_cover_states_pinned():
+    assert sha256(cover_grid_text()) == STATE_DIGESTS["almost_cover"]
+
+
+def test_partition_states_pinned():
+    assert sha256(partition_grid_text()) == STATE_DIGESTS["partition3"]

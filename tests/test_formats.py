@@ -126,3 +126,15 @@ def test_partition_round_trip():
 def test_cover_rejects_unterminated_tree():
     with pytest.raises(FormatError, match="unterminated|not ended"):
         parse_cover("cover 2 2\ntree R\nvertices 1:0\n")
+
+
+@pytest.mark.parametrize("line", ["tree", "tree Q", "tree r", "tree 0", "tree R B"])
+def test_cover_rejects_bad_tree_line(line):
+    with pytest.raises(FormatError, match="line 2"):
+        parse_cover(f"cover 2 2\n{line}\nvertices 1:0\nend\nuncovered 1:1 2:0 2:1\n")
+
+
+@pytest.mark.parametrize("token", ["Q", "b", "1"])
+def test_partition_rejects_colour_other_than_r_or_b(token):
+    with pytest.raises(FormatError, match="line 2"):
+        parse_partition(f"partition 1 1\npart {token} 1:0 2:0\n")
