@@ -19,26 +19,20 @@ are ``i-j``.
 from __future__ import annotations
 
 import io
+from itertools import repeat
 from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .errors import FormatError
 from .graph import (BipartiteGraph, Colour, MonoPartition, MonoTree, RColouring,
-                    TreeCover, TwoColouring, Vertex)
+                    TreeCover, TwoColouring, Vertex, rows_from_edges, rows_to_matrix)
 
 Colouring = TwoColouring | RColouring
 _RB = {"R": Colour.RED, "B": Colour.BLUE}
-
-
-def _parse_colour_token(token: str) -> int:
-    if token in _RB:
-        return _RB[token]
-    try:
-        c = int(token)
-    except ValueError:
-        raise FormatError(f"bad colour token {token!r}") from None
-    if c < 0:
-        raise FormatError(f"negative colour index {c}")
-    return c
+# Colour indices are clipped to this when one overflows int64; r = index + 1
+# must still fit.
+_MAX_COLOUR_INDEX = np.iinfo(np.int64).max - 1
 
 
 def content_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
@@ -51,71 +45,147 @@ def content_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]:
-    """Parse the graph format; returns (graph, colouring or None)."""
-    n1 = n2 = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    colours: dict[tuple[int, int], int] = {}
-    bare_lines = coloured_lines = 0
-    for lineno, line in content_lines(source):
-        fields = line.split()
-        if n1 is None:
-            if fields[0] != "bipartite" or len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected 'bipartite <n1> <n2>'")
-            try:
-                n1, n2 = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError(f"line {lineno}: part sizes must be integers") from None
-            if n1 < 1 or n2 < 1:
-                raise FormatError(f"line {lineno}: part sizes must be positive")
-            continue
-        if len(fields) not in (2, 3):
-            raise FormatError(f"line {lineno}: expected '<i> <j> [colour]'")
+def _read_ints(tokens: np.ndarray, table: dict[str, int], lo: int,
+               hi: int) -> tuple[np.ndarray, int]:
+    """Value of each token up to the first one ``int`` rejects, as int64,
+    and that token's position (len(tokens) if none).
+
+    A token found in ``table`` takes its value there (no table value is
+    -1); any other is read by ``int``.  Values beyond int64 are clipped to
+    [lo, hi], which the callers choose so that no range check changes its
+    verdict.
+    """
+    values = np.fromiter(map(table.get, tokens, repeat(-1)), np.int64, len(tokens))
+    misses = np.flatnonzero(values == -1)
+    try:
+        values[misses] = np.fromiter(map(int, tokens[misses]), np.int64, len(misses))
+        return values, len(tokens)
+    except (ValueError, OverflowError):
+        pass
+    for k in misses.tolist():  # only after the bulk conversion failed
         try:
-            i, j = int(fields[0]), int(fields[1])
+            values[k] = min(max(int(tokens[k]), lo), hi)
         except ValueError:
-            raise FormatError(f"line {lineno}: endpoints must be integers") from None
-        if not (0 <= i < n1 and 0 <= j < n2):
-            raise FormatError(f"line {lineno}: edge ({i},{j}) out of range")
-        if (i, j) in seen:
-            raise FormatError(f"line {lineno}: duplicate edge ({i},{j})")
-        seen.add((i, j))
-        edges.append((i, j))
-        if len(fields) == 3:
-            colours[(i, j)] = _parse_colour_token(fields[2])
-            coloured_lines += 1
-        else:
-            bare_lines += 1
-    if n1 is None:
-        raise FormatError("missing 'bipartite <n1> <n2>' header")
-    if bare_lines and coloured_lines:
+            return values, k
+    return values, len(tokens)
+
+
+def _first(mask: np.ndarray, stop: int) -> int:
+    """Position of the first true entry of mask[:stop] (stop if none)."""
+    hits = np.flatnonzero(mask[:stop])
+    return int(hits[0]) if hits.size else stop
+
+
+def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
+    if fields[0] != "bipartite" or len(fields) != 3:
+        raise FormatError(f"line {lineno}: expected 'bipartite <n1> <n2>'")
+    try:
+        n1, n2 = int(fields[1]), int(fields[2])
+    except ValueError:
+        raise FormatError(f"line {lineno}: part sizes must be integers") from None
+    if n1 < 1 or n2 < 1:
+        raise FormatError(f"line {lineno}: part sizes must be positive")
+    return n1, n2
+
+
+def _parse_edge_lines(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                      linenos: np.ndarray, n1: int, n2: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Endpoint arrays and colour codes (None for a bare graph) of the edge
+    lines, whose fields are tokens[starts[k]:starts[k] + counts[k]].
+
+    The checks run in bulk.  Each looks only at the lines before the first
+    failure found so far, so the error names the first bad line and, within
+    it, the first failed check: field count, integer endpoints, range,
+    duplicate, colour token.
+    """
+    error = None
+    stop = _first((counts < 2) | (counts > 3), len(counts))
+    if stop < len(counts):
+        error = f"line {linenos[stop]}: expected '<i> <j> [colour]'"
+    size = max(n1, n2)
+    # The lookup table only saves int() calls; it never outgrows the input.
+    table = {str(k): k for k in range(min(size, len(tokens)))}
+    ends, parsed = _read_ints(tokens[(starts[:stop, None] + (0, 1)).ravel()], table, -1, size)
+    if parsed < 2 * stop:
+        stop = parsed // 2
+        error = f"line {linenos[stop]}: endpoints must be integers"
+    i, j = ends[0:2 * stop:2], ends[1:2 * stop:2]
+    bad = _first((i < 0) | (i >= n1) | (j < 0) | (j >= n2), stop)
+    if bad < stop:
+        stop = bad
+        a, b = map(int, tokens[starts[stop]:starts[stop] + 2])
+        error = f"line {linenos[stop]}: edge ({a},{b}) out of range"
+    i, j = i[:stop], j[:stop]
+    keys = i * n2 + j
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        stop = int(repeats.min())
+        error = f"line {linenos[stop]}: duplicate edge ({i[stop]},{j[stop]})"
+    colour_tokens = tokens[starts[:stop][counts[:stop] == 3] + 2]
+    codes, parsed = _read_ints(colour_tokens, _RB, -1, _MAX_COLOUR_INDEX)
+    bad = _first(codes < 0, parsed)
+    if bad < len(colour_tokens):
+        token = colour_tokens[bad]
+        error = (f"negative colour index {int(token)}" if bad < parsed
+                 else f"bad colour token {token!r}")
+    if error is not None:
+        raise FormatError(error)
+    if 0 < len(colour_tokens) < len(counts):
         raise FormatError("mix of coloured and uncoloured edge lines")
-    graph = BipartiteGraph.from_edges(n1, n2, edges)
-    if not coloured_lines:
+    return i, j, codes if len(colour_tokens) else None
+
+
+def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]:
+    """Parse the graph format; returns (graph, colouring or None).
+
+    A malformed file raises FormatError for its first bad line.
+    """
+    text = source if isinstance(source, str) else source.read()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+        text = "\n".join(lines)
+    # Every line break splitlines() knows is whitespace to split(), so the
+    # tokens of the whole text are the lines' fields end to end.
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    del lines
+    tokens = np.array(text.split(), dtype=object)
+    content = np.flatnonzero(counts)
+    if not content.size:
+        raise FormatError("missing 'bipartite <n1> <n2>' header")
+    counts = counts[content]
+    starts = np.cumsum(counts) - counts
+    n1, n2 = _parse_header(tokens[:counts[0]].tolist(), content[0] + 1)
+    i, j, codes = _parse_edge_lines(tokens, starts[1:], counts[1:], content[1:] + 1, n1, n2)
+    graph = BipartiteGraph(n1, n2, *rows_from_edges(n1, n2, i, j))
+    if codes is None:
         return graph, None
-    max_colour = max(colours.values(), default=0)
-    if max_colour <= 1:
-        two = TwoColouring.from_edge_map(
-            graph, {e: Colour(c) for e, c in colours.items()})
-        return graph, two
-    return graph, RColouring.from_edge_map(graph, max_colour + 1, colours)
+    r = int(codes.max()) + 1
+    if r <= 2:
+        red = codes == Colour.RED
+        return graph, TwoColouring(graph, *rows_from_edges(n1, n2, i[red], j[red]))
+    layers = [rows_from_edges(n1, n2, i[codes == c], j[codes == c]) for c in range(r)]
+    return graph, RColouring(graph, *zip(*layers))
 
 
 def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,
                 comments: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for c in comments:
-        out.write(f"# {c}\n")
-    out.write(f"bipartite {g.n1} {g.n2}\n")
-    for i, j in g.edges():
-        if colouring is None:
-            out.write(f"{i} {j}\n")
-        elif isinstance(colouring, TwoColouring):
-            out.write(f"{i} {j} {colouring.colour_of(i, j).token}\n")
-        else:
-            out.write(f"{i} {j} {colouring.colour_of(i, j)}\n")
-    return out.getvalue()
+    i, j = np.nonzero(rows_to_matrix([g.row(1, a) for a in range(g.n1)], g.n2))
+    colour = np.zeros(len(i), dtype=np.intp)
+    if colouring is None:
+        tokens = [""]
+    else:
+        tokens = [f" {Colour(c).token}" if isinstance(colouring, TwoColouring) else f" {c}"
+                  for c in range(colouring.num_colours)]
+        for c in range(1, colouring.num_colours):
+            colour[rows_to_matrix(colouring.layer_rows(c)[0], g.n2)[i, j] == 1] = c
+    heads = np.array([f"{a} " for a in range(g.n1)], dtype=object)
+    tails = np.array([[f"{b}{t}\n" for b in range(g.n2)] for t in tokens], dtype=object)
+    lines = heads[i] + tails[colour, j]
+    return "".join([*(f"# {c}\n" for c in comments), f"bipartite {g.n1} {g.n2}\n",
+                    *lines.tolist()])
 
 
 def _vertex_token(v: Vertex) -> str:

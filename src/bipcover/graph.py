@@ -12,8 +12,10 @@ pure query.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -108,6 +110,54 @@ def transpose_rows(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     return rows_from_matrix(rows_to_matrix(rows, width).T)
 
 
+def rows_from_edges(n1: int, n2: int, i: np.ndarray,
+                    j: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(part-1 rows, part-2 rows) of the n1 x n2 bipartite graph with the
+    edges (i[k], j[k]); every index must be in range, repeats are harmless."""
+    matrix = np.zeros((n1, n2), dtype=np.uint8)
+    matrix[i, j] = 1
+    return rows_from_matrix(matrix), rows_from_matrix(matrix.T)
+
+
+def _int64(values: list, lo: int, hi: int) -> np.ndarray:
+    """``values`` as an int64 array; if any lies outside int64, all are
+    first clipped to [lo, hi], which must keep every range check's verdict."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.clip(np.array(values, dtype=object), lo, hi).astype(np.int64)
+
+
+def _index_pairs(pairs: list, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Index arrays of (i, j) pairs, and the position of the first pair
+    outside n1 x n2 (len(pairs) if none)."""
+    ij = _int64(pairs, -1, max(n1, n2, 0)).reshape(len(pairs), 2)
+    i, j = ij[:, 0], ij[:, 1]
+    bad = np.flatnonzero((i < 0) | (i >= n1) | (j < 0) | (j >= n2))
+    return i, j, int(bad[0]) if bad.size else len(pairs)
+
+
+def _edge_map_index(graph: "BipartiteGraph",
+                    colours: dict) -> tuple[np.ndarray, np.ndarray, int]:
+    """Index arrays of an edge map's keys, and the position of the first
+    key that is not an edge of ``graph`` (len(colours) if none)."""
+    keys = list(colours)
+    i, j, stop = _index_pairs(keys, graph.n1, graph.n2)
+    adjacency = rows_to_matrix(graph._rows1, graph.n2)
+    missing = np.flatnonzero(adjacency[i[:stop], j[:stop]] == 0)
+    return i, j, int(missing[0]) if missing.size else stop
+
+
+def _not_an_edge(colours: dict, position: int) -> InvalidArgumentError:
+    i, j = list(colours)[position]
+    return InvalidArgumentError(f"({i},{j}) is not an edge")
+
+
+def _check_part_sizes(n1: int, n2: int) -> None:
+    if n1 < 1 or n2 < 1:
+        raise InvalidArgumentError("both parts must be nonempty")
+
+
 class BipartiteGraph:
     """Immutable bipartite graph with bit-set adjacency rows.
 
@@ -126,8 +176,7 @@ class BipartiteGraph:
     @classmethod
     def from_rows(cls, n1: int, n2: int, rows1: Iterable[int],
                   rows2: Iterable[int] | None = None) -> "BipartiteGraph":
-        if n1 < 1 or n2 < 1:
-            raise InvalidArgumentError("both parts must be nonempty")
+        _check_part_sizes(n1, n2)
         r1 = tuple(rows1)
         if len(r1) != n1:
             raise InvalidArgumentError(f"expected {n1} part-1 rows, got {len(r1)}")
@@ -142,14 +191,13 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        rows1 = [0] * n1
-        rows2 = [0] * n2
-        for i, j in edges:
-            if not (0 <= i < n1 and 0 <= j < n2):
-                raise InvalidArgumentError(f"edge ({i},{j}) out of range")
-            rows1[i] |= 1 << j
-            rows2[j] |= 1 << i
-        return cls.from_rows(n1, n2, rows1, rows2)
+        pairs = list(edges)
+        i, j, stop = _index_pairs(pairs, n1, n2)
+        if stop < len(pairs):
+            a, b = pairs[stop]
+            raise InvalidArgumentError(f"edge ({a},{b}) out of range")
+        _check_part_sizes(n1, n2)
+        return cls(n1, n2, *rows_from_edges(n1, n2, i, j))
 
     @classmethod
     def complete(cls, n1: int, n2: int) -> "BipartiteGraph":
@@ -248,17 +296,14 @@ class TwoColouring:
     @classmethod
     def from_edge_map(cls, graph: BipartiteGraph,
                       colours: dict[tuple[int, int], Colour]) -> "TwoColouring":
-        red1 = [0] * graph.n1
-        seen = 0
-        for (i, j), c in colours.items():
-            if not graph.has_edge(i, j):
-                raise InvalidArgumentError(f"({i},{j}) is not an edge")
-            if c is Colour.RED:
-                red1[i] |= 1 << j
-            seen += 1
-        if seen != graph.edge_count:
+        i, j, stop = _edge_map_index(graph, colours)
+        if stop < len(colours):
+            raise _not_an_edge(colours, stop)
+        if len(colours) != graph.edge_count:
             raise InvalidArgumentError("colouring must cover every edge exactly once")
-        return cls.from_red_rows(graph, red1)
+        red = np.fromiter(map(operator.is_, colours.values(), repeat(Colour.RED)),
+                          dtype=bool, count=len(colours))
+        return cls(graph, *rows_from_edges(graph.n1, graph.n2, i[red], j[red]))
 
     @classmethod
     def monochromatic(cls, graph: BipartiteGraph, colour: Colour) -> "TwoColouring":
@@ -324,20 +369,20 @@ class RColouring:
                       colours: dict[tuple[int, int], int]) -> "RColouring":
         if r < 1:
             raise InvalidArgumentError("need at least one colour")
-        layers1 = [[0] * graph.n1 for _ in range(r)]
-        layers2 = [[0] * graph.n2 for _ in range(r)]
-        seen = 0
-        for (i, j), c in colours.items():
-            if not graph.has_edge(i, j):
-                raise InvalidArgumentError(f"({i},{j}) is not an edge")
-            if not (0 <= c < r):
-                raise InvalidArgumentError(f"colour {c} out of range 0..{r - 1}")
-            layers1[c][i] |= 1 << j
-            layers2[c][j] |= 1 << i
-            seen += 1
-        if seen != graph.edge_count:
+        i, j, stop = _edge_map_index(graph, colours)
+        values = list(colours.values())
+        c = _int64(values, -1, r)
+        # A key's edge check comes before its colour check: only keys
+        # before the first non-edge can fail on colour.
+        off = np.flatnonzero((c[:stop] < 0) | (c[:stop] >= r))
+        if off.size:
+            raise InvalidArgumentError(f"colour {values[off[0]]} out of range 0..{r - 1}")
+        if stop < len(colours):
+            raise _not_an_edge(colours, stop)
+        if len(colours) != graph.edge_count:
             raise InvalidArgumentError("colouring must cover every edge exactly once")
-        return cls(graph, tuple(tuple(l) for l in layers1), tuple(tuple(l) for l in layers2))
+        layers = [rows_from_edges(graph.n1, graph.n2, i[c == k], j[c == k]) for k in range(r)]
+        return cls(graph, *zip(*layers))
 
     @classmethod
     def from_two(cls, colouring: TwoColouring) -> "RColouring":

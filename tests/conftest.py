@@ -173,6 +173,15 @@ def naive_matrix(rows, width) -> list[list[int]]:
     return [[row >> j & 1 for j in range(width)] for row in rows]
 
 
+def naive_rows_from_edges(n1, n2, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(part-1 rows, part-2 rows) by one ``|= 1 << j`` per edge."""
+    rows1, rows2 = [0] * n1, [0] * n2
+    for i, j in edges:
+        rows1[i] |= 1 << j
+        rows2[j] |= 1 << i
+    return tuple(rows1), tuple(rows2)
+
+
 def naive_transpose(rows, width) -> tuple[int, ...]:
     out = [0] * width
     for i, row in enumerate(rows):

@@ -1,11 +1,12 @@
 """Text formats: round trips and rejection of malformed input."""
 
+import io
 from fractions import Fraction
 
 import pytest
 
-from bipcover import (BLUE, RED, RColouring, TwoColouring, sample_bipartite,
-                      sample_colouring)
+from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
+                      sample_bipartite, sample_colouring)
 from bipcover.adversary import colour_blowup_pair
 from bipcover.errors import FormatError
 from bipcover.formats import (parse_cover, parse_graph, parse_partition,
@@ -66,6 +67,64 @@ def test_round_trip_random_instances(seed, n1, n2):
         assert col2 is None  # an edgeless file cannot carry a colouring
 
 
+ROUND_TRIP_WIDTHS = (1, 7, 8, 9, 63, 64, 65)
+
+
+def layers(colouring):
+    return [colouring.layer_rows(c) for c in range(colouring.num_colours)]
+
+
+@st.composite
+def graph_files(draw):
+    """(graph, colouring or None) on two different widths from
+    ROUND_TRIP_WIDTHS: edgeless, complete or random, and bare, red/blue
+    or 3-coloured."""
+    n1, n2 = draw(st.lists(st.sampled_from(ROUND_TRIP_WIDTHS), min_size=2, max_size=2,
+                           unique=True))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from(("edgeless", "complete", "random")))
+    if density == "edgeless":
+        g = BipartiteGraph.from_edges(n1, n2, [])
+    elif density == "complete":
+        g = BipartiteGraph.complete(n1, n2)
+    else:
+        g = BipartiteGraph.from_rows(n1, n2, [rng.getrandbits(n2) for _ in range(n1)])
+    kind = draw(st.sampled_from(("bare", "two", "three")))
+    edges = list(g.edges())
+    if kind == "bare" or not edges:
+        return g, None
+    if kind == "two":
+        return g, TwoColouring.from_edge_map(g, {e: rng.choice((RED, BLUE)) for e in edges})
+    colours = {e: rng.randrange(3) for e in edges}
+    colours[edges[0]] = 2  # a file whose highest index is 1 reads back as red/blue
+    return g, RColouring.from_edge_map(g, 3, colours)
+
+
+@settings(deadline=None, max_examples=60)
+@given(graph_files())
+def test_graph_file_round_trip(instance):
+    g, col = instance
+    text = write_graph(g, col, comments=["round trip", "widths"])
+    for source in (text, io.StringIO(text)):
+        g2, col2 = parse_graph(source)
+        assert g2 == g
+        if col is None:
+            assert col2 is None
+        else:
+            assert type(col2) is type(col) and layers(col2) == layers(col)
+        assert write_graph(g2, col2, comments=["round trip", "widths"]) == text
+    # Tabs between fields and trailing comments change nothing.
+    spaced = "\n".join(line.replace(" ", "\t") + " # note" if line[:1].isdigit() else line
+                       for line in text.splitlines())
+    assert parse_graph(spaced)[0] == g
+    if isinstance(col, TwoColouring):
+        # Integer colour tokens 0/1 read back as the same red/blue colouring.
+        numbered = text.replace(" R\n", " 0\n").replace(" B\n", " 1\n")
+        g3, col3 = parse_graph(io.StringIO(numbered))
+        assert isinstance(col3, TwoColouring) and col3 == col
+        assert parse_graph(spaced)[1] == col
+
+
 def test_comments_and_blanks_ignored():
     text = "# hello\n\nbipartite 2 2\n0 0 R  # trailing\n\n1 1 B\n"
     g, col = parse_graph(text)
@@ -96,6 +155,75 @@ def test_missing_header_rejected():
 def test_bad_colour_token_rejected():
     with pytest.raises(FormatError, match="colour token"):
         parse_graph("bipartite 2 2\n0 0 purple\n")
+
+
+# Messages pinned from the per-line parser: every malformed file must keep
+# raising the same text, naming the first bad line in file order, and
+# within that line the first failed check (field count, integer
+# endpoints, range, duplicate, colour token).
+GOLDEN_ERRORS = [
+    ("wrong-keyword", "graph 2 2\n0 0 R\n",
+     "line 1: expected 'bipartite <n1> <n2>'"),
+    ("header-too-short", "bipartite 2\n", "line 1: expected 'bipartite <n1> <n2>'"),
+    ("header-too-long", "bipartite 2 2 2\n", "line 1: expected 'bipartite <n1> <n2>'"),
+    ("header-not-integer", "bipartite two 2\n", "line 1: part sizes must be integers"),
+    ("header-zero", "bipartite 0 2\n", "line 1: part sizes must be positive"),
+    ("header-negative", "bipartite 2 -3\n", "line 1: part sizes must be positive"),
+    ("edge-before-header", "0 0 R\nbipartite 2 2\n",
+     "line 1: expected 'bipartite <n1> <n2>'"),
+    ("empty-file", "", "missing 'bipartite <n1> <n2>' header"),
+    ("comment-only-file", "# just a comment\n\n   \t\n",
+     "missing 'bipartite <n1> <n2>' header"),
+    ("too-many-fields", "bipartite 2 2\n0 0 R x\n", "line 2: expected '<i> <j> [colour]'"),
+    ("too-few-fields", "bipartite 2 2\n0 0 R\n1\n", "line 3: expected '<i> <j> [colour]'"),
+    ("endpoint-not-integer", "bipartite 2 2\na 0 R\n", "line 2: endpoints must be integers"),
+    ("endpoint-float", "bipartite 2 2\n0 1.0\n", "line 2: endpoints must be integers"),
+    ("out-of-range", "bipartite 2 2\n0 5 R\n", "line 2: edge (0,5) out of range"),
+    ("part1-at-size", "bipartite 2 3\n0 0\n2 0\n", "line 3: edge (2,0) out of range"),
+    ("negative-index", "bipartite 2 2\n-1 0 R\n", "line 2: edge (-1,0) out of range"),
+    ("huge-index", "bipartite 2 2\n99999999999999999999 0 R\n",
+     "line 2: edge (99999999999999999999,0) out of range"),
+    ("duplicate", "bipartite 2 2\n0 0 R\n0 0 B\n", "line 3: duplicate edge (0,0)"),
+    ("duplicate-via-int-syntax", "bipartite 2 2\n+1 0 R\n1 0 B\n",
+     "line 3: duplicate edge (1,0)"),
+    ("duplicate-bare", "bipartite 2 2\n0 0\n1 1 R\n0 0\n", "line 4: duplicate edge (0,0)"),
+    ("colour-purple", "bipartite 2 2\n0 0 purple\n", "bad colour token 'purple'"),
+    ("colour-minus-one", "bipartite 2 2\n0 0 R\n1 1 -1\n", "negative colour index -1"),
+    ("colour-huge-negative", "bipartite 2 2\n0 0 -99999999999999999999\n",
+     "negative colour index -99999999999999999999"),
+    ("colour-index-then-word", "bipartite 2 2\n0 0 2\n0 1 x\n", "bad colour token 'x'"),
+    ("mix", "bipartite 2 2\n0 0 R\n1 1\n", "mix of coloured and uncoloured edge lines"),
+    ("first-bad-line-wins-colour-before-count",
+     "bipartite 2 2\n0 0 purple\n0 1 R x\n", "bad colour token 'purple'"),
+    ("first-bad-line-wins-count-before-colour",
+     "bipartite 2 2\n0 1 R x\n0 0 purple\n", "line 2: expected '<i> <j> [colour]'"),
+    ("first-bad-line-wins-range-before-int",
+     "bipartite 2 2\n0 5 R\nx 0 Q\n", "line 2: edge (0,5) out of range"),
+    ("first-bad-line-wins-dup-before-count",
+     "bipartite 2 2\n1 1 R\n0 0 R\n1 1 B\n0 a\n", "line 4: duplicate edge (1,1)"),
+    ("mix-waits-for-later-errors", "bipartite 2 2\n0 0 R\n1 1\n0 0 B\n",
+     "line 4: duplicate edge (0,0)"),
+    ("count-before-int-in-line", "bipartite 2 2\na b c d\n",
+     "line 2: expected '<i> <j> [colour]'"),
+    ("range-before-dup-in-line", "bipartite 2 2\n0 0 R\n0 9 R\n",
+     "line 3: edge (0,9) out of range"),
+    ("dup-before-colour-in-line", "bipartite 2 2\n0 0 R\n0 0 Q\n",
+     "line 3: duplicate edge (0,0)"),
+    ("lines-shifted-by-blanks-comments-crlf",
+     "\n# c\nbipartite 2 2\r\n\r\n0 0 R # note\r\n0 0 B\r\n",
+     "line 6: duplicate edge (0,0)"),
+    ("lines-split-by-form-feed", "bipartite 2 2\f0 0 R\f0 9 R\n",
+     "line 3: edge (0,9) out of range"),
+    ("tabs", "bipartite\t2\t2\n0\t0\tR\n#\n0\t7\tB\n", "line 4: edge (0,7) out of range"),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in GOLDEN_ERRORS],
+                         ids=[case[0] for case in GOLDEN_ERRORS])
+def test_parse_graph_error_messages(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
 
 
 def test_cover_round_trip():

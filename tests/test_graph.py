@@ -14,9 +14,11 @@ from bipcover import (BLUE, RED, BipartiteGraph, MonoPartition, MonoTree,
                       sample_bipartite, sample_colouring, spanning_tree_of,
                       validate_cover, validate_partition)
 from bipcover.errors import InvalidArgumentError, NotConnectedError
-from bipcover.graph import rows_from_matrix, rows_to_matrix, transpose_rows
+from bipcover.graph import (rows_from_edges, rows_from_matrix, rows_to_matrix,
+                            transpose_rows)
 from bipcover.models import ModelParams
 from conftest import (graph_from_coloured_edges, matching_graph, naive_matrix,
+                      naive_rows_from_edges,
                       naive_transpose, naive_validate_cover,
                       naive_validate_partition)
 
@@ -357,3 +359,35 @@ class TestBitMatrix:
         rows2 = tuple(g.row(2, j) for j in range(70))
         assert transpose_rows(rows1, 70) == rows2 == naive_transpose(rows1, 70)
         assert transpose_rows(rows2, 13) == rows1
+
+
+def edge_rows(n1, n2, edges):
+    i = np.array([e[0] for e in edges], dtype=np.int64)
+    j = np.array([e[1] for e in edges], dtype=np.int64)
+    return rows_from_edges(n1, n2, i, j)
+
+
+class TestRowsFromEdges:
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (3, 70), (65, 9)])
+    def test_no_edges(self, n1, n2):
+        assert edge_rows(n1, n2, []) == ((0,) * n1, (0,) * n2)
+
+    @pytest.mark.parametrize("width", BIT_WIDTHS[:-1] + (16, 17))
+    def test_single_edge_at_each_byte_boundary(self, width):
+        ends = sorted({0, width - 1} | {b + d for b in range(8, width, 8) for d in (-1, 0)})
+        for k in ends:
+            for edge in [(0, k), (k, width - 1 - k)]:
+                assert edge_rows(width, width, [edge]) == \
+                    naive_rows_from_edges(width, width, [edge])
+            assert edge_rows(3, width, [(2, k)]) == naive_rows_from_edges(3, width, [(2, k)])
+            assert edge_rows(width, 3, [(k, 1)]) == naive_rows_from_edges(width, 3, [(k, 1)])
+
+    @pytest.mark.parametrize("n1,n2", [(7, 65), (64, 9), (63, 63)])
+    def test_edge_order_does_not_matter(self, n1, n2):
+        rng = random.Random(n1 * 101 + n2)
+        edges = [(i, j) for i in range(n1) for j in range(n2) if rng.random() < 0.3]
+        expected = naive_rows_from_edges(n1, n2, edges)
+        for _ in range(3):
+            rng.shuffle(edges)
+            assert edge_rows(n1, n2, edges) == expected
+        assert edge_rows(n1, n2, edges + edges[:5]) == expected
