@@ -25,9 +25,8 @@ from .graph import TwoColouring, validate_cover, validate_partition
 from .mindeg import PartitionParams, audit_partition_state, partition3
 from .models import ModelParams, as_fraction, sample_bipartite, sample_colouring
 from .properties import check_degrees, count_no_common_neighbour_pairs
-from .sweep import (RECORD_HEADER, SweepRecord, config_from_mapping,
-                    parse_config_file, plot_script, records_to_csv, run_sweep,
-                    summarise)
+from .sweep import (config_from_mapping, parse_config_file, parse_records, plot_script,
+                    records_to_csv, run_sweep, summarise)
 
 
 def _outpath(name: str | None) -> Path | None:
@@ -140,7 +139,7 @@ def _cmd_cover(args) -> int:
                          retry_limit=args.retry_limit, seed=args.seed)
     cover, state = almost_cover(g, colouring, params)
     report = validate_cover(g, colouring, cover)
-    audit = audit_state(g, colouring, params, state)
+    audit = audit_state(g, colouring, state)
     _emit(formats.write_cover(cover, g, comments=[f"case {state.case.value}"]),
           _outpath(args.out))
     record = {
@@ -163,7 +162,7 @@ def _cmd_partition(args) -> int:
                              retry_limit=args.retry_limit, seed=args.seed)
     partition, state = partition3(g, colouring, params)
     report = validate_partition(g, colouring, partition)
-    audit = audit_partition_state(state, g, colouring, params)
+    audit = audit_partition_state(g, colouring, state)
     _emit(formats.write_partition(partition, g, comments=[f"branch {state.branch}"]),
           _outpath(args.out))
     record = {
@@ -250,28 +249,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_summarise(args) -> int:
     text = Path(args.records).read_text()
-    records = _records_from_csv(text)
+    records = parse_records(text)
     _emit(summarise(records), _outpath(args.out))
     if args.plot_script:
         target = args.out if args.out and args.out != "-" else "summary.csv"
         _emit(plot_script(target), _outpath(args.plot_script))
     return 0
-
-
-def _records_from_csv(text: str):
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != RECORD_HEADER:
-        raise BipcoverError("not a sweep records CSV")
-    records = []
-    for line in lines[1:]:
-        (n, p_num, p_den, seed, source, algorithm, trees, uncovered,
-         valid, case, runtime_ms) = line.split(",")
-        records.append(SweepRecord(
-            n=int(n), p=Fraction(int(p_num), int(p_den)), seed=int(seed),
-            source=source, algorithm=algorithm, trees=int(trees),
-            uncovered=int(uncovered), valid=valid == "true", case=case,
-            runtime_ms=int(runtime_ms)))
-    return records
 
 
 def build_parser() -> argparse.ArgumentParser:

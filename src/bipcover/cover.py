@@ -149,12 +149,6 @@ class _Pipeline:
 
     # -- small helpers ----------------------------------------------------
 
-    def crow(self, part: int, idx: int, colour: Colour) -> int:
-        return self.col.coloured_row(part, idx, colour)
-
-    def full(self, part: int) -> int:
-        return (1 << self.g.part_size(part)) - 1
-
     def new_tree(self, tid: str, colour: Colour, root: Vertex) -> None:
         self.trees[tid] = (colour, root, {root}, [])
 
@@ -169,7 +163,7 @@ class _Pipeline:
 
     def unmatched(self, part: int, pref: int, colour: Colour, match: int) -> int:
         """The vertices of ``pref`` with no ``colour`` edge into ``match``."""
-        return select(pref, lambda x: not self.crow(part, x, colour) & match)
+        return select(pref, lambda x: not self.col.coloured_row(part, x, colour) & match)
 
     # -- pipeline ----------------------------------------------------------
 
@@ -198,10 +192,11 @@ class _Pipeline:
         # Majority colour between the two root neighbourhoods.  nb lives on
         # root_red's side (it is the other root's neighbour mask), so its
         # bits are iterated as root_red.part vertices.
-        nr = self.crow(root_red.part, root_red.index, RED)
-        nb = self.crow(root_blue.part, root_blue.index, BLUE)
-        e_red = edges_between(lambda i: self.crow(root_red.part, i, RED), nb, nr)
-        e_blue = edges_between(lambda i: self.crow(root_red.part, i, BLUE), nb, nr)
+        crow = self.col.coloured_row
+        nr = crow(root_red.part, root_red.index, RED)
+        nb = crow(root_blue.part, root_blue.index, BLUE)
+        e_red = edges_between(lambda i: crow(root_red.part, i, RED), nb, nr)
+        e_blue = edges_between(lambda i: crow(root_red.part, i, BLUE), nb, nr)
 
         state.case = CoverCase.LEAF_ATTACH
         state.root_red, state.root_blue = root_red, root_blue
@@ -211,7 +206,7 @@ class _Pipeline:
         return cover, state
 
     def _construct(self, state: CoverState) -> TreeCover:
-        g, crow = self.g, self.crow
+        g, crow = self.g, self.col.coloured_row
         maj: Colour = state.majority
         minr: Colour = maj.other
         root_p, root_s = state.oriented_roots()
@@ -228,7 +223,7 @@ class _Pipeline:
                         > self.thr_joker)
 
         # Opposite side: vertices that can reach the jokers.
-        rest_s = self.full(part_s) & ~np_full & ~(1 << root_s.index)
+        rest_s = ((1 << g.part_size(part_s)) - 1) & ~np_full & ~(1 << root_s.index)
         attachable = select(rest_s, lambda z: (g.row(part_s, z) & jokers).bit_count()
                             >= self.thr_attach)
         stranded = rest_s & ~attachable
@@ -331,7 +326,7 @@ class _Pipeline:
         donor = maj if c3 is minr else minr
         donor_tid = "P" if donor is maj else "S"
         donor_live = att_p_live if donor is maj else att_s_live
-        g, crow = self.g, self.crow
+        g, crow = self.g, self.col.coloured_row
 
         pivot_v = Vertex(part_p, pivot)
         j2 = crow(part_p, pivot, c3) & donor_live
@@ -406,7 +401,7 @@ def classify_case(g: BipartiteGraph, colouring: TwoColouring,
     return CoverCase.LEAF_ATTACH if pivot is None else CoverCase.THIRD_TREE
 
 
-def audit_state(g: BipartiteGraph, colouring: TwoColouring, params: CoverParams,
+def audit_state(g: BipartiteGraph, colouring: TwoColouring,
                 state: CoverState) -> AuditReport:
     """Measured quantities against the bounds the construction aims for.
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidArgumentError, TooLargeError
-from .graph import (BipartiteGraph, Colour, MonoPartition,
-                    components_from_rows, iter_bits, vertex_set)
+from .graph import BipartiteGraph, MonoPartition, components_from_rows, iter_bits, vertex_set
 
 TP_VERTEX_GUARD = 16
 KNN_ENUMERATION_GUARD = 1 << 16
@@ -32,19 +31,20 @@ class ExactResult:
     nodes_explored: int
 
 
-def _component_sets(g: BipartiteGraph, colouring) -> list[tuple[int, int, frozenset[Vertex]]]:
-    """(colour, combined bit mask, vertex set) for every monochromatic component.
+def _component_masks(n1: int, n2: int, layers) -> dict[int, tuple[int, int, int]]:
+    """{combined mask: (colour, part-1 mask, part-2 mask)} over the
+    monochromatic components of every colour layer, in colour order; a
+    component that several colours share keeps its first colour.
 
-    The combined mask places part-1 bits at 0..n1-1 and part-2 bits at
-    n1..n1+n2-1.  Singleton components are included so the universe is
-    always coverable.
+    ``layers`` yields (part-1 rows, part-2 rows) per colour.  The combined
+    mask places part-1 bits at 0..n1-1 and part-2 bits at n1..n1+n2-1.
+    Singleton components are included so the universe is always
+    coverable.
     """
-    shift = g.n1
-    out = []
-    for c in range(colouring.num_colours):
-        rows1, rows2 = colouring.layer_rows(c)
-        for m1, m2 in components_from_rows(g.n1, g.n2, rows1, rows2):
-            out.append((c, m1 | (m2 << shift), vertex_set(m1, m2)))
+    out: dict[int, tuple[int, int, int]] = {}
+    for c, (rows1, rows2) in enumerate(layers):
+        for m1, m2 in components_from_rows(n1, n2, rows1, rows2):
+            out.setdefault(m1 | m2 << n1, (c, m1, m2))
     return out
 
 
@@ -125,22 +125,15 @@ def _maximal(masks: list[int]) -> list[int]:
 
 def tc_exact(g: BipartiteGraph, colouring) -> ExactResult:
     """Minimum number of monochromatic components covering V(G), with witness."""
-    comps = _component_sets(g, colouring)
+    comps = _component_masks(g.n1, g.n2, map(colouring.layer_rows,
+                                               range(colouring.num_colours)))
     universe = (1 << (g.n1 + g.n2)) - 1
-
-    # Deduplicate identical masks and drop sets contained in others.
-    seen_masks: dict[int, int] = {}
-    for k, (_, mask, _) in enumerate(comps):
-        if mask not in seen_masks:
-            seen_masks[mask] = k
-    kept = _maximal(sorted(seen_masks, key=lambda m: -m.bit_count()))
+    kept = _maximal(sorted(comps, key=lambda m: -m.bit_count()))
     value, chosen, nodes = _min_cover(universe, kept)
-    two = colouring.num_colours == 2
     witness = []
     for idx in chosen:
-        k = seen_masks[kept[idx]]
-        colour, _, vertices = comps[k]
-        witness.append((Colour(colour) if two else colour, vertices))
+        colour, m1, m2 = comps[kept[idx]]
+        witness.append((colouring.label(colour), vertex_set(m1, m2)))
     return ExactResult(value, witness, nodes)
 
 
@@ -254,7 +247,7 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
     for c, mask in raw_parts:
         m1 = mask & ((1 << g.n1) - 1)
         m2 = (mask & mask2_all) >> shift
-        parts.append((Colour(c) if c < 2 else c, vertex_set(m1, m2)))
+        parts.append((colouring.label(c), vertex_set(m1, m2)))
     return ExactResult(value, MonoPartition(tuple(parts)), nodes)
 
 
@@ -271,14 +264,16 @@ class KnnReport:
     violations: list[int] = field(default_factory=list)  # colouring codes with tc > bound
 
 
-def _decode_colouring(code: int, n: int, r: int) -> list[list[int]]:
-    """Colour layers (rows per part-1 vertex) of colouring ``code`` in base r."""
-    layers = [[0] * n for _ in range(r)]
+def _decode_colouring(code: int, n: int, r: int) -> list[tuple[list[int], list[int]]]:
+    """Colour layers (part-1 rows, part-2 rows) of colouring ``code`` of
+    K_{n,n}: base-r digit i*n + j is the colour of edge (i, j)."""
+    layers = [([0] * n, [0] * n) for _ in range(r)]
     for slot in range(n * n):
-        c = code % r
-        code //= r
+        code, c = divmod(code, r)
         i, j = divmod(slot, n)
-        layers[c][i] |= 1 << j
+        rows1, rows2 = layers[c]
+        rows1[i] |= 1 << j
+        rows2[j] |= 1 << i
     return layers
 
 
@@ -294,21 +289,10 @@ def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> Knn
     if total > KNN_ENUMERATION_GUARD and not force:
         raise TooLargeError(f"{total} colourings exceed the guard of "
                             f"{KNN_ENUMERATION_GUARD}; pass force=True to override")
-    g = BipartiteGraph.complete(n, n)
     universe = (1 << (2 * n)) - 1
     report = KnnReport(n=n, r=r, bound=bound, total_colourings=total, max_tc=0)
     for code in range(total):
-        layers1 = _decode_colouring(code, n, r)
-        masks: set[int] = set()
-        for c in range(r):
-            rows1 = layers1[c]
-            rows2 = [0] * n
-            for i in range(n):
-                row = rows1[i]
-                for j in iter_bits(row):
-                    rows2[j] |= 1 << i
-            for m1, m2 in components_from_rows(n, n, tuple(rows1), tuple(rows2)):
-                masks.add(m1 | (m2 << n))
+        masks = _component_masks(n, n, _decode_colouring(code, n, r))
         kept = _maximal(sorted(masks, key=lambda m: -m.bit_count()))
         value, _, _ = _min_cover(universe, kept)
         report.tc_histogram[value] = report.tc_histogram.get(value, 0) + 1

@@ -8,9 +8,10 @@ Graph + colouring format (one file carries both):
 
 One line per edge, ``i`` a part-1 index and ``j`` a part-2 index.  The
 colour token is either R/B, a colour index (0..r-1, used by r-coloured
-instances from the exact solver's tooling), or absent, in which case the
-file holds a bare graph.  A file must be uniformly coloured or uniformly
-bare; duplicate edges and out-of-range indices are rejected.
+instances from the exact solver's tooling; below n1*n2 unless it is 0
+or 1), or absent, in which case the file holds a bare graph.  A file
+must be uniformly coloured or uniformly bare; duplicate edges and
+out-of-range indices are rejected.
 
 Vertex tokens elsewhere are ``part:index`` (e.g. ``2:5``) and edge tokens
 are ``i-j``.
@@ -30,9 +31,6 @@ from .graph import (BipartiteGraph, Colour, MonoPartition, MonoTree, RColouring,
 
 Colouring = TwoColouring | RColouring
 _RB = {"R": Colour.RED, "B": Colour.BLUE}
-# Colour indices are clipped to this when one overflows int64; r = index + 1
-# must still fit.
-_MAX_COLOUR_INDEX = np.iinfo(np.int64).max - 1
 
 
 def content_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
@@ -123,13 +121,21 @@ def _parse_edge_lines(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray
     if repeats.size:
         stop = int(repeats.min())
         error = f"line {linenos[stop]}: duplicate edge ({i[stop]},{j[stop]})"
+    # There is at most one colour per edge slot, so an index from n1*n2 on
+    # is rejected (0 and 1, red and blue, always pass); larger ones are
+    # clipped to the bound, which is kept in int64.
+    bound = max(min(n1 * n2, np.iinfo(np.int64).max), 2)
     colour_tokens = tokens[starts[:stop][counts[:stop] == 3] + 2]
-    codes, parsed = _read_ints(colour_tokens, _RB, -1, _MAX_COLOUR_INDEX)
-    bad = _first(codes < 0, parsed)
+    codes, parsed = _read_ints(colour_tokens, _RB, -1, bound)
+    bad = _first((codes < 0) | (codes >= bound), parsed)
     if bad < len(colour_tokens):
         token = colour_tokens[bad]
-        error = (f"negative colour index {int(token)}" if bad < parsed
-                 else f"bad colour token {token!r}")
+        if bad == parsed:
+            error = f"bad colour token {token!r}"
+        elif codes[bad] < 0:
+            error = f"negative colour index {int(token)}"
+        else:
+            error = f"colour index {int(token)} out of range 0..{bound - 1}"
     if error is not None:
         raise FormatError(error)
     if 0 < len(colour_tokens) < len(counts):
@@ -166,8 +172,11 @@ def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]
     if r <= 2:
         red = codes == Colour.RED
         return graph, TwoColouring(graph, *rows_from_edges(n1, n2, i[red], j[red]))
-    layers = [rows_from_edges(n1, n2, i[codes == c], j[codes == c]) for c in range(r)]
-    return graph, RColouring(graph, *zip(*layers))
+    # Only the colours that occur get rows; the rest share one empty layer.
+    layers = [((0,) * n1, (0,) * n2)] * r
+    for c in np.unique(codes).tolist():
+        layers[c] = rows_from_edges(n1, n2, i[codes == c], j[codes == c])
+    return graph, RColouring(graph, layers)
 
 
 def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,

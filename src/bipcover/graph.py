@@ -1,9 +1,10 @@
-"""Bipartite graphs, edge 2-colourings, and the cover/partition validators.
+"""Bipartite graphs, edge colourings, and the cover/partition validators.
 
 Vertices are addressed as (part, index) with part in {1, 2} and a
 0-based index within the part.  Adjacency is stored as one bit-set row
 per vertex over the opposite part, so neighbourhood intersections and
-restricted degree counts are single integer operations.
+restricted degree counts are single integer operations.  A colouring
+stores the same rows once per colour.
 
 All graph and colouring objects are immutable after construction and
 safe to share across threads or processes; every operation here is a
@@ -54,6 +55,7 @@ class Colour(IntEnum):
 
 RED = Colour.RED
 BLUE = Colour.BLUE
+_COLOURS = (RED, BLUE)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -219,10 +221,6 @@ class BipartiteGraph:
             return self._rows2[index]
         raise InvalidArgumentError(f"part must be 1 or 2, got {part}")
 
-    def neighbours(self, v: Vertex) -> int:
-        self.check_vertex(v)
-        return self.row(v.part, v.index)
-
     def check_vertex(self, v: Vertex) -> None:
         if v.part not in (1, 2) or not (0 <= v.index < self.part_size(v.part)):
             raise InvalidArgumentError(f"vertex {v!r} not in this graph")
@@ -265,21 +263,80 @@ class BipartiteGraph:
         return f"BipartiteGraph(n1={self.n1}, n2={self.n2}, edges={self.edge_count})"
 
 
-class TwoColouring:
-    """Red/blue label per edge, stored as red-neighbour bit rows.
+class RColouring:
+    """Edge colouring with colour indices 0..r-1, stored as one layer per
+    colour: the layer's adjacency rows for part 1 and for part 2.
 
-    The blue rows are the adjacency rows minus the red rows, so the
-    colouring is total on E(G) by construction.
+    Two colourings are equal when they have the same type, graph and
+    layers.
     """
 
-    __slots__ = ("graph", "_red1", "_red2")
+    __slots__ = ("graph", "num_colours", "_layers")
 
-    num_colours = 2
+    def __init__(self, graph: BipartiteGraph,
+                 layers: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]):
+        self.graph = graph
+        self._layers = tuple(layers)
+        self.num_colours = len(self._layers)
+
+    @classmethod
+    def from_edge_map(cls, graph: BipartiteGraph, r: int,
+                      colours: dict[tuple[int, int], int]) -> "RColouring":
+        if r < 1:
+            raise InvalidArgumentError("need at least one colour")
+        i, j, stop = _edge_map_index(graph, colours)
+        values = list(colours.values())
+        c = _int64(values, -1, r)
+        # A key's edge check comes before its colour check: only keys
+        # before the first non-edge can fail on colour.
+        off = np.flatnonzero((c[:stop] < 0) | (c[:stop] >= r))
+        if off.size:
+            raise InvalidArgumentError(f"colour {values[off[0]]} out of range 0..{r - 1}")
+        if stop < len(colours):
+            raise _not_an_edge(colours, stop)
+        if len(colours) != graph.edge_count:
+            raise InvalidArgumentError("colouring must cover every edge exactly once")
+        return cls(graph, [rows_from_edges(graph.n1, graph.n2, i[c == k], j[c == k])
+                           for k in range(r)])
+
+    def label(self, c: int) -> int:
+        """The colour value that queries return for layer ``c``."""
+        return c
+
+    def layer_rows(self, colour: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Adjacency rows of the single-colour subgraph (part 1, part 2)."""
+        return self._layers[colour]
+
+    def coloured_row(self, part: int, index: int, colour: int) -> int:
+        return self._layers[colour][part - 1][index]
+
+    def colour_of(self, i: int, j: int):
+        for c, (rows1, _) in enumerate(self._layers):
+            if rows1[i] >> j & 1:
+                return self.label(c)
+        raise InvalidArgumentError(f"({i},{j}) is not an edge")
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self) and self.graph == other.graph
+                and self._layers == other._layers)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self._layers))
+
+
+class TwoColouring(RColouring):
+    """Red/blue label per edge: the r = 2 case of RColouring.
+
+    The blue layer is derived once, as the adjacency rows minus the red
+    rows, so the colouring is total on E(G) by construction.
+    """
+
+    __slots__ = ()
 
     def __init__(self, graph: BipartiteGraph, red1: tuple[int, ...], red2: tuple[int, ...]):
-        self.graph = graph
-        self._red1 = red1
-        self._red2 = red2
+        blue1 = tuple(row & ~red for row, red in zip(graph._rows1, red1))
+        blue2 = tuple(row & ~red for row, red in zip(graph._rows2, red2))
+        super().__init__(graph, ((red1, red2), (blue1, blue2)))
 
     @classmethod
     def from_red_rows(cls, graph: BipartiteGraph, red1: Iterable[int],
@@ -311,93 +368,17 @@ class TwoColouring:
             return cls(graph, graph._rows1, graph._rows2)
         return cls(graph, tuple([0] * graph.n1), tuple([0] * graph.n2))
 
-    def coloured_row(self, part: int, index: int, colour: Colour) -> int:
-        red = self._red1[index] if part == 1 else self._red2[index]
-        if colour is Colour.RED:
-            return red
-        return self.graph.row(part, index) & ~red
-
-    def coloured_neighbours(self, v: Vertex, colour: Colour) -> int:
-        return self.coloured_row(v.part, v.index, colour)
-
-    def colour_of(self, i: int, j: int) -> Colour:
-        if not self.graph.has_edge(i, j):
-            raise InvalidArgumentError(f"({i},{j}) is not an edge")
-        return Colour.RED if self._red1[i] >> j & 1 else Colour.BLUE
-
-    def layer_rows(self, colour: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Adjacency rows of the single-colour subgraph (part 1, part 2)."""
-        c = Colour(colour)
-        if c is Colour.RED:
-            return self._red1, self._red2
-        g = self.graph
-        blue1 = tuple(g.row(1, i) & ~self._red1[i] for i in range(g.n1))
-        blue2 = tuple(g.row(2, j) & ~self._red2[j] for j in range(g.n2))
-        return blue1, blue2
+    def label(self, c: int) -> Colour:
+        return _COLOURS[c]
 
     def swapped(self) -> "TwoColouring":
         """The same edges with red and blue exchanged."""
-        blue1, blue2 = self.layer_rows(Colour.BLUE)
-        return TwoColouring(self.graph, blue1, blue2)
+        return TwoColouring(self.graph, *self.layer_rows(Colour.BLUE))
 
     def edge_colours(self) -> Iterator[tuple[int, int, Colour]]:
+        red1 = self._layers[Colour.RED][0]
         for i, j in self.graph.edges():
-            yield i, j, Colour.RED if self._red1[i] >> j & 1 else Colour.BLUE
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, TwoColouring)
-                and self.graph == other.graph and self._red1 == other._red1)
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self._red1))
-
-
-class RColouring:
-    """Edge colouring with colour indices 0..r-1 (the exact solver's input)."""
-
-    __slots__ = ("graph", "num_colours", "_layers1", "_layers2")
-
-    def __init__(self, graph: BipartiteGraph, layers1: tuple[tuple[int, ...], ...],
-                 layers2: tuple[tuple[int, ...], ...]):
-        self.graph = graph
-        self.num_colours = len(layers1)
-        self._layers1 = layers1
-        self._layers2 = layers2
-
-    @classmethod
-    def from_edge_map(cls, graph: BipartiteGraph, r: int,
-                      colours: dict[tuple[int, int], int]) -> "RColouring":
-        if r < 1:
-            raise InvalidArgumentError("need at least one colour")
-        i, j, stop = _edge_map_index(graph, colours)
-        values = list(colours.values())
-        c = _int64(values, -1, r)
-        # A key's edge check comes before its colour check: only keys
-        # before the first non-edge can fail on colour.
-        off = np.flatnonzero((c[:stop] < 0) | (c[:stop] >= r))
-        if off.size:
-            raise InvalidArgumentError(f"colour {values[off[0]]} out of range 0..{r - 1}")
-        if stop < len(colours):
-            raise _not_an_edge(colours, stop)
-        if len(colours) != graph.edge_count:
-            raise InvalidArgumentError("colouring must cover every edge exactly once")
-        layers = [rows_from_edges(graph.n1, graph.n2, i[c == k], j[c == k]) for k in range(r)]
-        return cls(graph, *zip(*layers))
-
-    @classmethod
-    def from_two(cls, colouring: TwoColouring) -> "RColouring":
-        red1, red2 = colouring.layer_rows(Colour.RED)
-        blue1, blue2 = colouring.layer_rows(Colour.BLUE)
-        return cls(colouring.graph, (red1, blue1), (red2, blue2))
-
-    def layer_rows(self, colour: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self._layers1[colour], self._layers2[colour]
-
-    def colour_of(self, i: int, j: int) -> int:
-        for c in range(self.num_colours):
-            if self._layers1[c][i] >> j & 1:
-                return c
-        raise InvalidArgumentError(f"({i},{j}) is not an edge")
+            yield i, j, Colour.RED if red1[i] >> j & 1 else Colour.BLUE
 
 
 # ---------------------------------------------------------------------------
@@ -461,30 +442,27 @@ def edge_count_between(g: BipartiteGraph, a: Iterable[Vertex], b: Iterable[Verte
     return edges_between(lambda i: g.row(1, i), left, right)
 
 
-def components_from_rows(n1: int, n2: int, rows1: tuple[int, ...],
-                         rows2: tuple[int, ...]) -> list[tuple[int, int]]:
+def components_from_rows(n1: int, n2: int, rows1: Sequence[int], rows2: Sequence[int],
+                         m1: int | None = None, m2: int | None = None) -> list[tuple[int, int]]:
     """Connected components of a bipartite subgraph given by bit rows.
 
-    Returns (part-1 mask, part-2 mask) pairs covering all n1+n2 vertices;
-    vertices with empty rows come back as singletons.  Ordered by their
-    smallest vertex (part 1 first).
+    Returns (part-1 mask, part-2 mask) pairs covering the vertex set
+    (m1, m2), all n1+n2 vertices by default; the rows are restricted to
+    that set, and vertices with no edge inside it come back as
+    singletons.  Ordered by their smallest vertex (part 1 first).
     """
-    unseen1 = (1 << n1) - 1
-    unseen2 = (1 << n2) - 1
+    unseen1 = (1 << n1) - 1 if m1 is None else m1
+    unseen2 = (1 << n2) - 1 if m2 is None else m2
     comps: list[tuple[int, int]] = []
-    order: list[tuple[int, int]] = [(1, i) for i in range(n1)] + [(2, j) for j in range(n2)]
-    for part, idx in order:
-        if part == 1:
-            if not unseen1 >> idx & 1:
-                continue
-            m1, m2 = 1 << idx, 0
+    while unseen1 or unseen2:
+        # Seed at the smallest unseen vertex, part 1 first.
+        if unseen1:
+            c1, c2 = unseen1 & -unseen1, 0
         else:
-            if not unseen2 >> idx & 1:
-                continue
-            m1, m2 = 0, 1 << idx
-        unseen1 &= ~m1
-        unseen2 &= ~m2
-        frontier1, frontier2 = m1, m2
+            c1, c2 = 0, unseen2 & -unseen2
+        unseen1 &= ~c1
+        unseen2 &= ~c2
+        frontier1, frontier2 = c1, c2
         while frontier1 or frontier2:
             grow2 = 0
             for i in iter_bits(frontier1):
@@ -496,20 +474,10 @@ def components_from_rows(n1: int, n2: int, rows1: tuple[int, ...],
             frontier2 = grow2 & unseen2
             unseen1 &= ~frontier1
             unseen2 &= ~frontier2
-            m1 |= frontier1
-            m2 |= frontier2
-        comps.append((m1, m2))
+            c1 |= frontier1
+            c2 |= frontier2
+        comps.append((c1, c2))
     return comps
-
-
-def restricted_components(g: BipartiteGraph, rows1: Sequence[int], rows2: Sequence[int],
-                          m1: int, m2: int) -> list[tuple[int, int]]:
-    """Components of the subgraph that ``rows1``/``rows2`` induce on the
-    vertex set (m1, m2); vertices outside the set are left out."""
-    sub1 = tuple(rows1[i] & m2 if m1 >> i & 1 else 0 for i in range(g.n1))
-    sub2 = tuple(rows2[j] & m1 if m2 >> j & 1 else 0 for j in range(g.n2))
-    return [c for c in components_from_rows(g.n1, g.n2, sub1, sub2)
-            if (c[0] & m1) or (c[1] & m2)]
 
 
 def monochromatic_components(g: BipartiteGraph, colouring, colour) -> list[frozenset[Vertex]]:
@@ -655,8 +623,8 @@ def validate_partition(g: BipartiteGraph, colouring: TwoColouring,
         if overlap:
             report.add(f"part {k} overlaps an earlier part at {sorted(overlap)[0]}")
         seen |= part
-        inside = restricted_components(g, *colouring.layer_rows(colour),
-                                       *vertex_masks(g, part))
+        inside = components_from_rows(g.n1, g.n2, *colouring.layer_rows(colour),
+                                      *vertex_masks(g, part))
         if len(inside) != 1:
             report.add(f"part {k}: {len(inside)} {colour.token}-components, expected 1")
     missing = set(g.vertices()) - seen

@@ -39,8 +39,7 @@ from .construct import (AuditReport, coin_split, heavy_masks, orient, pick_roots
 from .errors import InvalidArgumentError, PartitionFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
                     TwoColouring, Vertex, components_from_rows, edges_between,
-                    iter_bits, lowest, part_vertices, restricted_components,
-                    select, vertex_masks, vertex_set)
+                    iter_bits, lowest, part_vertices, select, vertex_masks, vertex_set)
 from .models import as_fraction
 from .rng import RandomStream
 
@@ -121,12 +120,6 @@ class _Run:
             raise InvalidArgumentError(
                 f"minimum degree {g.min_degree()} below required {float(need):.2f}")
 
-    def crow(self, part: int, idx: int, colour: Colour) -> int:
-        return self.col.coloured_row(part, idx, colour)
-
-    def full(self, part: int) -> int:
-        return (1 << self.g.part_size(part)) - 1
-
     def run(self) -> tuple[MonoPartition, PartitionState]:
         n, delta = self.n, self.delta
         heavy_thr = (Fraction(9, 16) + 3 * delta / 4) * n
@@ -174,7 +167,7 @@ class _Run:
 
     def _deep(self, state: PartitionState, root_red: Vertex,
               root_blue: Vertex) -> tuple[MonoPartition, PartitionState]:
-        g, crow, n, delta = self.g, self.crow, self.n, self.delta
+        g, crow, n, delta = self.g, self.col.coloured_row, self.n, self.delta
         retry = self.params.retry_limit
 
         base_size = int((Fraction(9, 16) + delta / 2) * n)
@@ -236,7 +229,7 @@ class _Run:
 
         # Everyone else on the sample's side picks the colour with more
         # joker neighbours (guaranteed at least delta*n/2 in one colour).
-        bulk = self.full(side_p_base) & ~(1 << root_s.index) & ~sample
+        bulk = ((1 << g.part_size(side_p_base)) - 1) & ~(1 << root_s.index) & ~sample
         bulk_choice: dict[int, Colour] = {}
         for w in iter_bits(bulk):
             cnt_p = (crow(side_p_base, w, maj) & jokers).bit_count()
@@ -283,7 +276,7 @@ class _Run:
                 "bulk-split", f"neither preference class reached 0.4n "
                 f"({bulk_p.bit_count()} vs {bulk_s.bit_count()})")
 
-        rest = self.full(side_s_base) & ~(1 << root_p.index) & ~base_s
+        rest = ((1 << g.part_size(side_s_base)) - 1) & ~(1 << root_p.index) & ~base_s
         state.rest = frozenset(part_vertices(side_s_base, rest))
         reach_bound = (Fraction(3, 16) + delta) * n
         for u in iter_bits(rest):
@@ -368,7 +361,7 @@ class _Run:
             m1, m2 = vertex_masks(g, [v for v, c in prefs.items() if c is colour])
             if not (m1 | m2):
                 continue
-            comps = restricted_components(g, *self.col.layer_rows(colour), m1, m2)
+            comps = components_from_rows(g.n1, g.n2, *self.col.layer_rows(colour), m1, m2)
             if len(comps) > allowed[colour]:
                 raise PartitionFailureError(
                     "connectivity", f"{colour.token}-preference class spans "
@@ -392,9 +385,8 @@ def partition3(g: BipartiteGraph, colouring: TwoColouring,
     return _Run(g, colouring, params).run()
 
 
-def audit_partition_state(state: PartitionState, g: BipartiteGraph,
-                          colouring: TwoColouring,
-                          params: PartitionParams) -> AuditReport:
+def audit_partition_state(g: BipartiteGraph, colouring: TwoColouring,
+                          state: PartitionState) -> AuditReport:
     """Measured values against the construction's claimed bounds."""
     report = AuditReport()
     n, delta = state.n, state.delta

@@ -18,9 +18,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import (BipartiteGraph, Vertex, edges_between, iter_bits,
-                    restricted_components, select, transpose_rows, vertex_masks,
-                    vertex_set)
+from .graph import (BipartiteGraph, Vertex, components_from_rows, edges_between,
+                    iter_bits, select, transpose_rows, vertex_masks, vertex_set)
 from .models import as_fraction
 
 
@@ -182,7 +181,7 @@ def check_min_degree_connectivity(
             continue
         row = g.row(1, i) & m2
         if h_edge_filter is not None:
-            row = mask_of_filtered(row, i, h_edge_filter)
+            row = select(row, lambda j: h_edge_filter(Vertex(1, i), Vertex(2, j)))
         rows1.append(row)
     rows1 = tuple(rows1)
     rows2 = transpose_rows(rows1, g.n2)
@@ -194,7 +193,7 @@ def check_min_degree_connectivity(
         report.stats["reason"] = (f"min degree {min(degrees) if degrees else 0} "
                                   f"below {float(floor):.2f}")
         return report
-    comps = restricted_components(g, rows1, rows2, m1, m2)
+    comps = components_from_rows(g.n1, g.n2, rows1, rows2, m1, m2)
     report.checked_instances = 1
     report.satisfied = len(comps) == 1
     report.stats = {"components": len(comps), "vertices": m1.bit_count() + m2.bit_count()}
@@ -203,10 +202,6 @@ def check_min_degree_connectivity(
             ("components", [sorted(vertex_set(c1, c2))[0] for c1, c2 in comps],
              len(comps), 1))
     return report
-
-
-def mask_of_filtered(row: int, i: int, edge_filter) -> int:
-    return select(row, lambda j: edge_filter(Vertex(1, i), Vertex(2, j)))
 
 
 def count_no_common_neighbour_pairs(g: BipartiteGraph) -> tuple[int, int]:

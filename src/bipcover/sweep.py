@@ -132,7 +132,7 @@ def _trial(config: SweepConfig, n: int, p_index: int, p: Fraction,
                                  retry_limit=config.retry_limit, seed=seed)
             cover, state = almost_cover(g, colouring, params)
             ok = validate_cover(g, colouring, cover).ok
-            audit_ok = audit_state(g, colouring, params, state).all_satisfied
+            audit_ok = audit_state(g, colouring, state).all_satisfied
             return finish(len(cover.trees), len(cover.uncovered), ok,
                           state.case.value, audit_ok=audit_ok)
         if config.algorithm == "partition3":
@@ -140,8 +140,7 @@ def _trial(config: SweepConfig, n: int, p_index: int, p: Fraction,
                                      retry_limit=max(config.retry_limit, 32))
             partition, state = partition3(g, colouring, params)
             ok = validate_partition(g, colouring, partition).ok
-            audit_ok = audit_partition_state(
-                state, g, colouring, params).all_satisfied
+            audit_ok = audit_partition_state(g, colouring, state).all_satisfied
             return finish(len(partition.parts), 0, ok, state.branch,
                           audit_ok=audit_ok)
         result = tc_exact(g, colouring)
@@ -187,6 +186,23 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     lines = [RECORD_HEADER]
     lines.extend(r.csv_row() for r in records)
     return "\n".join(lines) + "\n"
+
+
+def parse_records(text: str) -> list[SweepRecord]:
+    """The records of a CSV that ``records_to_csv`` wrote."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or lines[0] != RECORD_HEADER:
+        raise BipcoverError("not a sweep records CSV")
+    records = []
+    for line in lines[1:]:
+        (n, p_num, p_den, seed, source, algorithm, trees, uncovered,
+         valid, case, runtime_ms) = line.split(",")
+        records.append(SweepRecord(
+            n=int(n), p=Fraction(int(p_num), int(p_den)), seed=int(seed),
+            source=source, algorithm=algorithm, trees=int(trees),
+            uncovered=int(uncovered), valid=valid == "true", case=case,
+            runtime_ms=int(runtime_ms)))
+    return records
 
 
 def summarise(records: list[SweepRecord]) -> str:

@@ -215,3 +215,32 @@ def naive_degree_bands(g: BipartiteGraph, p: Fraction, eps: Fraction):
                     c_bad.append(((Vertex(part, i), Vertex(part, j)), c,
                                   (float(c_lo), float(c_hi))))
     return d_checked, d_bad, c_checked, c_bad
+
+
+def naive_components(n1, n2, rows1, m1, m2) -> list[tuple[int, int]]:
+    """(part-1 mask, part-2 mask) of each component of the subgraph that
+    the part-1 rows induce on the vertex set (m1, m2), by breadth-first
+    search over an adjacency dict, ordered by smallest vertex."""
+    inside = {Vertex(1, i) for i in range(n1) if m1 >> i & 1}
+    inside |= {Vertex(2, j) for j in range(n2) if m2 >> j & 1}
+    adj: dict[Vertex, set[Vertex]] = {v: set() for v in inside}
+    for i in range(n1):
+        for j in range(n2):
+            a, b = Vertex(1, i), Vertex(2, j)
+            if rows1[i] >> j & 1 and a in inside and b in inside:
+                adj[a].add(b)
+                adj[b].add(a)
+    comps = []
+    seen: set[Vertex] = set()
+    for start in sorted(inside):
+        if start in seen:
+            continue
+        comp, queue = {start}, [start]
+        while queue:
+            for w in adj[queue.pop()] - comp:
+                comp.add(w)
+                queue.append(w)
+        seen |= comp
+        comps.append((sum(1 << v.index for v in comp if v.part == 1),
+                      sum(1 << v.index for v in comp if v.part == 2)))
+    return comps

@@ -165,8 +165,8 @@ def test_criterion_10_sweep_determinism():
 
 
 def _parse(csv_text):
-    from bipcover.cli import _records_from_csv
-    return _records_from_csv(csv_text)
+    from bipcover.sweep import parse_records
+    return parse_records(csv_text)
 
 
 # ---------------------------------------------------------------------------

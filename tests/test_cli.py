@@ -193,3 +193,11 @@ def test_blowup_mode(tmp_path, capsys):
     g, col = parse_graph(out.read_text())
     assert g.min_degree() == 4
     assert col is not None
+
+
+def test_check_rejects_unbounded_colour_index(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("bipartite 3 3\n0 0 R\n1 1 99999999999999999999\n")
+    code, out, err = run(capsys, "check", str(path), "--p", "0.5")
+    assert code == 2 and out == ""
+    assert err == "bipcover: colour index 99999999999999999999 out of range 0..8\n"

@@ -104,7 +104,7 @@ class TestHandInstances:
         g, col = hand_instance_split_roots()
         params = CoverParams(p=Fraction(1, 2), seed=5)
         _, state = almost_cover(g, col, params)
-        audit = audit_state(g, col, params, state)
+        audit = audit_state(g, col, state)
         assert audit.entry("joker-count").measured == 3
         assert audit.entry("stranded-count").measured == 0
         # all 12 edges between N_B(2:0) = {a1,a2,a3} and N_R(1:0) = {b0..b3}
@@ -238,7 +238,7 @@ class TestAudit:
         col = TwoColouring.monochromatic(g, BLUE)
         params = CoverParams(p=Fraction(1, 2), seed=0)
         _, state = almost_cover(g, col, params)
-        audit = audit_state(g, col, params, state)
+        audit = audit_state(g, col, state)
         assert audit.entry("joker-count").satisfied is None
         assert audit.entry("majority-edge-density").satisfied is None
 
@@ -251,7 +251,7 @@ class TestAudit:
             col, _ = colour_lower3(g)
             params = CoverParams(p=p, seed=seed)
             _, state = almost_cover(g, col, params)
-            audit = audit_state(g, col, params, state)
+            audit = audit_state(g, col, state)
             if audit.entry("stranded-count").satisfied \
                     and audit.entry("uncovered-total").satisfied:
                 satisfied += 1
@@ -268,7 +268,7 @@ def test_audit_degree_band_fraction_matches_fraction_band(n):
         col = sample_colouring(g, Fraction(1, 2), seed)
         params = CoverParams(p=p, epsilon=eps, seed=seed)
         _, state = almost_cover(g, col, params)
-        measured = audit_state(g, col, params, state).entry("degree-band-fraction").measured
+        measured = audit_state(g, col, state).entry("degree-band-fraction").measured
         _, d_bad, _, _ = naive_degree_bands(g, p, eps)
         assert measured == (2 * n - len(d_bad)) / (2 * n)
 

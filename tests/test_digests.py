@@ -159,7 +159,7 @@ def cover_grid_text() -> str:
                 record = failure_record(exc)
             else:
                 record = {"state": state_record(state), "cover": write_cover(cover, g),
-                          "audit": audit_state(g, col, params, state).as_dict(),
+                          "audit": audit_state(g, col, state).as_dict(),
                           "case": classify_case(g, col, state).value}
             lines.append(json.dumps([label, retry_limit, record], sort_keys=True))
     return "\n".join(lines)
@@ -217,7 +217,7 @@ def partition_grid_text() -> str:
             except BipcoverError as exc:
                 record = failure_record(exc)
             else:
-                audit = audit_partition_state(state, g, col, params)
+                audit = audit_partition_state(g, col, state)
                 record = {"state": state_record(state),
                           "partition": write_partition(partition, g),
                           "audit": audit.as_dict()}

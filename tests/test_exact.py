@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipcover import (BLUE, RED, BipartiteGraph, TwoColouring,
+from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
                       exhaustive_knn_check, sample_bipartite, sample_colouring,
                       tc_exact, tp_exact, validate_partition)
 from bipcover.errors import TooLargeError
@@ -143,3 +143,42 @@ class TestExhaustive:
     def test_guard(self):
         with pytest.raises(TooLargeError):
             exhaustive_knn_check(5, 2, 2)
+
+
+def latin_square_colouring(n):
+    """K_{n,n} with edge (i, j) coloured (i + j) mod n: every colour class
+    is a perfect matching."""
+    g = BipartiteGraph.complete(n, n)
+    return g, RColouring.from_edge_map(g, n, {(i, j): (i + j) % n for i, j in g.edges()})
+
+
+class TestWitnessLabels:
+    def test_r3_witness_colours_are_plain_ints(self):
+        g, col = latin_square_colouring(3)
+        tc = tc_exact(g, col)
+        tp = tp_exact(g, col)
+        assert tc.value == tp.value == 3
+        colours = [c for c, _ in tc.witness] + [c for c, _ in tp.witness.parts]
+        assert 0 in colours
+        assert all(type(c) is int for c in colours)
+
+    def test_two_colouring_witness_colours_are_members(self):
+        g, col = matching_graph()
+        tc = tc_exact(g, col)
+        tp = tp_exact(g, col)
+        colours = [c for c, _ in tc.witness] + [c for c, _ in tp.witness.parts]
+        assert colours and all(c is RED or c is BLUE for c in colours)
+
+
+def test_knn_agrees_with_tc_exact_per_colouring():
+    n, r = 2, 3
+    g = BipartiteGraph.complete(n, n)
+    histogram: dict[int, int] = {}
+    for code in range(r ** (n * n)):
+        colours, rest = {}, code
+        for i in range(n):
+            for j in range(n):
+                rest, colours[(i, j)] = divmod(rest, r)
+        value = tc_exact(g, RColouring.from_edge_map(g, r, colours)).value
+        histogram[value] = histogram.get(value, 0) + 1
+    assert exhaustive_knn_check(n, r, 2).tc_histogram == histogram

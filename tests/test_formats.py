@@ -215,6 +215,28 @@ GOLDEN_ERRORS = [
     ("lines-split-by-form-feed", "bipartite 2 2\f0 0 R\f0 9 R\n",
      "line 3: edge (0,9) out of range"),
     ("tabs", "bipartite\t2\t2\n0\t0\tR\n#\n0\t7\tB\n", "line 4: edge (0,7) out of range"),
+    # A colour index must be below n1*n2, the number of edge slots; 0 and 1
+    # (red and blue) always pass.
+    ("colour-index-at-slot-count", "bipartite 2 2\n0 0 4\n", "colour index 4 out of range 0..3"),
+    ("colour-index-bound-is-n1-times-n2", "bipartite 2 3\n0 0 5\n1 2 6\n",
+     "colour index 6 out of range 0..5"),
+    ("colour-index-plus-sign", "bipartite 2 2\n0 0 +4\n", "colour index 4 out of range 0..3"),
+    ("colour-index-huge", "bipartite 2 2\n0 0 R\n1 1 99999999999999999999\n",
+     "colour index 99999999999999999999 out of range 0..3"),
+    ("colour-index-one-slot", "bipartite 1 1\n0 0 2\n", "colour index 2 out of range 0..1"),
+    ("first-bad-line-wins-index-before-word", "bipartite 2 2\n0 0 7\n0 1 x\n",
+     "colour index 7 out of range 0..3"),
+    ("first-bad-line-wins-word-before-index", "bipartite 2 2\n0 0 x\n0 1 7\n",
+     "bad colour token 'x'"),
+    ("first-bad-line-wins-negative-before-index", "bipartite 2 2\n0 0 -1\n0 1 7\n",
+     "negative colour index -1"),
+    ("first-bad-line-wins-index-before-negative", "bipartite 2 2\n0 0 7\n0 1 -1\n",
+     "colour index 7 out of range 0..3"),
+    ("first-bad-line-wins-count-before-index", "bipartite 2 2\n0 0\n0 1 R x\n0 0 9\n",
+     "line 3: expected '<i> <j> [colour]'"),
+    ("dup-before-index-in-line", "bipartite 2 2\n0 0 1\n0 0 9\n",
+     "line 3: duplicate edge (0,0)"),
+    ("mix-waits-for-index", "bipartite 2 2\n0 0\n1 1 9\n", "colour index 9 out of range 0..3"),
 ]
 
 
@@ -266,3 +288,19 @@ def test_cover_rejects_bad_tree_line(line):
 def test_partition_rejects_colour_other_than_r_or_b(token):
     with pytest.raises(FormatError, match="line 2"):
         parse_partition(f"partition 1 1\npart {token} 1:0 2:0\n")
+
+
+def test_colour_index_below_slot_count_is_accepted():
+    g, col = parse_graph("bipartite 2 2\n0 0 3\n1 1 0\n")
+    assert isinstance(col, RColouring) and not isinstance(col, TwoColouring)
+    assert col.num_colours == 4
+    assert col.colour_of(0, 0) == 3 and col.colour_of(1, 1) == 0
+    # The unused colours share one empty layer.
+    assert col.layer_rows(1) == ((0, 0), (0, 0))
+    assert col.layer_rows(1) is col.layer_rows(2)
+    assert write_graph(g, col) == "bipartite 2 2\n0 0 3\n1 1 0\n"
+
+
+def test_blue_index_on_a_single_slot():
+    g, col = parse_graph("bipartite 1 1\n0 0 1\n")
+    assert isinstance(col, TwoColouring) and col.colour_of(0, 0) is BLUE

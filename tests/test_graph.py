@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, MonoPartition, MonoTree,
-                      TreeCover, TwoColouring, Vertex, degree,
+                      RColouring, TreeCover, TwoColouring, Vertex, degree,
                       edge_count_between, monochromatic_components,
                       sample_bipartite, sample_colouring, spanning_tree_of,
                       validate_cover, validate_partition)
 from bipcover.errors import InvalidArgumentError, NotConnectedError
-from bipcover.graph import (rows_from_edges, rows_from_matrix, rows_to_matrix,
-                            transpose_rows)
+from bipcover.graph import (components_from_rows, rows_from_edges, rows_from_matrix,
+                            rows_to_matrix, transpose_rows)
 from bipcover.models import ModelParams
-from conftest import (graph_from_coloured_edges, matching_graph, naive_matrix,
-                      naive_rows_from_edges,
+from conftest import (graph_from_coloured_edges, matching_graph, naive_components,
+                      naive_matrix, naive_rows_from_edges,
                       naive_transpose, naive_validate_cover,
                       naive_validate_partition)
 
@@ -391,3 +391,84 @@ class TestRowsFromEdges:
             rng.shuffle(edges)
             assert edge_rows(n1, n2, edges) == expected
         assert edge_rows(n1, n2, edges + edges[:5]) == expected
+
+
+MASKED_WIDTHS = (1, 7, 64, 65)
+
+
+class TestMaskedComponents:
+    @settings(deadline=None, max_examples=80)
+    @given(st.sampled_from(MASKED_WIDTHS), st.sampled_from(MASKED_WIDTHS),
+           st.sampled_from(("empty", "full", "random", "default")),
+           st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_matches_naive_induced_bfs(self, n1, n2, masks, sparsity, rng):
+        # Each row bit is set with probability 2**-sparsity.
+        rows1 = []
+        for _ in range(n1):
+            row = (1 << n2) - 1
+            for _ in range(sparsity):
+                row &= rng.getrandbits(n2)
+            rows1.append(row)
+        rows2 = naive_transpose(rows1, n2)
+        full1, full2 = (1 << n1) - 1, (1 << n2) - 1
+        if masks == "default":
+            assert components_from_rows(n1, n2, rows1, rows2) == \
+                naive_components(n1, n2, rows1, full1, full2)
+            return
+        m1, m2 = {"empty": (0, 0), "full": (full1, full2),
+                  "random": (rng.getrandbits(n1), rng.getrandbits(n2))}[masks]
+        comps = components_from_rows(n1, n2, rows1, rows2, m1, m2)
+        assert comps == naive_components(n1, n2, rows1, m1, m2)
+        # The components partition exactly the masked vertex set.
+        assert sum(c1.bit_count() + c2.bit_count() for c1, c2 in comps) == \
+            m1.bit_count() + m2.bit_count()
+        assert all(c1 & ~m1 == 0 and c2 & ~m2 == 0 for c1, c2 in comps)
+
+    def test_one_mask_side_empty(self):
+        g = BipartiteGraph.complete(3, 4)
+        rows1 = tuple(g.row(1, i) for i in range(3))
+        rows2 = tuple(g.row(2, j) for j in range(4))
+        # With no part-2 vertex left, the part-1 vertices are isolated.
+        assert components_from_rows(3, 4, rows1, rows2, 0b101, 0) == [(0b1, 0), (0b100, 0)]
+        assert components_from_rows(3, 4, rows1, rows2, 0, 0b11) == [(0, 0b1), (0, 0b10)]
+        assert components_from_rows(3, 4, rows1, rows2, 0b10, 0b1000) == [(0b10, 0b1000)]
+
+
+class TestColouringLayers:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (7, 65), (64, 9), (30, 30)])
+    def test_blue_layer_is_adjacency_minus_red(self, seed, n1, n2):
+        g = sample_bipartite(ModelParams(n1, n2, Fraction(2, 3)), seed)
+        col = sample_colouring(g, Fraction(1, 3), seed)
+        red1, red2 = col.layer_rows(RED)
+        blue1, blue2 = col.layer_rows(BLUE)
+        assert blue1 == tuple(g.row(1, i) & ~red1[i] for i in range(n1))
+        assert blue2 == tuple(g.row(2, j) & ~red2[j] for j in range(n2))
+        assert red2 == naive_transpose(red1, n2)
+        for colour, (rows1, rows2) in ((RED, (red1, red2)), (BLUE, (blue1, blue2))):
+            assert [col.coloured_row(1, i, colour) for i in range(n1)] == list(rows1)
+            assert [col.coloured_row(2, j, colour) for j in range(n2)] == list(rows2)
+        swapped = col.swapped()
+        assert swapped.layer_rows(RED) == (blue1, blue2)
+        assert swapped.layer_rows(BLUE) == (red1, red2)
+        assert all(col.colour_of(i, j) is c for i, j, c in col.edge_colours())
+
+    def test_r_colouring_equality_is_structural(self):
+        g = BipartiteGraph.complete(2, 3)
+        colours = {(i, j): (i + j) % 3 for i, j in g.edges()}
+        a = RColouring.from_edge_map(g, 3, colours)
+        b = RColouring.from_edge_map(g, 3, dict(colours))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        colours[(0, 0)] = 1
+        assert RColouring.from_edge_map(g, 3, colours) != a
+        # The same colour per edge plus one unused colour is another colouring.
+        assert RColouring.from_edge_map(g, 4, {e: b.colour_of(*e) for e in g.edges()}) != a
+
+    def test_two_colouring_differs_from_r_colouring_with_its_layers(self):
+        g, col = matching_graph()
+        as_r = RColouring.from_edge_map(g, 2, {(i, j): int(c) for i, j, c in col.edge_colours()})
+        assert [as_r.layer_rows(c) for c in (0, 1)] == [col.layer_rows(c) for c in (RED, BLUE)]
+        assert as_r != col and col != as_r
+        assert isinstance(col, RColouring) and type(as_r) is RColouring
+        assert col.colour_of(0, 0) is RED and type(as_r.colour_of(0, 0)) is int

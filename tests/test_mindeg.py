@@ -72,7 +72,7 @@ class TestDeepPath:
         assert state.branch in ("two-parts", "relink")
         assert len(partition.parts) <= 3
         assert validate_partition(g, col, partition).ok
-        audit = audit_partition_state(state, g, col, params)
+        audit = audit_partition_state(g, col, state)
         assert audit.entry("base-edges").satisfied
         assert audit.entry("joker-count").satisfied
         assert audit.entry("sample-size").satisfied
@@ -136,7 +136,7 @@ class TestTwoPartsBranch:
         g, col = self.complete_with_red_rows()
         params = PartitionParams(delta=DELTA, seed=2)
         _, state = partition3(g, col, params)
-        audit = audit_partition_state(state, g, col, params)
+        audit = audit_partition_state(g, col, state)
         assert audit.entry("base-edges").measured \
             == len(state.base_red) * len(state.base_blue)
         assert audit.entry("base-edges").satisfied
@@ -174,7 +174,7 @@ class TestAuditNotApplicable:
         col = TwoColouring.monochromatic(g, RED)
         params = PartitionParams(delta=DELTA, seed=0)
         _, state = partition3(g, col, params)
-        audit = audit_partition_state(state, g, col, params)
+        audit = audit_partition_state(g, col, state)
         assert all(e.satisfied is None for e in audit.entries)
 
 

@@ -9,7 +9,7 @@ from bipcover.errors import BipcoverError
 from bipcover.exact import ExactResult, tc_exact
 from bipcover.models import ModelParams, sample_bipartite, sample_colouring
 from bipcover.sweep import (RECORD_HEADER, SUMMARY_HEADER, _tc_witness_ok,
-                            config_from_mapping, parse_config_file)
+                            config_from_mapping, parse_config_file, parse_records)
 
 
 def small_config(**overrides):
@@ -201,3 +201,17 @@ def test_config_validation():
                     c_values=(Fraction(1),))
     with pytest.raises(BipcoverError):
         summarise([])
+
+
+def test_records_csv_round_trip():
+    records = run_sweep(small_config(trials=2)) + run_sweep(
+        small_config(trials=1, source="lower4", n_values=(12,)))
+    text = records_to_csv(records)
+    back = parse_records(text)
+    assert records_to_csv(back) == text
+    assert [(r.n, r.p, r.seed, r.valid, r.case) for r in back] == \
+        [(r.n, r.p, r.seed, r.valid, r.case) for r in records]
+    with pytest.raises(BipcoverError, match="not a sweep records CSV"):
+        parse_records("n,p\n1,2\n")
+    with pytest.raises(BipcoverError, match="not a sweep records CSV"):
+        parse_records("\n")
