@@ -18,15 +18,15 @@ from pathlib import Path
 
 from . import formats
 from .adversary import colour_blowup_pair, colour_lower3, colour_lower4
-from .cover import CoverParams, almost_cover, audit_state
+from .cover import CoverParams
 from .errors import BipcoverError
 from .exact import exhaustive_knn_check, tc_exact, tp_exact
-from .graph import TwoColouring, validate_cover, validate_partition
-from .mindeg import PartitionParams, audit_partition_state, partition3
+from .graph import TwoColouring
+from .mindeg import PartitionParams
 from .models import ModelParams, as_fraction, sample_bipartite, sample_colouring
 from .properties import check_degrees, count_no_common_neighbour_pairs
-from .sweep import (config_from_mapping, parse_config_file, parse_records, plot_script,
-                    records_to_csv, run_sweep, summarise)
+from .sweep import (TrialOutcome, config_from_mapping, parse_config_file, parse_records,
+                    plot_script, records_to_csv, run_construction, run_sweep, summarise)
 
 
 def _outpath(name: str | None) -> Path | None:
@@ -40,12 +40,13 @@ def _outpath(name: str | None) -> Path | None:
     return path
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(text: str, out: Path | None, mode: str = "w") -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        with open(out, mode) as fh:
+            fh.write(text)
 
 
 def _read(path: str | None):
@@ -137,20 +138,11 @@ def _cmd_cover(args) -> int:
     p = _probability(args, "p_num", "p_den", "p")
     params = CoverParams(p=p, epsilon=as_fraction(args.epsilon),
                          retry_limit=args.retry_limit, seed=args.seed)
-    cover, state = almost_cover(g, colouring, params)
-    report = validate_cover(g, colouring, cover)
-    audit = audit_state(g, colouring, state)
-    _emit(formats.write_cover(cover, g, comments=[f"case {state.case.value}"]),
-          _outpath(args.out))
-    record = {
-        "algorithm": "almost_cover", "n": g.n1,
-        "p_num": p.numerator, "p_den": p.denominator, "seed": args.seed,
-        "case": state.case.value, "trees": len(cover.trees),
-        "uncovered": len(cover.uncovered), "valid": report.ok,
-        "audit": audit.as_dict(),
-    }
-    _append_jsonl(record, args.audit)
-    return 0 if report.ok else 1
+    run = run_construction(g, colouring, params)
+    return _finish(args, run, formats.write_cover(run.output, g, comments=[f"case {run.case}"]),
+                   {"algorithm": "almost_cover", "n": g.n1, "p_num": p.numerator,
+                    "p_den": p.denominator, "seed": args.seed, "case": run.case,
+                    "trees": run.trees, "uncovered": run.uncovered})
 
 
 def _cmd_partition(args) -> int:
@@ -160,29 +152,19 @@ def _cmd_partition(args) -> int:
                              subsample_p=(as_fraction(args.subsample_p)
                                           if args.subsample_p else None),
                              retry_limit=args.retry_limit, seed=args.seed)
-    partition, state = partition3(g, colouring, params)
-    report = validate_partition(g, colouring, partition)
-    audit = audit_partition_state(g, colouring, state)
-    _emit(formats.write_partition(partition, g, comments=[f"branch {state.branch}"]),
-          _outpath(args.out))
-    record = {
-        "algorithm": "partition3", "n": g.n1, "seed": args.seed,
-        "branch": state.branch, "parts": len(partition.parts),
-        "valid": report.ok, "audit": audit.as_dict(),
-    }
-    _append_jsonl(record, args.audit)
-    return 0 if report.ok else 1
+    run = run_construction(g, colouring, params)
+    return _finish(args, run,
+                   formats.write_partition(run.output, g, comments=[f"branch {run.case}"]),
+                   {"algorithm": "partition3", "n": g.n1, "seed": args.seed,
+                    "branch": run.case, "parts": run.trees})
 
 
-def _append_jsonl(record: dict, path: str | None) -> None:
-    line = json.dumps(record, sort_keys=True)
-    target = _outpath(path)
-    if target is None:
-        sys.stdout.write(line + "\n")
-    else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "a") as fh:
-            fh.write(line + "\n")
+def _finish(args, run: TrialOutcome, text: str, record: dict) -> int:
+    """Write the output and its --audit JSON line; exit 1 iff the validator objected."""
+    _emit(text, _outpath(args.out))
+    record.update(valid=run.report.ok, audit=run.audit.as_dict())
+    _emit(json.dumps(record, sort_keys=True) + "\n", _outpath(args.audit), "a")
+    return 0 if run.report.ok else 1
 
 
 def _cmd_exact(args) -> int:
@@ -204,13 +186,12 @@ def _cmd_exact(args) -> int:
         raise BipcoverError("exact solving needs a coloured graph")
     if args.mode == "tc":
         result = tc_exact(g, colouring)
-        witness = [{"colour": int(c), "vertices": sorted(str(v) for v in vs)}
-                   for c, vs in result.witness]
+        sets = result.witness
     else:
         result = tp_exact(g, colouring, allow_singletons=not args.no_singletons,
                           force=args.force)
-        witness = [{"colour": int(c), "vertices": sorted(str(v) for v in vs)}
-                   for c, vs in result.witness.parts]
+        sets = result.witness.parts
+    witness = [{"colour": int(c), "vertices": sorted(str(v) for v in vs)} for c, vs in sets]
     sys.stdout.write(json.dumps(
         {"mode": args.mode, "value": result.value,
          "nodes_explored": result.nodes_explored, "witness": witness},

@@ -12,10 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
+from .errors import InvalidArgumentError
 from .graph import BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex, lowest, select
 from .rng import RandomStream
 
 T = TypeVar("T")
+
+
+class ConstructionRun:
+    """One construction run on a balanced graph: its input, the part size
+    ``n`` and the random stream seeded by ``params.seed``."""
+
+    def __init__(self, name: str, g: BipartiteGraph, colouring: TwoColouring, params):
+        if g.n1 != g.n2:
+            raise InvalidArgumentError(f"{name} needs a balanced graph")
+        self.g, self.col, self.params, self.n = g, colouring, params, g.n1
+        self.rng = RandomStream(params.seed)
 
 
 def heavy_masks(g: BipartiteGraph, colouring: TwoColouring,

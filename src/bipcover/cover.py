@@ -33,15 +33,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .construct import (AuditReport, coin_split, heavy_masks, orient, pick_roots,
-                        retry_draw)
+from .construct import (AuditReport, ConstructionRun, coin_split, heavy_masks, orient,
+                        pick_roots, retry_draw)
 from .errors import InvalidArgumentError, PropertyFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoTree, TreeCover,
                     TwoColouring, Vertex, components_from_rows, edges_between,
                     iter_bits, lowest, part_vertices, select, spanning_tree_of,
                     vertex_masks, vertex_set)
 from .models import as_fraction
-from .rng import RandomStream
 
 
 class CoverCase(str, Enum):
@@ -127,19 +126,12 @@ def _pivot_scan(g: BipartiteGraph, colouring: TwoColouring, state: CoverState,
     return w1, None
 
 
-class _Pipeline:
+class _Pipeline(ConstructionRun):
     """One almost_cover run; mutable scratch space around the final state."""
 
     def __init__(self, g: BipartiteGraph, colouring: TwoColouring, params: CoverParams):
-        if g.n1 != g.n2:
-            raise InvalidArgumentError("almost_cover needs a balanced graph")
-        self.g = g
-        self.col = colouring
-        self.params = params
-        self.n = g.n1
-        self.p = params.p
-        self.rng = RandomStream(params.seed)
-        n, p = self.n, self.p
+        super().__init__("almost_cover", g, colouring, params)
+        n, p = self.n, params.p
         self.thr_joker = p * p * n / 25    # strict >
         self.thr_attach = p * p * n / 200  # >=
         self.thr_pref = p * p * n / 400    # >=
@@ -171,7 +163,7 @@ class _Pipeline:
         # Heavy: colour degree strictly above a third of the degree.
         heavy = heavy_masks(self.g, self.col, lambda d, dc: 3 * dc > d)
         state = CoverState(
-            n=self.n, p=self.p, epsilon=self.params.epsilon, case=CoverCase.SPANNING,
+            n=self.n, p=self.params.p, epsilon=self.params.epsilon, case=CoverCase.SPANNING,
             heavy_red=vertex_set(*heavy[RED]), heavy_blue=vertex_set(*heavy[BLUE]))
         for colour in (RED, BLUE):
             rows1, rows2 = self.col.layer_rows(colour)

@@ -186,10 +186,14 @@ def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,
     if colouring is None:
         tokens = [""]
     else:
+        # Tails and matrices only for the colours that occur (all of them
+        # when r <= 2); an edge in none of the later layers is in the first.
+        r = colouring.num_colours
+        used = [c for c in range(r) if r <= 2 or any(colouring.layer_rows(c)[0])] or [0]
         tokens = [f" {Colour(c).token}" if isinstance(colouring, TwoColouring) else f" {c}"
-                  for c in range(colouring.num_colours)]
-        for c in range(1, colouring.num_colours):
-            colour[rows_to_matrix(colouring.layer_rows(c)[0], g.n2)[i, j] == 1] = c
+                  for c in used]
+        for k, c in enumerate(used[1:], start=1):
+            colour[rows_to_matrix(colouring.layer_rows(c)[0], g.n2)[i, j] == 1] = k
     heads = np.array([f"{a} " for a in range(g.n1)], dtype=object)
     tails = np.array([[f"{b}{t}\n" for b in range(g.n2)] for t in tokens], dtype=object)
     lines = heads[i] + tails[colour, j]

@@ -34,14 +34,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .construct import (AuditReport, coin_split, heavy_masks, orient, pick_roots,
-                        retry_draw)
+from .construct import (AuditReport, ConstructionRun, coin_split, heavy_masks, orient,
+                        pick_roots, retry_draw)
 from .errors import InvalidArgumentError, PartitionFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
                     TwoColouring, Vertex, components_from_rows, edges_between,
                     iter_bits, lowest, part_vertices, select, vertex_masks, vertex_set)
 from .models import as_fraction
-from .rng import RandomStream
 
 SUBSAMPLE_CAP = Fraction(1, 25)  # keeps the sampled side mostly intact
 
@@ -94,34 +93,25 @@ class PartitionState:
 
 
 def _lowest_k(mask: int, k: int) -> int:
-    out = 0
-    for idx in iter_bits(mask):
-        if k == 0:
-            break
-        out |= 1 << idx
-        k -= 1
-    if k:
-        raise PartitionFailureError("base-size", f"needed {k} more vertices than available")
-    return out
+    short = k - mask.bit_count()
+    if short > 0:
+        raise PartitionFailureError("base-size", f"needed {short} more vertices than available")
+    rest = mask
+    for _ in range(k):
+        rest &= rest - 1  # clears the lowest set bit
+    return mask ^ rest
 
 
-class _Run:
+class _Run(ConstructionRun):
     def __init__(self, g: BipartiteGraph, colouring: TwoColouring, params: PartitionParams):
-        if g.n1 != g.n2:
-            raise InvalidArgumentError("partition3 needs a balanced graph")
-        self.g = g
-        self.col = colouring
-        self.params = params
-        self.n = g.n1
-        self.delta = params.delta
-        self.rng = RandomStream(params.seed)
-        need = (Fraction(13, 16) + self.delta) * self.n
+        super().__init__("partition3", g, colouring, params)
+        need = (Fraction(13, 16) + params.delta) * self.n
         if g.min_degree() < need:
             raise InvalidArgumentError(
                 f"minimum degree {g.min_degree()} below required {float(need):.2f}")
 
     def run(self) -> tuple[MonoPartition, PartitionState]:
-        n, delta = self.n, self.delta
+        n, delta = self.n, self.params.delta
         heavy_thr = (Fraction(9, 16) + 3 * delta / 4) * n
         heavy = heavy_masks(self.g, self.col, lambda d, dc: dc >= heavy_thr)
 
@@ -167,7 +157,7 @@ class _Run:
 
     def _deep(self, state: PartitionState, root_red: Vertex,
               root_blue: Vertex) -> tuple[MonoPartition, PartitionState]:
-        g, crow, n, delta = self.g, self.col.coloured_row, self.n, self.delta
+        g, crow, n, delta = self.g, self.col.coloured_row, self.n, self.params.delta
         retry = self.params.retry_limit
 
         base_size = int((Fraction(9, 16) + delta / 2) * n)

@@ -1,6 +1,9 @@
 """Threshold sweep harness: run many seeded trials over an (n, p) grid,
 validate every output, and aggregate outcomes.
 
+:func:`run_construction` is the one construct -> validate -> audit step;
+each sweep trial and the CLI's cover/partition commands go through it.
+
 Each trial is fully determined by (base seed, n, p index, trial index),
 so a sweep is reproducible record-for-record and trials can run in a
 process pool in any order.  Per-trial failures (construction
@@ -20,18 +23,22 @@ byte-stable.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversary import colour_lower3, colour_lower4
-from .cover import CoverParams, almost_cover, audit_state
+from .construct import AuditReport
+from .cover import CoverParams, CoverState, almost_cover, audit_state
 from .errors import BipcoverError
-from .exact import tc_exact
+from .exact import ExactResult, tc_exact
 from .formats import content_lines
-from .graph import monochromatic_components, validate_cover, validate_partition
-from .mindeg import PartitionParams, audit_partition_state, partition3
+from .graph import (BipartiteGraph, MonoPartition, TreeCover, TwoColouring,
+                    ValidationReport, monochromatic_components, validate_cover,
+                    validate_partition)
+from .mindeg import PartitionParams, PartitionState, audit_partition_state, partition3
 from .models import (ModelParams, as_fraction, sample_bipartite,
                      sample_colouring, sample_mindeg_subgraph)
 from .rng import TAG_SWEEP, combine
@@ -103,21 +110,48 @@ class SweepRecord:
                 f"{str(self.valid).lower()},{self.case},{self.runtime_ms}")
 
 
-def _trial(config: SweepConfig, n: int, p_index: int, p: Fraction,
-           trial: int) -> SweepRecord:
+@dataclass
+class TrialOutcome:
+    """One construction's output with its validation and audit."""
+
+    output: TreeCover | MonoPartition | ExactResult
+    state: CoverState | PartitionState | None
+    report: ValidationReport
+    audit: AuditReport | None
+    case: str  # cover case, partition branch, or "exact"
+    trees: int  # trees, parts, or components
+    uncovered: int = 0
+
+
+def run_construction(g: BipartiteGraph, colouring: TwoColouring,
+                     params: CoverParams | PartitionParams | None) -> TrialOutcome:
+    """Construct, validate and audit: ``almost_cover`` for CoverParams,
+    ``partition3`` for PartitionParams, ``tc_exact`` (checked against its
+    own witness, not audited) for None."""
+    if isinstance(params, CoverParams):
+        cover, state = almost_cover(g, colouring, params)
+        return TrialOutcome(cover, state, validate_cover(g, colouring, cover),
+                            audit_state(g, colouring, state), state.case.value,
+                            len(cover.trees), len(cover.uncovered))
+    if isinstance(params, PartitionParams):
+        partition, state = partition3(g, colouring, params)
+        return TrialOutcome(partition, state, validate_partition(g, colouring, partition),
+                            audit_partition_state(g, colouring, state), state.branch,
+                            len(partition.parts))
+    result = tc_exact(g, colouring)
+    report = ValidationReport()
+    if not _tc_witness_ok(g, colouring, result):
+        report.add("witness is not a cover by monochromatic components")
+    return TrialOutcome(result, None, report, None, "exact", result.value)
+
+
+def _trial(config: SweepConfig, job: tuple[int, int, Fraction, int]) -> SweepRecord:
+    n, p_index, p, trial = job
     seed = combine(config.base_seed, TAG_SWEEP, n, p_index, trial)
     start = time.perf_counter()
-
-    def finish(trees: int, uncovered: int, valid: bool, case: str,
-               error: str = "", audit_ok: bool | None = None) -> SweepRecord:
-        ms = int((time.perf_counter() - start) * 1000)
-        return SweepRecord(n, p, seed, config.source, config.algorithm,
-                           trees, uncovered, valid, case, ms, error, audit_ok)
-
     try:
         if config.algorithm == "partition3":
-            fraction = Fraction(13, 16) + config.delta
-            g = sample_mindeg_subgraph(n, fraction, seed)
+            g = sample_mindeg_subgraph(n, Fraction(13, 16) + config.delta, seed)
         else:
             g = sample_bipartite(ModelParams(n, n, p), seed)
         if config.source == "uniform":
@@ -126,27 +160,24 @@ def _trial(config: SweepConfig, n: int, p_index: int, p: Fraction,
             colouring, _ = colour_lower3(g)
         else:
             colouring, _ = colour_lower4(g)
-
+        # Params come after the colouring: a failing colouring is the
+        # error a trial records, even when its params are invalid too.
+        params = None
         if config.algorithm == "almost_cover":
             params = CoverParams(p=p, epsilon=config.epsilon,
                                  retry_limit=config.retry_limit, seed=seed)
-            cover, state = almost_cover(g, colouring, params)
-            ok = validate_cover(g, colouring, cover).ok
-            audit_ok = audit_state(g, colouring, state).all_satisfied
-            return finish(len(cover.trees), len(cover.uncovered), ok,
-                          state.case.value, audit_ok=audit_ok)
-        if config.algorithm == "partition3":
+        elif config.algorithm == "partition3":
             params = PartitionParams(delta=config.delta, seed=seed,
                                      retry_limit=max(config.retry_limit, 32))
-            partition, state = partition3(g, colouring, params)
-            ok = validate_partition(g, colouring, partition).ok
-            audit_ok = audit_partition_state(g, colouring, state).all_satisfied
-            return finish(len(partition.parts), 0, ok, state.branch,
-                          audit_ok=audit_ok)
-        result = tc_exact(g, colouring)
-        return finish(result.value, 0, _tc_witness_ok(g, colouring, result), "exact")
+        run = run_construction(g, colouring, params)
+        fields = dict(trees=run.trees, uncovered=run.uncovered, valid=run.report.ok,
+                      case=run.case,
+                      audit_ok=None if run.audit is None else run.audit.all_satisfied)
     except BipcoverError as exc:
-        return finish(0, 0, False, "error", error=type(exc).__name__)
+        fields = dict(trees=0, uncovered=0, valid=False, case="error",
+                      error=type(exc).__name__)
+    return SweepRecord(n, p, seed, config.source, config.algorithm,
+                       runtime_ms=int((time.perf_counter() - start) * 1000), **fields)
 
 
 def _tc_witness_ok(g, colouring, result) -> bool:
@@ -163,23 +194,15 @@ def _tc_witness_ok(g, colouring, result) -> bool:
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """All trials of the grid, in deterministic (n, p index, trial) order."""
-    jobs = []
-    for n in config.n_values:
-        for p_index, p in enumerate(config.p_grid(n)):
-            for trial in range(config.trials):
-                jobs.append((n, p_index, p, trial))
+    jobs = [(n, p_index, p, trial)
+            for n in config.n_values
+            for p_index, p in enumerate(config.p_grid(n))
+            for trial in range(config.trials)]
+    trial = functools.partial(_trial, config)
     if config.threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(_trial_star, [(config,) + j for j in jobs],
-                                    chunksize=8))
-    else:
-        records = [_trial(config, *job) for job in jobs]
-    return records
-
-
-def _trial_star(args) -> SweepRecord:
-    config, n, p_index, p, trial = args
-    return _trial(config, n, p_index, p, trial)
+            return list(pool.map(trial, jobs, chunksize=8))
+    return list(map(trial, jobs))
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
@@ -201,7 +224,9 @@ def parse_records(text: str) -> list[SweepRecord]:
             n=int(n), p=Fraction(int(p_num), int(p_den)), seed=int(seed),
             source=source, algorithm=algorithm, trees=int(trees),
             uncovered=int(uncovered), valid=valid == "true", case=case,
-            runtime_ms=int(runtime_ms)))
+            runtime_ms=int(runtime_ms),
+            # Only a caught BipcoverError writes case "error"; its class is not kept.
+            error="BipcoverError" if case == "error" else ""))
     return records
 
 
@@ -267,18 +292,12 @@ def parse_config_file(text: str) -> dict:
 
 
 def config_from_mapping(mapping: dict) -> SweepConfig:
-    def ints(value) -> tuple[int, ...]:
-        if isinstance(value, (list, tuple)):
-            return tuple(int(v) for v in value)
-        return tuple(int(v) for v in str(value).split(","))
-
-    def fracs(value) -> tuple[Fraction, ...]:
-        if isinstance(value, (list, tuple)):
-            return tuple(as_fraction(v) for v in value)
-        return tuple(as_fraction(v) for v in str(value).split(","))
+    def values(value, parse) -> tuple:
+        items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+        return tuple(map(parse, items))
 
     kwargs: dict = {
-        "n_values": ints(mapping["n_values"]),
+        "n_values": values(mapping["n_values"], int),
         "trials": int(mapping.get("trials", 1)),
         "base_seed": int(mapping.get("base_seed", 0)),
         "source": mapping.get("source", "uniform"),
@@ -289,7 +308,7 @@ def config_from_mapping(mapping: dict) -> SweepConfig:
         "epsilon": as_fraction(mapping.get("epsilon", Fraction(1, 10))),
     }
     if "p_values" in mapping and mapping["p_values"]:
-        kwargs["p_values"] = fracs(mapping["p_values"])
+        kwargs["p_values"] = values(mapping["p_values"], as_fraction)
     if "c_values" in mapping and mapping["c_values"]:
-        kwargs["c_values"] = fracs(mapping["c_values"])
+        kwargs["c_values"] = values(mapping["c_values"], as_fraction)
     return SweepConfig(**kwargs)

@@ -1,9 +1,17 @@
 """End-to-end runs of every CLI subcommand."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import bipcover
+from bipcover import colour_lower3, sample_bipartite, sample_colouring, sample_mindeg_subgraph
 from bipcover.cli import main
-from bipcover.formats import parse_cover, parse_graph, parse_partition
+from bipcover.formats import parse_cover, parse_graph, parse_partition, write_graph
+from bipcover.models import ModelParams
 
 
 def run(capsys, *argv):
@@ -201,3 +209,36 @@ def test_check_rejects_unbounded_colour_index(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path), "--p", "0.5")
     assert code == 2 and out == ""
     assert err == "bipcover: colour index 99999999999999999999 out of range 0..8\n"
+
+
+def test_cover_and_partition_unchanged_under_python_O(tmp_path, capsys):
+    # Asserts are stripped under -O; no output may depend on them.
+    g = sample_bipartite(ModelParams(40, 40, Fraction(1, 2)), 3)
+    h = sample_mindeg_subgraph(64, Fraction(13, 16) + Fraction(1, 20), 2)
+    (tmp_path / "c.txt").write_text(write_graph(g, colour_lower3(g)[0]))
+    (tmp_path / "p.txt").write_text(write_graph(h, sample_colouring(h, Fraction(1, 2), 5)))
+    runs = [["cover", "c.txt", "--p", "1/2", "--seed", "1", "--audit", "audit.jsonl"],
+            ["partition", "p.txt", "--delta", "0.05", "--seed", "1"]]
+    src = str(Path(bipcover.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in runs:
+        results = []
+        for optimised in (False, True):
+            outdir = tmp_path / f"{argv[0]}-{optimised}"
+            argv_here = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+            argv_here = [str(outdir / a) if a.endswith(".jsonl") else a for a in argv_here]
+            argv_here += ["--out", str(outdir / "out.txt")]
+            if optimised:
+                proc = subprocess.run([sys.executable, "-O", "-m", "bipcover.cli", *argv_here],
+                                      env=env, capture_output=True, text=True)
+                code, out = proc.returncode, proc.stdout
+            else:
+                code = main(argv_here)
+                out = capsys.readouterr().out
+            files = {p.name: p.read_text() for p in sorted(outdir.iterdir())}
+            results.append((code, out, files))
+        assert results[0] == results[1]
+        code, out, files = results[0]
+        assert code == 0 and "out.txt" in files
+        assert json.loads(files.get("audit.jsonl", out))["valid"] is True

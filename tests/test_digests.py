@@ -20,7 +20,7 @@ from bipcover import (RED, BipartiteGraph, Colour, CoverCase, CoverParams,
                       sample_colouring, sample_mindeg_subgraph)
 from bipcover.cli import main
 from bipcover.errors import BipcoverError
-from bipcover.formats import write_cover, write_partition
+from bipcover.formats import write_cover, write_graph, write_partition
 from bipcover.models import ModelParams
 from test_cover import hand_instance_split_roots, hand_instance_third_tree
 
@@ -231,3 +231,79 @@ def test_cover_states_pinned():
 
 def test_partition_states_pinned():
     assert sha256(partition_grid_text()) == STATE_DIGESTS["partition3"]
+
+
+# ---------------------------------------------------------------------------
+# Trial runner digests
+#
+# What `bipcover cover` and `bipcover partition` write (the cover or
+# partition file, the --audit JSON line, the exit code), and the records
+# of sweeps whose trials end in errors: exact_tc grids, lower4 grids, and
+# retry_limit=0 grids.  The error class a trial records depends on the
+# order host -> colouring -> params -> construction, so the retry_limit=0
+# text lists each record's error class as well.  Taken before sweep and
+# CLI shared one construct -> validate -> audit runner.
+
+RUNNER_DIGESTS = {
+    "cli": "f641577e8d7e1c812f1a7d82d16a96c4baee2431497914faa1ec9d857501a6e5",
+    "exact_tc": "274d188bee02b529eb8f47adaa879c90412fd214f043563e7eedbef0f601756b",
+    "lower4": "618ff6c0c3e26d6e10b5612894196bf27aba599336dca2496374da4ef403e7c3",
+    "retry_limit_0": "dae4b6cb07d0af7cfc4b761694266b18fb5ba63f9b0cf4176f2c145f6ef17af3",
+}
+
+
+def cli_runs_text(tmp_path) -> str:
+    g = sample_bipartite(ModelParams(60, 60, Fraction(1, 2)), 5)
+    h = sample_mindeg_subgraph(80, Fraction(13, 16) + Fraction(1, 20), 3)
+    inputs = {"cover-uniform": (g, sample_colouring(g, Fraction(1, 2), 6)),
+              "cover-lower3": (g, colour_lower3(g)[0]),
+              "partition-uniform": (h, sample_colouring(h, Fraction(1, 2), 4)),
+              "partition-lower3": (h, colour_lower3(h)[0])}
+    for name, (graph, col) in inputs.items():
+        (tmp_path / f"{name}.txt").write_text(write_graph(graph, col))
+    runs = [["cover", "cover-uniform", "--p", "1/2", "--seed", "2"],
+            ["cover", "cover-lower3", "--p", "1/2", "--seed", "2"],
+            ["cover", "cover-lower3", "--p", "1/2", "--seed", "2", "--retry-limit", "1"],
+            ["partition", "partition-uniform", "--delta", "0.05", "--seed", "1"],
+            ["partition", "partition-lower3", "--delta", "0.05", "--seed", "1"],
+            ["partition", "cover-uniform", "--delta", "0.05", "--seed", "1"]]
+    lines = []
+    for k, (command, name, *flags) in enumerate(runs):
+        out, audit = tmp_path / f"{k}.out", tmp_path / f"{k}.jsonl"
+        code = main([command, str(tmp_path / f"{name}.txt"), *flags,
+                     "--out", str(out), "--audit", str(audit)])
+        lines.append(json.dumps([command, name, flags, code,
+                                 out.read_text() if out.exists() else None,
+                                 audit.read_text() if audit.exists() else None]))
+    return "\n".join(lines)
+
+
+def error_sweep_text(sources, algorithms, **overrides) -> str:
+    parts = []
+    for source in sources:
+        for algorithm in algorithms:
+            config = dict(n_values=(8, 12), trials=3, base_seed=20250808, source=source,
+                          algorithm=algorithm, p_values=(Fraction(1, 2), Fraction(4, 5)))
+            config.update(overrides)
+            records = run_sweep(SweepConfig(**config))
+            parts += [strip_runtime(records_to_csv(records)),
+                      ",".join(r.error for r in records), summarise(records)]
+    return "\n".join(parts)
+
+
+def test_cli_runs_pinned(tmp_path, capsys):
+    assert sha256(cli_runs_text(tmp_path)) == RUNNER_DIGESTS["cli"]
+    assert capsys.readouterr().err == ("bipcover: minimum degree 19 below "
+                                       "required 51.75\n")
+
+
+def test_error_sweeps_pinned():
+    got = {"exact_tc": error_sweep_text(("uniform", "lower3", "lower4"), ("exact_tc",)),
+           "lower4": error_sweep_text(
+               ("lower4",), ("almost_cover", "partition3"), n_values=(32, 64),
+               p_values=(Fraction(1, 10), Fraction(3, 10), Fraction(4, 5))),
+           "retry_limit_0": error_sweep_text(
+               ("uniform", "lower4"), ("almost_cover",), n_values=(32,), retry_limit=0,
+               p_values=(Fraction(1, 10), Fraction(4, 5)))}
+    assert {k: sha256(v) for k, v in got.items()} == \
+        {k: RUNNER_DIGESTS[k] for k in got}

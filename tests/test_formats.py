@@ -1,6 +1,7 @@
 """Text formats: round trips and rejection of malformed input."""
 
 import io
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -304,3 +305,26 @@ def test_colour_index_below_slot_count_is_accepted():
 def test_blue_index_on_a_single_slot():
     g, col = parse_graph("bipartite 1 1\n0 0 1\n")
     assert isinstance(col, TwoColouring) and col.colour_of(0, 0) is BLUE
+
+
+def test_write_graph_cost_follows_colours_in_use():
+    # Colour indices 0 and n1*n2 - 1 only: 14,400 colours, two in use.
+    text = "bipartite 120 120\n" + "".join(
+        f"{a} {a * 7 % 120} {14399 if a % 2 else 0}\n" for a in range(120))
+    g, col = parse_graph(text)
+    assert col.num_colours == 14400
+    tracemalloc.start()
+    try:
+        written = write_graph(g, col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == text
+    assert write_graph(*parse_graph(written)) == text
+    assert peak < 8 * 2 ** 20
+
+
+def test_write_graph_without_edges_on_many_colours():
+    g = BipartiteGraph.from_edges(2, 3, [])
+    col = RColouring(g, [((0, 0), (0, 0, 0))] * 3)
+    assert write_graph(g, col) == "bipartite 2 3\n"

@@ -205,12 +205,21 @@ def test_config_validation():
 
 def test_records_csv_round_trip():
     records = run_sweep(small_config(trials=2)) + run_sweep(
-        small_config(trials=1, source="lower4", n_values=(12,)))
+        small_config(trials=1, source="lower4", n_values=(12,))) + run_sweep(
+        small_config(trials=6, source="lower4", n_values=(32,),
+                     p_values=(Fraction(1, 10), Fraction(4, 5))))
+    assert any(r.error for r in records) and not all(r.error for r in records)
     text = records_to_csv(records)
     back = parse_records(text)
     assert records_to_csv(back) == text
-    assert [(r.n, r.p, r.seed, r.valid, r.case) for r in back] == \
-        [(r.n, r.p, r.seed, r.valid, r.case) for r in records]
+    assert [(r.n, r.p, r.seed, r.valid, r.case, bool(r.error)) for r in back] == \
+        [(r.n, r.p, r.seed, r.valid, r.case, bool(r.error)) for r in records]
+    # Every summary column but audit_rate survives the CSV; audits are
+    # not in its fixed schema, so there audit_rate is blank.
+    def columns(summary):
+        return [line.split(",")[:-1] for line in summary.splitlines()]
+    assert columns(summarise(back)) == columns(summarise(records))
+    assert all(line.endswith(",") for line in summarise(back).splitlines()[1:])
     with pytest.raises(BipcoverError, match="not a sweep records CSV"):
         parse_records("n,p\n1,2\n")
     with pytest.raises(BipcoverError, match="not a sweep records CSV"):
