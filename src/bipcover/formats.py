@@ -186,10 +186,10 @@ def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,
     if colouring is None:
         tokens = [""]
     else:
-        # Tails and matrices only for the colours that occur (all of them
-        # when r <= 2); an edge in none of the later layers is in the first.
-        r = colouring.num_colours
-        used = [c for c in range(r) if r <= 2 or any(colouring.layer_rows(c)[0])] or [0]
+        # Tails and matrices only for the colours that occur; an edge in
+        # none of the later layers is in the first.
+        used = [c for c in range(colouring.num_colours)
+                if any(colouring.layer_rows(c)[0])] or [0]
         tokens = [f" {Colour(c).token}" if isinstance(colouring, TwoColouring) else f" {c}"
                   for c in used]
         for k, c in enumerate(used[1:], start=1):

@@ -31,14 +31,14 @@ from fractions import Fraction
 
 from .adversary import colour_lower3, colour_lower4
 from .construct import AuditReport
-from .cover import CoverParams, CoverState, almost_cover, audit_state
+from .cover import CoverParams, almost_cover, audit_state
 from .errors import BipcoverError
 from .exact import ExactResult, tc_exact
 from .formats import content_lines
 from .graph import (BipartiteGraph, MonoPartition, TreeCover, TwoColouring,
                     ValidationReport, monochromatic_components, validate_cover,
                     validate_partition)
-from .mindeg import PartitionParams, PartitionState, audit_partition_state, partition3
+from .mindeg import PartitionParams, audit_partition_state, partition3
 from .models import (ModelParams, as_fraction, sample_bipartite,
                      sample_colouring, sample_mindeg_subgraph)
 from .rng import TAG_SWEEP, combine
@@ -115,7 +115,6 @@ class TrialOutcome:
     """One construction's output with its validation and audit."""
 
     output: TreeCover | MonoPartition | ExactResult
-    state: CoverState | PartitionState | None
     report: ValidationReport
     audit: AuditReport | None
     case: str  # cover case, partition branch, or "exact"
@@ -130,19 +129,19 @@ def run_construction(g: BipartiteGraph, colouring: TwoColouring,
     own witness, not audited) for None."""
     if isinstance(params, CoverParams):
         cover, state = almost_cover(g, colouring, params)
-        return TrialOutcome(cover, state, validate_cover(g, colouring, cover),
+        return TrialOutcome(cover, validate_cover(g, colouring, cover),
                             audit_state(g, colouring, state), state.case.value,
                             len(cover.trees), len(cover.uncovered))
     if isinstance(params, PartitionParams):
         partition, state = partition3(g, colouring, params)
-        return TrialOutcome(partition, state, validate_partition(g, colouring, partition),
+        return TrialOutcome(partition, validate_partition(g, colouring, partition),
                             audit_partition_state(g, colouring, state), state.branch,
                             len(partition.parts))
     result = tc_exact(g, colouring)
     report = ValidationReport()
     if not _tc_witness_ok(g, colouring, result):
         report.add("witness is not a cover by monochromatic components")
-    return TrialOutcome(result, None, report, None, "exact", result.value)
+    return TrialOutcome(result, report, None, "exact", result.value)
 
 
 def _trial(config: SweepConfig, job: tuple[int, int, Fraction, int]) -> SweepRecord:
