@@ -125,32 +125,26 @@ def _maximal(masks: list[int]) -> list[int]:
 
 def tc_exact(g: BipartiteGraph, colouring) -> ExactResult:
     """Minimum number of monochromatic components covering V(G), with witness."""
-    comps = _component_masks(g.n1, g.n2, map(colouring.layer_rows,
-                                               range(colouring.num_colours)))
+    # Every edgeless layer gives the same singletons, which keep their first
+    # colour, so only the first edgeless layer is walked.
+    used = [any(colouring.layer_rows(c)[0]) for c in range(colouring.num_colours)]
+    first_empty = used.index(False) if False in used else None
+    walked = [c for c, u in enumerate(used) if u or c == first_empty]
+    comps = _component_masks(g.n1, g.n2, map(colouring.layer_rows, walked))
     universe = (1 << (g.n1 + g.n2)) - 1
     kept = _maximal(sorted(comps, key=lambda m: -m.bit_count()))
     value, chosen, nodes = _min_cover(universe, kept)
     witness = []
     for idx in chosen:
         colour, m1, m2 = comps[kept[idx]]
-        witness.append((colouring.label(colour), vertex_set(m1, m2)))
+        witness.append((colouring.label(walked[colour]), vertex_set(m1, m2)))
     return ExactResult(value, witness, nodes)
 
 
 def _colour_rows_combined(g: BipartiteGraph, colouring) -> list[list[int]]:
     """Per colour, adjacency over combined vertex ids 0..n1+n2-1."""
-    shift = g.n1
-    total = g.n1 + g.n2
-    out = []
-    for c in range(colouring.num_colours):
-        rows1, rows2 = colouring.layer_rows(c)
-        adj = [0] * total
-        for i in range(g.n1):
-            adj[i] = rows1[i] << shift
-        for j in range(g.n2):
-            adj[shift + j] = rows2[j]
-        out.append(adj)
-    return out
+    return [[row << g.n1 for row in rows1] + list(rows2)
+            for rows1, rows2 in map(colouring.layer_rows, range(colouring.num_colours))]
 
 
 def _connected_subsets(anchor: int, allowed: int, adj: list[int]) -> list[int]:

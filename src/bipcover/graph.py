@@ -32,14 +32,6 @@ class Vertex(NamedTuple):
         return f"{self.part}:{self.index}"
 
 
-def v1(index: int) -> Vertex:
-    return Vertex(1, index)
-
-
-def v2(index: int) -> Vertex:
-    return Vertex(2, index)
-
-
 class Colour(IntEnum):
     RED = 0
     BLUE = 1

@@ -30,6 +30,7 @@ ever returning an invalid partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -112,7 +113,7 @@ class _Run(ConstructionRun):
 
     def run(self) -> tuple[MonoPartition, PartitionState]:
         n, delta = self.n, self.params.delta
-        heavy_thr = (Fraction(9, 16) + 3 * delta / 4) * n
+        heavy_thr = math.ceil((Fraction(9, 16) + 3 * delta / 4) * n)  # dc is an integer
         heavy = heavy_masks(self.g, self.col, lambda d, dc: dc >= heavy_thr)
 
         state = PartitionState(

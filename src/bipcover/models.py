@@ -28,13 +28,7 @@ def as_fraction(x) -> Fraction:
     binary value.  Pass "0.05" rather than 0.05 when the decimal value
     matters.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (Fraction, str, int, float)):
         return Fraction(x)
     raise InvalidArgumentError(f"cannot interpret {x!r} as an exact fraction")
 
@@ -53,6 +47,7 @@ class ModelParams:
 
 
 _CHUNK_SLOTS = 1 << 22  # bound peak memory for very large hosts
+_ORDER_CHUNK = 4096  # slots per bulk step of the min-degree sampler
 
 
 def _slot_matrix(seed: int, n1: int, n2: int, probability: Fraction) -> np.ndarray:
@@ -70,12 +65,15 @@ def _slot_matrix(seed: int, n1: int, n2: int, probability: Fraction) -> np.ndarr
     return out.reshape(n1, n2)
 
 
+def _graph_from_matrix(present: np.ndarray) -> BipartiteGraph:
+    """The graph whose edges are the True entries of an (n1, n2) matrix."""
+    return BipartiteGraph(*present.shape, rows_from_matrix(present), rows_from_matrix(present.T))
+
+
 def sample_bipartite(params: ModelParams, seed: int) -> BipartiteGraph:
     """Each of the n1*n2 possible edges appears independently with probability p."""
-    present = _slot_matrix(combine(seed, TAG_GRAPH), params.n1, params.n2, params.p)
-    rows1 = rows_from_matrix(present)
-    rows2 = rows_from_matrix(present.T)
-    return BipartiteGraph(params.n1, params.n2, rows1, rows2)
+    return _graph_from_matrix(_slot_matrix(combine(seed, TAG_GRAPH), params.n1, params.n2,
+                                           params.p))
 
 
 def sample_colouring(g: BipartiteGraph, red_probability, seed: int) -> TwoColouring:
@@ -95,24 +93,38 @@ def sample_mindeg_subgraph(n: int, min_degree_fraction, seed: int) -> BipartiteG
     Visits the n^2 edge slots in a seed-determined random order and
     deletes an edge whenever both endpoints stay strictly above the
     floor, so most degrees end up at the floor exactly.
+
+    Runs in bulk with the same result.  The keys ``hash_at(seed, slot)``
+    are distinct, so every sort gives the same order.  Per chunk of
+    ``_ORDER_CHUNK`` slots, a slot with an endpoint at the floor stays; a
+    vertex whose degree minus its live slots in the chunk is at least the
+    floor passes each of its checks there, so slots joining two such
+    vertices are deleted at once, touching no other vertex, and the rest
+    are checked in order.
     """
     frac = as_fraction(min_degree_fraction)
     if not 0 < frac <= 1:
         raise InvalidArgumentError("min degree fraction must be in (0, 1]")
     floor = math.ceil(frac * n)
-    present = np.ones((n, n), dtype=bool)
+    present = np.ones(n * n, dtype=bool)
     if floor < n:
-        keys = hash_block(combine(seed, TAG_MINDEG), 0, n * n)
-        order = np.argsort(keys, kind="stable")
-        deg1 = [n] * n
-        deg2 = [n] * n
-        flat = present.reshape(-1)
-        for slot in order.tolist():
-            i, j = divmod(slot, n)
-            if deg1[i] > floor and deg2[j] > floor:
-                flat[slot] = False
-                deg1[i] -= 1
-                deg2[j] -= 1
-    rows1 = rows_from_matrix(present)
-    rows2 = rows_from_matrix(present.T)
-    return BipartiteGraph(n, n, rows1, rows2)
+        order = np.argsort(hash_block(combine(seed, TAG_MINDEG), 0, n * n))
+        deg1, deg2 = np.full(n, n), np.full(n, n)
+        for start in range(0, n * n, _ORDER_CHUNK):
+            slots = order[start:start + _ORDER_CHUNK]
+            i, j = np.divmod(slots, n)
+            live = (deg1[i] > floor) & (deg2[j] > floor)
+            slots, i, j = slots[live], i[live], j[live]
+            drop = ((deg1 - np.bincount(i, minlength=n) >= floor)[i]
+                    & (deg2 - np.bincount(j, minlength=n) >= floor)[j])
+            rest = np.flatnonzero(~drop)
+            d1, d2 = deg1.tolist(), deg2.tolist()
+            for k, a, b in zip(rest.tolist(), i[rest].tolist(), j[rest].tolist()):
+                if d1[a] > floor and d2[b] > floor:
+                    d1[a] -= 1
+                    d2[b] -= 1
+                    drop[k] = True
+            present[slots[drop]] = False
+            deg1 -= np.bincount(i[drop], minlength=n)
+            deg2 -= np.bincount(j[drop], minlength=n)
+    return _graph_from_matrix(present.reshape(n, n))

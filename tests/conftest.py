@@ -7,9 +7,13 @@ can serve as independent cross-checks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from bipcover import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex)
+from bipcover.rng import TAG_MINDEG, combine, hash_block
 
 
 def graph_from_coloured_edges(n1, n2, coloured):
@@ -180,6 +184,24 @@ def naive_rows_from_edges(n1, n2, edges) -> tuple[tuple[int, ...], tuple[int, ..
         rows1[i] |= 1 << j
         rows2[j] |= 1 << i
     return tuple(rows1), tuple(rows2)
+
+
+def naive_mindeg_subgraph(n, fraction, seed) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(part-1 rows, part-2 rows) of the min-degree sampler's graph by its
+    slot-by-slot greedy: visit the slots in stable key order and delete
+    each one whose endpoints both sit above the floor."""
+    floor = math.ceil(Fraction(fraction) * n)
+    order = np.argsort(hash_block(combine(seed, TAG_MINDEG), 0, n * n), kind="stable")
+    deg1, deg2 = [n] * n, [n] * n
+    edges = []
+    for slot in order.tolist():
+        i, j = divmod(slot, n)
+        if deg1[i] > floor and deg2[j] > floor:
+            deg1[i] -= 1
+            deg2[j] -= 1
+        else:
+            edges.append((i, j))
+    return naive_rows_from_edges(n, n, edges)
 
 
 def naive_transpose(rows, width) -> tuple[int, ...]:

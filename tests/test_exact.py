@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
+from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring, Vertex,
                       exhaustive_knn_check, sample_bipartite, sample_colouring,
                       tc_exact, tp_exact, validate_partition)
+from bipcover import exact
 from bipcover.errors import TooLargeError
+from bipcover.formats import parse_graph
+from bipcover.graph import components_from_rows
 from bipcover.models import ModelParams
 from conftest import graph_from_coloured_edges, matching_graph, naive_tp
 
@@ -182,3 +185,38 @@ def test_knn_agrees_with_tc_exact_per_colouring():
         value = tc_exact(g, RColouring.from_edge_map(g, r, colours)).value
         histogram[value] = histogram.get(value, 0) + 1
     assert exhaustive_knn_check(n, r, 2).tc_histogram == histogram
+
+
+class TestSparseColourIndices:
+    def test_far_colour_index_walks_used_layers_and_one_empty(self, monkeypatch):
+        # Colour indices 0 and 14,399 only: 14,400 layers, two with edges.
+        text = "bipartite 120 120\n" + "".join(
+            f"{a} {a * 7 % 120} {14399 if a % 2 else 0}\n" for a in range(120))
+        g, col = parse_graph(text)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return components_from_rows(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "components_from_rows", counted)
+        result = tc_exact(g, col)
+        assert len(calls) <= 2 + 1
+        assert result.value == 120
+        assert [(c, sorted(vs)) for c, vs in result.witness] == [
+            (14399 if a % 2 else 0, [Vertex(1, a), Vertex(2, a * 7 % 120)])
+            for a in [*range(0, 120, 2), *range(1, 120, 2)]]
+
+    def test_singletons_keep_the_first_colour(self):
+        # An isolated vertex is a singleton of every colour; the witness
+        # names colour 0, used or not.
+        for r, cmap, expected in (
+                (5, {(0, 0): 2, (1, 1): 4},
+                 [(2, [(1, 0), (2, 0)]), (4, [(1, 1), (2, 1)]), (0, [(1, 2)]), (0, [(2, 2)])]),
+                (6, {(0, 0): 0, (1, 1): 3, (2, 0): 3},
+                 [(0, [(1, 0), (2, 0)]), (3, [(1, 1), (2, 1)]), (3, [(1, 2), (2, 0)]),
+                  (0, [(2, 2)])])):
+            g = BipartiteGraph.from_edges(3, 3, list(cmap))
+            result = tc_exact(g, RColouring.from_edge_map(g, r, cmap))
+            assert result.value == 4
+            assert [(c, sorted(vs)) for c, vs in result.witness] == expected

@@ -190,3 +190,22 @@ def test_monte_carlo_validity_small():
         ok += 1
     # uniform colourings at this scale overwhelmingly take the easy branch
     assert ok >= 20
+
+
+@pytest.mark.parametrize("delta", [DELTA, Fraction(1, 48)])
+def test_heavy_sets_follow_the_exact_threshold(delta):
+    # (9/16 + 3*delta/4) * 64 is 38.4 for delta = 1/20 and 37 for 1/48.
+    n = 64
+    threshold = (Fraction(9, 16) + 3 * delta / 4) * n
+    checked = 0
+    for seed in range(6):
+        g, col = mindeg_instance(n, seed, Fraction(2, 3))
+        try:
+            _, state = partition3(g, col, PartitionParams(delta=delta, seed=seed))
+        except PartitionFailureError:
+            continue
+        for colour, heavy in ((RED, state.heavy_red), (BLUE, state.heavy_blue)):
+            assert heavy == {v for v in g.vertices()
+                             if col.coloured_row(v.part, v.index, colour).bit_count() >= threshold}
+        checked += 1
+    assert checked

@@ -3,12 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bipcover import (BipartiteGraph, ModelParams, sample_bipartite,
                       sample_colouring, sample_mindeg_subgraph)
 from bipcover.errors import InvalidArgumentError
 from bipcover.formats import write_graph
+from bipcover.rng import TAG_MINDEG, combine, hash_block
+from conftest import naive_mindeg_subgraph
 
 # chi-square critical value, 1 degree of freedom, significance 0.001
 CHI2_CRIT_1DF_999 = 10.828
@@ -120,6 +123,55 @@ class TestMindegSubgraph:
     def test_bad_fraction_rejected(self):
         with pytest.raises(InvalidArgumentError):
             sample_mindeg_subgraph(8, 0, 1)
+
+
+MINDEG_FRACTIONS = (Fraction(13, 16) + Fraction(1, 20), Fraction(1, 2), Fraction(7, 8),
+                    Fraction(99, 100), Fraction(1), Fraction(1, 400))
+
+
+def mindeg_rows(g: BipartiteGraph):
+    return (tuple(g.row(1, i) for i in range(g.n1)),
+            tuple(g.row(2, j) for j in range(g.n2)))
+
+
+class TestMindegAgainstSlotWalk:
+    """The chunked sampler against the slot-by-slot greedy, graph for graph.
+
+    n^2 runs below, at and above one 4,096-slot chunk (63, 64, 65) and
+    over several chunks; fraction 1 makes the floor equal n.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 63, 64, 65, 100, 128])
+    @pytest.mark.parametrize("fraction", MINDEG_FRACTIONS)
+    def test_small_hosts(self, n, fraction):
+        for seed in range(3):
+            g = sample_mindeg_subgraph(n, fraction, seed)
+            assert mindeg_rows(g) == naive_mindeg_subgraph(n, fraction, seed)
+
+    @pytest.mark.parametrize("fraction", MINDEG_FRACTIONS)
+    def test_n400(self, fraction):
+        g = sample_mindeg_subgraph(400, fraction, 7)
+        assert mindeg_rows(g) == naive_mindeg_subgraph(400, fraction, 7)
+
+    def test_n1000(self):
+        g = sample_mindeg_subgraph(1000, MINDEG_FRACTIONS[0], 3)
+        assert mindeg_rows(g) == naive_mindeg_subgraph(1000, MINDEG_FRACTIONS[0], 3)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 20])
+    def test_any_chunk_size(self, monkeypatch, chunk):
+        from bipcover import models
+        monkeypatch.setattr(models, "_ORDER_CHUNK", chunk)
+        for n, fraction in ((9, Fraction(1, 2)), (40, MINDEG_FRACTIONS[0]),
+                            (65, Fraction(1, 400))):
+            g = sample_mindeg_subgraph(n, fraction, 11)
+            assert mindeg_rows(g) == naive_mindeg_subgraph(n, fraction, 11)
+
+    @pytest.mark.parametrize("n", [1, 16, 100, 256])
+    def test_slot_keys_are_distinct(self, n):
+        # Distinct keys make every argsort give the stable order.
+        for seed in range(4):
+            keys = hash_block(combine(seed, TAG_MINDEG), 0, n * n)
+            assert np.unique(keys).size == n * n
 
 
 def test_params_validation():
