@@ -10,11 +10,15 @@ with the audit report shape both return.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, TypeVar
 
+import numpy as np
+
 from .errors import InvalidArgumentError
-from .graph import BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex, lowest, select
-from .rng import RandomStream
+from .graph import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex, lowest,
+                    rows_from_matrix, select_flags)
+from .rng import RandomStream, threshold_u64
 
 T = TypeVar("T")
 
@@ -31,19 +35,18 @@ class ConstructionRun:
 
 
 def heavy_masks(g: BipartiteGraph, colouring: TwoColouring,
-                is_heavy: Callable[[int, int], bool]) -> dict[Colour, tuple[int, int]]:
+                is_heavy: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                ) -> dict[Colour, tuple[int, int]]:
     """Per colour, the (part 1, part 2) masks of the vertices v with
-    ``is_heavy(degree of v, colour degree of v)``."""
-    masks = {RED: [0, 0], BLUE: [0, 0]}
+    ``is_heavy(degree of v, colour degree of v)``, called once per part
+    and colour on the int arrays of the part's degrees."""
+    masks = []
     for part in (1, 2):
-        for i in range(g.part_size(part)):
-            d = g.row(part, i).bit_count()
-            red = colouring.coloured_row(part, i, RED).bit_count()
-            # The colouring is total, so every other edge is blue.
-            for colour, dc in ((RED, red), (BLUE, d - red)):
-                if is_heavy(d, dc):
-                    masks[colour][part - 1] |= 1 << i
-    return {colour: tuple(m) for colour, m in masks.items()}
+        d = np.array([g.row(part, i).bit_count() for i in range(g.part_size(part))])
+        red = np.array([row.bit_count() for row in colouring.layer_rows(RED)[part - 1]])
+        # The colouring is total, so every other edge is blue.
+        masks.append(rows_from_matrix(np.array([is_heavy(d, red), is_heavy(d, d - red)])))
+    return dict(zip((RED, BLUE), zip(*masks)))
 
 
 def pick_roots(heavy: dict[Colour, tuple[int, int]]) -> tuple[Vertex, Vertex] | None:
@@ -66,9 +69,17 @@ def orient(majority: Colour, red: T, blue: T) -> tuple[T, T]:
 
 
 def coin_split(rng: RandomStream, mask: int) -> tuple[int, int]:
-    """Split ``mask`` by one coin per bit, ascending: (heads, tails)."""
-    heads = select(mask, lambda _: rng.coin())
+    """Split ``mask`` by one coin per bit, ascending: (heads, tails).  A bit
+    is heads when its word of one ``rng.block`` is odd, as ``rng.coin()`` is."""
+    heads = select_flags(mask, rng.block(mask.bit_count()) & 1 == 1)
     return heads, mask & ~heads
+
+
+def bernoulli_subset(rng: RandomStream, mask: int, probability: Fraction) -> int:
+    """The bits of ``mask`` kept with ``probability`` each, ascending: a bit
+    stays when its word of one ``rng.block`` is below the threshold, as
+    ``rng.bernoulli`` decides."""
+    return select_flags(mask, rng.block(mask.bit_count()) < threshold_u64(probability))
 
 
 def retry_draw(limit: int, draw: Callable[[], T],

@@ -115,7 +115,7 @@ def _pivot_scan(g: BipartiteGraph, colouring: TwoColouring, state: CoverState,
     minr = maj.other
     root_p, root_s = state.oriented_roots()
     part_p = root_p.part
-    thr = state.p * state.n / 100
+    thr = math.ceil(state.p * state.n / 100)  # counts are integers
     ns_full = colouring.coloured_row(root_s.part, root_s.index, minr)
     w1 = ((1 << g.part_size(part_p)) - 1) & ~ns_full & ~(1 << root_p.index)
     for v in iter_bits(w1):
@@ -132,9 +132,10 @@ class _Pipeline(ConstructionRun):
     def __init__(self, g: BipartiteGraph, colouring: TwoColouring, params: CoverParams):
         super().__init__("almost_cover", g, colouring, params)
         n, p = self.n, params.p
-        self.thr_joker = p * p * n / 25    # strict >
-        self.thr_attach = p * p * n / 200  # >=
-        self.thr_pref = p * p * n / 400    # >=
+        # Counts are integers: c > x iff c > floor(x), c >= x iff c >= ceil(x).
+        self.thr_joker = math.floor(p * p * n / 25)    # strict >
+        self.thr_attach = math.ceil(p * p * n / 200)   # >=
+        self.thr_pref = math.ceil(p * p * n / 400)     # >=
         # tree assembly: tree id -> (colour, root, members set, edges list)
         self.trees: dict[str, tuple[Colour, Vertex, set[Vertex], list]] = {}
         self.uncovered: dict[Vertex, str] = {}

@@ -127,9 +127,9 @@ def tc_exact(g: BipartiteGraph, colouring) -> ExactResult:
     """Minimum number of monochromatic components covering V(G), with witness."""
     # Every edgeless layer gives the same singletons, which keep their first
     # colour, so only the first edgeless layer is walked.
-    used = [any(colouring.layer_rows(c)[0]) for c in range(colouring.num_colours)]
-    first_empty = used.index(False) if False in used else None
-    walked = [c for c, u in enumerate(used) if u or c == first_empty]
+    used = colouring.used_colours
+    first_empty = next((k for k, c in enumerate(used) if k != c), len(used))
+    walked = sorted({*used, first_empty} - {colouring.num_colours})
     comps = _component_masks(g.n1, g.n2, map(colouring.layer_rows, walked))
     universe = (1 << (g.n1 + g.n2)) - 1
     kept = _maximal(sorted(comps, key=lambda m: -m.bit_count()))

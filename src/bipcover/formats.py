@@ -188,8 +188,7 @@ def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,
     else:
         # Tails and matrices only for the colours that occur; an edge in
         # none of the later layers is in the first.
-        used = [c for c in range(colouring.num_colours)
-                if any(colouring.layer_rows(c)[0])] or [0]
+        used = colouring.used_colours or (0,)
         tokens = [f" {Colour(c).token}" if isinstance(colouring, TwoColouring) else f" {c}"
                   for c in used]
         for k, c in enumerate(used[1:], start=1):

@@ -99,6 +99,14 @@ def rows_from_matrix(matrix: np.ndarray) -> tuple[int, ...]:
                  for i in range(packed.shape[0]))
 
 
+def select_flags(mask: int, keep: np.ndarray) -> int:
+    """The bits of ``mask`` whose entry of ``keep`` is true, one entry per
+    set bit, ascending: ``select`` on a precomputed boolean array."""
+    bits = rows_to_matrix([mask], mask.bit_length())[0].view(bool)
+    bits[bits] = keep
+    return rows_from_matrix(bits[None])[0]
+
+
 def transpose_rows(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     """Rows of the transposed bit matrix: bit i of out[j] is bit j of rows[i]."""
     return rows_from_matrix(rows_to_matrix(rows, width).T)
@@ -259,17 +267,18 @@ class RColouring:
     """Edge colouring with colour indices 0..r-1, stored as one layer per
     colour: the layer's adjacency rows for part 1 and for part 2.
 
-    Two colourings are equal when they have the same type, graph and
-    layers.
+    ``used_colours`` lists, ascending, the layers that have an edge.  Two
+    colourings are equal when they have the same type, graph and layers.
     """
 
-    __slots__ = ("graph", "num_colours", "_layers")
+    __slots__ = ("graph", "num_colours", "used_colours", "_layers")
 
     def __init__(self, graph: BipartiteGraph,
                  layers: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]):
         self.graph = graph
         self._layers = tuple(layers)
         self.num_colours = len(self._layers)
+        self.used_colours = tuple(c for c, (rows1, _) in enumerate(self._layers) if any(rows1))
 
     @classmethod
     def from_edge_map(cls, graph: BipartiteGraph, r: int,
@@ -303,8 +312,8 @@ class RColouring:
         return self._layers[colour][part - 1][index]
 
     def colour_of(self, i: int, j: int):
-        for c, (rows1, _) in enumerate(self._layers):
-            if rows1[i] >> j & 1:
+        for c in self.used_colours:
+            if self._layers[c][0][i] >> j & 1:
                 return self.label(c)
         raise InvalidArgumentError(f"({i},{j}) is not an edge")
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .construct import (AuditReport, ConstructionRun, coin_split, heavy_masks, orient,
-                        pick_roots, retry_draw)
+from .construct import (AuditReport, ConstructionRun, bernoulli_subset, coin_split,
+                        heavy_masks, orient, pick_roots, retry_draw)
 from .errors import InvalidArgumentError, PartitionFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
                     TwoColouring, Vertex, components_from_rows, edges_between,
@@ -208,7 +208,7 @@ class _Run(ConstructionRun):
         lo, hi = sp * n / 2, sp * n
         match_thr = delta * sp * n / 200
         sample, failed = retry_draw(
-            retry, lambda: select(base_p, lambda _: self.rng.bernoulli(sp)),
+            retry, lambda: bernoulli_subset(self.rng, base_p, sp),
             lambda s: not lo <= s.bit_count() <= hi or any(
                 (crow(side_s_base, y, maj) & s).bit_count() < match_thr
                 for y in iter_bits(jokers)))

@@ -46,17 +46,14 @@ class ModelParams:
             raise InvalidArgumentError("edge probability must be in [0, 1]")
 
 
-_CHUNK_SLOTS = 1 << 22  # bound peak memory for very large hosts
+_CHUNK_SLOTS = 1 << 15  # slots hashed per block: 256 KB of words stays in L2 cache
 _ORDER_CHUNK = 4096  # slots per bulk step of the min-degree sampler
 
 
 def _slot_matrix(seed: int, n1: int, n2: int, probability: Fraction) -> np.ndarray:
-    """Boolean (n1, n2) matrix: slot included iff its hash clears the threshold."""
-    if probability == 1:
-        return np.ones((n1, n2), dtype=bool)
-    if probability == 0:
-        return np.zeros((n1, n2), dtype=bool)
-    thr = np.uint64(threshold_u64(probability))
+    """Boolean (n1, n2) matrix: slot included iff its hash clears the threshold
+    (a Python int, so probability 1's 2^64 compares too), one block at a time."""
+    thr = threshold_u64(probability)
     total = n1 * n2
     out = np.empty(total, dtype=bool)
     for start in range(0, total, _CHUNK_SLOTS):

@@ -13,6 +13,8 @@ Two entry points:
   where the counter is the row-major edge slot index.
 * ``RandomStream`` - a sequential stream over the same primitive, used
   for algorithm-internal draws (preference coin flips, subsampling).
+  ``block(k)`` draws k words at once, the same words as k scalar draws;
+  large counter ranges are hashed in cache-sized blocks likewise.
 """
 
 from __future__ import annotations
@@ -48,12 +50,16 @@ def hash_at(seed: int, counter: int) -> int:
 
 
 def hash_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorised ``hash_at(seed, start + k)`` for k in range(count)."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    x = idx * np.uint64(_GOLDEN) + np.uint64(seed & MASK64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    """Vectorised ``hash_at(seed, start + k)`` for k in range(count), in place."""
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    t = np.empty_like(x)
+    x *= np.uint64(_GOLDEN)
+    x += np.uint64(seed & MASK64)
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        x ^= np.right_shift(x, np.uint64(shift), out=t)
+        x *= np.uint64(mul)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
 def combine(*parts: int) -> int:
@@ -86,6 +92,12 @@ class RandomStream:
         v = hash_at(self._seed, self._counter)
         self._counter += 1
         return v
+
+    def block(self, k: int) -> np.ndarray:
+        """The next ``k`` words as a uint64 array, as ``k`` next_u64 calls."""
+        words = hash_block(self._seed, self._counter, k)
+        self._counter += k
+        return words
 
     def coin(self) -> bool:
         return self.next_u64() & 1 == 1

@@ -13,7 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from bipcover import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex)
-from bipcover.rng import TAG_MINDEG, combine, hash_block
+from bipcover.errors import InvalidArgumentError
+from bipcover.graph import select
+from bipcover.rng import _GOLDEN, _MIX1, _MIX2, MASK64, TAG_MINDEG, combine
 
 
 def graph_from_coloured_edges(n1, n2, coloured):
@@ -191,7 +193,7 @@ def naive_mindeg_subgraph(n, fraction, seed) -> tuple[tuple[int, ...], tuple[int
     slot-by-slot greedy: visit the slots in stable key order and delete
     each one whose endpoints both sit above the floor."""
     floor = math.ceil(Fraction(fraction) * n)
-    order = np.argsort(hash_block(combine(seed, TAG_MINDEG), 0, n * n), kind="stable")
+    order = np.argsort(naive_hash_block(combine(seed, TAG_MINDEG), 0, n * n), kind="stable")
     deg1, deg2 = [n] * n, [n] * n
     edges = []
     for slot in order.tolist():
@@ -266,3 +268,49 @@ def naive_components(n1, n2, rows1, m1, m2) -> list[tuple[int, int]]:
         comps.append((sum(1 << v.index for v in comp if v.part == 1),
                       sum(1 << v.index for v in comp if v.part == 2)))
     return comps
+
+
+# ---------------------------------------------------------------------------
+# Randomness oracles: the forms the blocked draws replaced
+
+
+def naive_hash_block(seed: int, start: int, count: int) -> np.ndarray:
+    """``hash_at(seed, start + k)`` for k in range(count), all at once, each
+    step on a fresh temporary."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    x = idx * np.uint64(_GOLDEN) + np.uint64(seed & MASK64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    return x ^ (x >> np.uint64(31))
+
+
+def naive_coin_split(rng, mask: int) -> tuple[int, int]:
+    """(heads, tails) by one scalar coin per bit, ascending."""
+    heads = select(mask, lambda _: rng.coin())
+    return heads, mask & ~heads
+
+
+def naive_bernoulli_subset(rng, mask: int, probability: Fraction) -> int:
+    """The bits of ``mask`` kept by one scalar Bernoulli draw each, ascending."""
+    return select(mask, lambda _: rng.bernoulli(probability))
+
+
+def naive_heavy_masks(g: BipartiteGraph, colouring: TwoColouring, is_heavy):
+    """Per colour, the (part 1, part 2) heavy masks, one vertex at a time."""
+    masks = {RED: [0, 0], BLUE: [0, 0]}
+    for part in (1, 2):
+        for i in range(g.part_size(part)):
+            d = g.row(part, i).bit_count()
+            red = colouring.coloured_row(part, i, RED).bit_count()
+            for colour, dc in ((RED, red), (BLUE, d - red)):
+                if is_heavy(d, dc):
+                    masks[colour][part - 1] |= 1 << i
+    return {colour: tuple(m) for colour, m in masks.items()}
+
+
+def naive_colour_of(colouring, i: int, j: int):
+    """The label of the first layer, scanning all of them, that holds edge (i, j)."""
+    for c in range(colouring.num_colours):
+        if colouring.layer_rows(c)[0][i] >> j & 1:
+            return colouring.label(c)
+    raise InvalidArgumentError(f"({i},{j}) is not an edge")

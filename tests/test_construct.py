@@ -1,10 +1,16 @@
 """The steps almost_cover and partition3 share: seeded splits and retries."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from bipcover.construct import coin_split, retry_draw
-from bipcover.graph import iter_bits, select
+from bipcover import (BLUE, RED, BipartiteGraph, ModelParams, sample_bipartite,
+                      sample_colouring)
+from bipcover.construct import bernoulli_subset, coin_split, heavy_masks, retry_draw
+from bipcover.graph import iter_bits, select, select_flags
 from bipcover.rng import RandomStream
+from conftest import naive_bernoulli_subset, naive_coin_split, naive_heavy_masks
 
 MASKS = (0, 1, 0b1011_0010_0110, (1 << 70) | (1 << 3) | 1, (1 << 64) - 1)
 
@@ -70,3 +76,49 @@ def test_retry_draw_returns_last_draw_and_failures_on_exhaustion():
     draws = iter(range(100))
     assert retry_draw(2, lambda: next(draws), lambda x: {x}) == (1, {1})
     assert retry_draw(1, lambda: next(draws), lambda x: [x]) == (2, [2])
+
+
+def random_masks(count: int = 200, seed: int = 8):
+    """(stream seed, mask) pairs: widths 1-2,000, densities from sparse to full."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        width = rnd.randint(1, 2000)
+        density = rnd.choice((0.01, 0.3, 0.5, 0.9, 1.0))
+        yield rnd.getrandbits(64), sum(1 << i for i in range(width) if rnd.random() < density)
+
+
+def test_block_coin_split_matches_scalar_coins():
+    for seed, mask in random_masks():
+        rng, ref = RandomStream(seed), RandomStream(seed)
+        assert coin_split(rng, mask) == naive_coin_split(ref, mask)
+        assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("probability", (Fraction(1, 25), Fraction(1, 2), Fraction(1)))
+def test_block_bernoulli_subset_matches_scalar_draws(probability):
+    for seed, mask in random_masks(seed=9):
+        rng, ref = RandomStream(seed), RandomStream(seed)
+        assert bernoulli_subset(rng, mask, probability) == \
+            naive_bernoulli_subset(ref, mask, probability)
+        assert rng.next_u64() == ref.next_u64()
+
+
+def test_select_flags_is_select_on_precomputed_verdicts():
+    for seed, mask in random_masks(50, seed=10):
+        rnd = random.Random(seed)
+        verdicts = [rnd.random() < 0.5 for _ in iter_bits(mask)]
+        it = iter(verdicts)
+        assert select_flags(mask, verdicts) == select(mask, lambda _: next(it))
+    assert select_flags(0, []) == 0
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (9, 1), (60, 2), (300, 3)])
+def test_array_heavy_masks_match_vertex_loop(n, seed):
+    g = sample_bipartite(ModelParams(n, n, Fraction(2, 5)), seed)
+    col = sample_colouring(g, Fraction(1, 3), seed)
+    heavy_thr = -(-9 * n // 16)
+    for is_heavy in (lambda d, dc: 3 * dc > d, lambda d, dc: dc >= heavy_thr):
+        assert heavy_masks(g, col, is_heavy) == naive_heavy_masks(g, col, is_heavy)
+    empty = BipartiteGraph.from_edges(3, 2, [])
+    assert heavy_masks(empty, sample_colouring(empty, Fraction(1, 2), 0),
+                       lambda d, dc: dc >= 0) == {c: (0b111, 0b11) for c in (RED, BLUE)}

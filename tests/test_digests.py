@@ -307,3 +307,30 @@ def test_error_sweeps_pinned():
                p_values=(Fraction(1, 10), Fraction(4, 5)))}
     assert {k: sha256(v) for k, v in got.items()} == \
         {k: RUNNER_DIGESTS[k] for k in got}
+
+
+# ---------------------------------------------------------------------------
+# Multi-block sampler digest
+#
+# The digests above use n <= 200, which spans at most two hash blocks of
+# the slot sampler.  This one hashes the graph and red rows of two hosts
+# at n = 1000, p = 5 sqrt(log n / n): a million slots each, in many
+# blocks.  Taken before the slot hash ran in cache-sized blocks.
+
+SAMPLER_DIGEST = "3bcf02c9514acf87ba47a79ffcc8eee5841ef7fccf612935fb3186398fb40e55"
+
+
+def sampler_rows_text() -> str:
+    n, p = 1000, threshold_p(1000, 5)
+    lines = [str(p)]
+    for seed in (1, 20250808):
+        g = sample_bipartite(ModelParams(n, n, p), seed)
+        col = sample_colouring(g, Fraction(1, 2), seed)
+        lines += [f"{seed} {part} {i} {g.row(part, i):x} "
+                  f"{col.coloured_row(part, i, RED):x}"
+                  for part in (1, 2) for i in range(n)]
+    return "\n".join(lines)
+
+
+def test_multi_block_sampler_rows_pinned():
+    assert sha256(sampler_rows_text()) == SAMPLER_DIGEST

@@ -17,8 +17,9 @@ from bipcover.errors import InvalidArgumentError, NotConnectedError
 from bipcover.graph import (components_from_rows, rows_from_edges, rows_from_matrix,
                             rows_to_matrix, transpose_rows)
 from bipcover.models import ModelParams
-from conftest import (graph_from_coloured_edges, matching_graph, naive_components,
-                      naive_matrix, naive_rows_from_edges,
+from bipcover.formats import parse_graph
+from conftest import (graph_from_coloured_edges, matching_graph, naive_colour_of,
+                      naive_components, naive_matrix, naive_rows_from_edges,
                       naive_transpose, naive_validate_cover,
                       naive_validate_partition)
 
@@ -464,6 +465,30 @@ class TestColouringLayers:
         assert RColouring.from_edge_map(g, 3, colours) != a
         # The same colour per edge plus one unused colour is another colouring.
         assert RColouring.from_edge_map(g, 4, {e: b.colour_of(*e) for e in g.edges()}) != a
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_colour_of_visits_used_layers_like_a_full_scan(self, seed):
+        rnd = random.Random(seed)
+        n1, n2, r = rnd.randint(1, 7), rnd.randint(1, 7), rnd.randint(1, 9)
+        g = sample_bipartite(ModelParams(n1, n2, Fraction(rnd.randint(0, 4), 4)), seed)
+        palette = rnd.sample(range(r), rnd.randint(1, r))  # some colours unused
+        col = RColouring.from_edge_map(g, r, {e: rnd.choice(palette) for e in g.edges()})
+        assert col.used_colours == tuple(c for c in range(r) if any(col.layer_rows(c)[0]))
+        for i, j in g.edges():
+            assert col.colour_of(i, j) == naive_colour_of(col, i, j)
+        for i in range(n1):
+            for j in range(n2):
+                if not g.has_edge(i, j):
+                    with pytest.raises(InvalidArgumentError):
+                        col.colour_of(i, j)
+
+    def test_colour_of_on_sparse_high_colour_indices(self):
+        # Colour indices 0 and n1*n2 - 1 only: 14,400 layers, two in use.
+        g, col = parse_graph("bipartite 120 120\n" + "".join(
+            f"{a} {a * 7 % 120} {14399 if a % 2 else 0}\n" for a in range(120)))
+        assert col.num_colours == 14400 and col.used_colours == (0, 14399)
+        for i, j in g.edges():
+            assert col.colour_of(i, j) == naive_colour_of(col, i, j) == (14399 if i % 2 else 0)
 
     def test_two_colouring_differs_from_r_colouring_with_its_layers(self):
         g, col = matching_graph()

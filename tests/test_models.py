@@ -10,8 +10,9 @@ from bipcover import (BipartiteGraph, ModelParams, sample_bipartite,
                       sample_colouring, sample_mindeg_subgraph)
 from bipcover.errors import InvalidArgumentError
 from bipcover.formats import write_graph
-from bipcover.rng import TAG_MINDEG, combine, hash_block
-from conftest import naive_mindeg_subgraph
+from bipcover.models import _CHUNK_SLOTS, _slot_matrix
+from bipcover.rng import TAG_MINDEG, combine, hash_block, threshold_u64
+from conftest import naive_hash_block, naive_mindeg_subgraph
 
 # chi-square critical value, 1 degree of freedom, significance 0.001
 CHI2_CRIT_1DF_999 = 10.828
@@ -193,3 +194,14 @@ def test_chunked_hashing_matches_single_block():
     finally:
         models._CHUNK_SLOTS = original
     assert chunked == whole
+
+
+@pytest.mark.parametrize("shape", [(1, _CHUNK_SLOTS - 1), (181, 181), (128, 256),
+                                   (1, _CHUNK_SLOTS + 1), (257, 383)])
+@pytest.mark.parametrize("probability", [Fraction(0), Fraction(3, 7), Fraction(1)])
+def test_blocked_slot_matrix_matches_all_at_once(shape, probability):
+    # Shapes below, at, just above and well past one hash block.
+    n1, n2 = shape
+    seed = combine(17, TAG_MINDEG)
+    want = naive_hash_block(seed, 0, n1 * n2) < threshold_u64(probability)
+    assert np.array_equal(_slot_matrix(seed, n1, n2, probability), want.reshape(n1, n2))

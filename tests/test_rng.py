@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bipcover.models import _CHUNK_SLOTS
 from bipcover.rng import (RandomStream, combine, hash_at, hash_block, mix64,
                           threshold_u64)
+from conftest import naive_hash_block
 
 
 def test_scalar_and_vector_hashes_agree():
@@ -69,3 +71,21 @@ def test_block_dtype_and_mask():
     block = hash_block(3, 0, 8)
     assert block.dtype == np.uint64
     assert all(0 <= int(v) < (1 << 64) for v in block)
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK_SLOTS - 1, _CHUNK_SLOTS, _CHUNK_SLOTS + 1])
+@pytest.mark.parametrize("start", [0, 5, _CHUNK_SLOTS - 3, (1 << 40) + 7])
+def test_in_place_hash_matches_all_at_once(count, start):
+    for seed in (0, 0xDEADBEEFCAFE, (1 << 64) - 1):
+        assert np.array_equal(hash_block(seed, start, count),
+                              naive_hash_block(seed, start, count))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 63, 1000])
+def test_stream_block_is_k_scalar_draws(k):
+    stream, ref = RandomStream(31337), RandomStream(31337)
+    assert stream.next_u64() == ref.next_u64()  # start off counter 0
+    block = stream.block(k)
+    assert block.dtype == np.uint64
+    assert block.tolist() == [ref.next_u64() for _ in range(k)]
+    assert stream.next_u64() == ref.next_u64()
