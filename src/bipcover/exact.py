@@ -15,7 +15,10 @@ guards that a ``force`` flag can lift.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, permutations, product
 
 from .errors import InvalidArgumentError, TooLargeError
 from .graph import BipartiteGraph, MonoPartition, components_from_rows, iter_bits, vertex_set
@@ -113,38 +116,34 @@ def _min_cover(universe: int, sets: list[int]) -> tuple[int, list[int], int]:
     return best_size, [order[k] for k in best], nodes
 
 
-def _maximal(masks: list[int]) -> list[int]:
-    """Distinct masks sorted by decreasing size, minus each one inside a
-    kept one: by transitivity, exactly those inside any earlier mask."""
+def _maximal(masks) -> list[int]:
+    """The distinct masks by decreasing size, minus each one inside a kept
+    one: by transitivity, exactly those inside any larger mask."""
     kept: list[int] = []
-    for m in masks:
+    for m in sorted(masks, key=int.bit_count, reverse=True):
         if not any(m & ~other == 0 for other in kept):
             kept.append(m)
     return kept
 
 
-def tc_exact(g: BipartiteGraph, colouring) -> ExactResult:
-    """Minimum number of monochromatic components covering V(G), with witness."""
-    # Every edgeless layer gives the same singletons, which keep their first
-    # colour, so only the first edgeless layer is walked.
+def _walked_colours(colouring) -> list[int]:
+    """The colours with an edge plus the first edgeless one, ascending: an
+    edgeless layer gives only singletons, which colour 0 (walked[0]) gives first."""
     used = colouring.used_colours
     first_empty = next((k for k, c in enumerate(used) if k != c), len(used))
-    walked = sorted({*used, first_empty} - {colouring.num_colours})
+    return sorted({*used, first_empty} - {colouring.num_colours})
+
+
+def tc_exact(g: BipartiteGraph, colouring) -> ExactResult:
+    """Minimum number of monochromatic components covering V(G), with witness."""
+    walked = _walked_colours(colouring)
     comps = _component_masks(g.n1, g.n2, map(colouring.layer_rows, walked))
     universe = (1 << (g.n1 + g.n2)) - 1
-    kept = _maximal(sorted(comps, key=lambda m: -m.bit_count()))
+    kept = _maximal(comps)
     value, chosen, nodes = _min_cover(universe, kept)
-    witness = []
-    for idx in chosen:
-        colour, m1, m2 = comps[kept[idx]]
-        witness.append((colouring.label(walked[colour]), vertex_set(m1, m2)))
+    witness = [(colouring.label(walked[c]), vertex_set(m1, m2))
+               for c, m1, m2 in (comps[kept[k]] for k in chosen)]
     return ExactResult(value, witness, nodes)
-
-
-def _colour_rows_combined(g: BipartiteGraph, colouring) -> list[list[int]]:
-    """Per colour, adjacency over combined vertex ids 0..n1+n2-1."""
-    return [[row << g.n1 for row in rows1] + list(rows2)
-            for rows1, rows2 in map(colouring.layer_rows, range(colouring.num_colours))]
 
 
 def _connected_subsets(anchor: int, allowed: int, adj: list[int]) -> list[int]:
@@ -164,7 +163,6 @@ def _connected_subsets(anchor: int, allowed: int, adj: list[int]) -> list[int]:
             new_candidates = (candidates | adj[v]) & allowed & ~(current | bit)
             grow(current | bit, new_candidates, banned | declined)
             declined |= bit
-        return
 
     grow(anchor_bit, adj[anchor] & allowed, 0)
     return results
@@ -180,8 +178,11 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
     if total > TP_VERTEX_GUARD and not force:
         raise TooLargeError(f"{total} vertices exceeds the guard of {TP_VERTEX_GUARD}; "
                             "pass force=True to override")
-    colour_adj = _colour_rows_combined(g, colouring)
-    r = colouring.num_colours
+    walked = _walked_colours(colouring)
+    # Per walked colour, adjacency over combined vertex ids 0..n1+n2-1.
+    colour_adj = [[row << g.n1 for row in rows1] + list(rows2)
+                  for rows1, rows2 in map(colouring.layer_rows, walked)]
+    r = len(walked)
     full = (1 << total) - 1
     nodes = 0
     memo: dict[int, tuple[int, list[tuple[int, int]]] | None] = {}
@@ -235,13 +236,9 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
         raise InvalidArgumentError(
             "no partition exists without singleton parts on this instance")
     value, raw_parts = solution
-    shift = g.n1
-    mask2_all = ((1 << g.n2) - 1) << shift
-    parts = []
-    for c, mask in raw_parts:
-        m1 = mask & ((1 << g.n1) - 1)
-        m2 = (mask & mask2_all) >> shift
-        parts.append((colouring.label(c), vertex_set(m1, m2)))
+    low = (1 << g.n1) - 1
+    parts = [(colouring.label(walked[c]), vertex_set(mask & low, mask >> g.n1))
+             for c, mask in raw_parts]
     return ExactResult(value, MonoPartition(tuple(parts)), nodes)
 
 
@@ -258,40 +255,40 @@ class KnnReport:
     violations: list[int] = field(default_factory=list)  # colouring codes with tc > bound
 
 
-def _decode_colouring(code: int, n: int, r: int) -> list[tuple[list[int], list[int]]]:
-    """Colour layers (part-1 rows, part-2 rows) of colouring ``code`` of
-    K_{n,n}: base-r digit i*n + j is the colour of edge (i, j)."""
-    layers = [([0] * n, [0] * n) for _ in range(r)]
-    for slot in range(n * n):
-        code, c = divmod(code, r)
-        i, j = divmod(slot, n)
-        rows1, rows2 = layers[c]
-        rows1[i] |= 1 << j
-        rows2[j] |= 1 << i
-    return layers
-
-
 def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> KnnReport:
     """Compute tc over every r-colouring of K_{n,n} and report the maximum.
 
-    The enumeration is unreduced (no symmetry quotient) so counts are
-    directly comparable across implementations.
+    Colouring ``code`` gives edge (i, j) base-r digit i*n + j, so part-1 row
+    i has row code ``code // R**i % R``, one of R = r**n.  tc does not change when
+    the part-1 vertices are permuted, so the enumeration is quotiented: each
+    multiset of row codes is solved once, and the guard counts multisets.
+    The counts are unreduced: a multiset weighs the n!/prod(mult!) colourings
+    it stands for, and ``violations`` lists every violating code, ascending.
+    The multisets come in lexicographic order, which is the order of each
+    orbit's smallest code (smallest row code last), so the histogram keys
+    come in the order of their first colouring code, as in a raw walk.
     """
     if n < 1 or r < 1:
         raise InvalidArgumentError("n and r must be positive")
-    total = r ** (n * n)
-    if total > KNN_ENUMERATION_GUARD and not force:
-        raise TooLargeError(f"{total} colourings exceed the guard of "
-                            f"{KNN_ENUMERATION_GUARD}; pass force=True to override")
+    row_codes = r ** n
+    representatives = math.comb(row_codes + n - 1, n)
+    if representatives > KNN_ENUMERATION_GUARD and not force:
+        raise TooLargeError(f"{representatives} representatives (part-1 row multisets) exceed "
+                            f"the guard of {KNN_ENUMERATION_GUARD}; pass force=True to override")
+    # digits[a][j]: the colour of edge (i, j) when part-1 row i has row code a.
+    digits = [[a // r ** j % r for j in range(n)] for a in range(row_codes)]
     universe = (1 << (2 * n)) - 1
-    report = KnnReport(n=n, r=r, bound=bound, total_colourings=total, max_tc=0)
-    for code in range(total):
-        masks = _component_masks(n, n, _decode_colouring(code, n, r))
-        kept = _maximal(sorted(masks, key=lambda m: -m.bit_count()))
-        value, _, _ = _min_cover(universe, kept)
-        report.tc_histogram[value] = report.tc_histogram.get(value, 0) + 1
-        if value > report.max_tc:
-            report.max_tc = value
+    counts, violations = {}, []
+    for rows in combinations_with_replacement(range(row_codes), n):
+        layers = [([0] * n, [0] * n) for _ in range(r)]
+        for (i, a), j in product(enumerate(rows), range(n)):
+            rows1, rows2 = layers[digits[a][j]]
+            rows1[i] |= 1 << j
+            rows2[j] |= 1 << i
+        value, _, _ = _min_cover(universe, _maximal(_component_masks(n, n, layers)))
+        counts[value] = counts.get(value, 0) + math.factorial(n) // math.prod(
+            map(math.factorial, Counter(rows).values()))
         if value > bound:
-            report.violations.append(code)
-    return report
+            violations += {sum(a * row_codes ** i for i, a in enumerate(perm))
+                           for perm in permutations(rows)}
+    return KnnReport(n, r, bound, r ** (n * n), max(counts), counts, sorted(violations))

@@ -14,6 +14,7 @@ import numpy as np
 
 from bipcover import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex)
 from bipcover.errors import InvalidArgumentError
+from bipcover.exact import KnnReport, _component_masks, _maximal, _min_cover
 from bipcover.graph import select
 from bipcover.rng import _GOLDEN, _MIX1, _MIX2, MASK64, TAG_MINDEG, combine
 
@@ -314,3 +315,38 @@ def naive_colour_of(colouring, i: int, j: int):
         if colouring.layer_rows(c)[0][i] >> j & 1:
             return colouring.label(c)
     raise InvalidArgumentError(f"({i},{j}) is not an edge")
+
+
+# ---------------------------------------------------------------------------
+# The K_{n,n} check without the symmetry quotient: one tc solve per colouring
+
+
+def _decode_colouring(code: int, n: int, r: int) -> list[tuple[list[int], list[int]]]:
+    """Colour layers (part-1 rows, part-2 rows) of colouring ``code`` of
+    K_{n,n}: base-r digit i*n + j is the colour of edge (i, j)."""
+    layers = [([0] * n, [0] * n) for _ in range(r)]
+    for slot in range(n * n):
+        code, c = divmod(code, r)
+        i, j = divmod(slot, n)
+        rows1, rows2 = layers[c]
+        rows1[i] |= 1 << j
+        rows2[j] |= 1 << i
+    return layers
+
+
+def naive_knn_check(n: int, r: int, bound: int) -> KnnReport:
+    """``exhaustive_knn_check`` by solving every raw colouring code in
+    ascending order, unguarded."""
+    total = r ** (n * n)
+    universe = (1 << (2 * n)) - 1
+    report = KnnReport(n=n, r=r, bound=bound, total_colourings=total, max_tc=0)
+    for code in range(total):
+        masks = _component_masks(n, n, _decode_colouring(code, n, r))
+        kept = _maximal(sorted(masks, key=lambda m: -m.bit_count()))
+        value, _, _ = _min_cover(universe, kept)
+        report.tc_histogram[value] = report.tc_histogram.get(value, 0) + 1
+        if value > report.max_tc:
+            report.max_tc = value
+        if value > bound:
+            report.violations.append(code)
+    return report

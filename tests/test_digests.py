@@ -12,7 +12,7 @@ import json
 import math
 from fractions import Fraction
 
-from bipcover import SweepConfig, records_to_csv, run_sweep, summarise
+from bipcover import SweepConfig, exhaustive_knn_check, records_to_csv, run_sweep, summarise
 from bipcover import (RED, BipartiteGraph, Colour, CoverCase, CoverParams,
                       PartitionParams, TwoColouring, Vertex, almost_cover,
                       audit_partition_state, audit_state, classify_case,
@@ -334,3 +334,30 @@ def sampler_rows_text() -> str:
 
 def test_multi_block_sampler_rows_pinned():
     assert sha256(sampler_rows_text()) == SAMPLER_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# K_{n,n} exhaustive-check digests
+#
+# The whole report of ``exhaustive_knn_check``: histogram items in key
+# order, every violating colouring code, max tc and the colouring count.
+# Bound 1 makes every tc-2 colouring a violation: 5,502 codes for K_{4,4}.
+# Taken while the check still solved every raw colouring on its own.
+
+KNN_DIGESTS = {
+    (4, 2, 1): "80e55b660f178edc61935aa472eb2179b5a7b68454a3f7297b387579a159d904",
+    (3, 2, 1): "031f3ace7a03b9992a31273ce10225169f72a52e7e370d08a85f43c708761ca3",
+}
+
+
+def knn_report_text(n: int, r: int, bound: int) -> str:
+    report = exhaustive_knn_check(n, r, bound)
+    return json.dumps({"n": report.n, "r": report.r, "bound": report.bound,
+                       "total_colourings": report.total_colourings,
+                       "max_tc": report.max_tc,
+                       "histogram": list(report.tc_histogram.items()),
+                       "violations": report.violations})
+
+
+def test_knn_reports_pinned():
+    assert {key: sha256(knn_report_text(*key)) for key in KNN_DIGESTS} == KNN_DIGESTS

@@ -1,8 +1,11 @@
 """Exact solvers against independent enumeration oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring, Vertex,
                       exhaustive_knn_check, sample_bipartite, sample_colouring,
@@ -12,7 +15,7 @@ from bipcover.errors import TooLargeError
 from bipcover.formats import parse_graph
 from bipcover.graph import components_from_rows
 from bipcover.models import ModelParams
-from conftest import graph_from_coloured_edges, matching_graph, naive_tp
+from conftest import graph_from_coloured_edges, matching_graph, naive_knn_check, naive_tp
 
 
 class TestTcExact:
@@ -220,3 +223,98 @@ class TestSparseColourIndices:
             result = tc_exact(g, RColouring.from_edge_map(g, r, cmap))
             assert result.value == 4
             assert [(c, sorted(vs)) for c, vs in result.witness] == expected
+
+
+class TestRowMultisetEnumeration:
+    # bound 0 flags every colouring, so every orbit is expanded in full.
+    @pytest.mark.parametrize("n, r, bound", [(1, 1, 1), (1, 3, 0), (2, 2, 0), (2, 2, 1),
+                                             (2, 3, 1), (2, 4, 1), (3, 2, 1), (3, 3, 2)])
+    def test_report_matches_unreduced_walk(self, n, r, bound):
+        got, want = exhaustive_knn_check(n, r, bound), naive_knn_check(n, r, bound)
+        assert list(got.tc_histogram.items()) == list(want.tc_histogram.items())
+        assert got.violations == want.violations
+        assert (got.max_tc, got.total_colourings) == (want.max_tc, want.total_colourings)
+        if bound == 0:
+            assert got.violations == list(range(got.total_colourings))
+
+    @pytest.mark.parametrize("n, r", [(3, 2), (2, 3)])
+    def test_guard_counts_representatives(self, monkeypatch, n, r):
+        representatives = math.comb(r ** n + n - 1, n)
+        monkeypatch.setattr(exact, "KNN_ENUMERATION_GUARD", representatives)
+        assert exhaustive_knn_check(n, r, 2).total_colourings == r ** (n * n)
+        monkeypatch.setattr(exact, "KNN_ENUMERATION_GUARD", representatives - 1)
+        with pytest.raises(TooLargeError, match=f"^{representatives} representatives"):
+            exhaustive_knn_check(n, r, 2)
+        assert exhaustive_knn_check(n, r, 2, force=True).total_colourings == r ** (n * n)
+
+
+class TestTpSparseColourIndices:
+    # Colour indices 0 or 3, and 15, on a 4x4 file: 16 layers, two with edges.
+    # Vertex 1:3 is isolated, so a singleton part names colour 0, used or not.
+    @pytest.mark.parametrize("low, walked", [(0, [0, 1, 15]), (3, [0, 3, 15])])
+    @pytest.mark.parametrize("allow_singletons", [True, False])
+    def test_walks_used_layers_and_one_empty(self, monkeypatch, low, walked, allow_singletons):
+        cmap = {(0, 0): low, (0, 1): 15, (1, 1): low, (1, 2): 15, (2, 2): low,
+                (2, 0): 15, (0, 3): low}
+        if not allow_singletons:
+            cmap[(3, 3)] = 15
+        g, col = parse_graph("bipartite 4 4\n" + "".join(
+            f"{i} {j} {c}\n" for (i, j), c in cmap.items()))
+        calls = []
+        layer_rows = RColouring.layer_rows
+
+        def counted(self, colour):
+            calls.append(colour)
+            return layer_rows(self, colour)
+
+        monkeypatch.setattr(RColouring, "layer_rows", counted)
+        result = tp_exact(g, col, allow_singletons=allow_singletons)
+        assert calls == walked
+        monkeypatch.setattr(exact, "_walked_colours", lambda c: list(range(c.num_colours)))
+        every_layer = tp_exact(g, col, allow_singletons=allow_singletons)
+        assert (result.value, result.witness, result.nodes_explored) == \
+            (every_layer.value, every_layer.witness, every_layer.nodes_explored)
+        assert validate_partition(g, col, result.witness).ok
+
+
+@st.composite
+def small_coloured_hosts(draw):
+    """(n1, n2, r, {(i, j): colour}) with at most 4 + 4 vertices."""
+    n1, n2, r = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(-1, r - 1), min_size=n1 * n2, max_size=n1 * n2))
+    return n1, n2, r, {divmod(k, n2): c for k, c in enumerate(cells) if c >= 0}
+
+
+def exact_values(n1, n2, r, cmap):
+    g = BipartiteGraph.from_edges(n1, n2, list(cmap))
+    col = RColouring.from_edge_map(g, r, cmap)
+    return tc_exact(g, col).value, tp_exact(g, col).value
+
+
+class TestExactSymmetries:
+    """tc and tp do not change under the symmetries of a coloured host; the
+    first is the premise of the K_{n,n} check's row-multiset weighting."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(small_coloured_hosts(), st.data())
+    def test_relabelling_within_parts(self, host, data):
+        n1, n2, r, cmap = host
+        p1 = data.draw(st.permutations(range(n1)))
+        p2 = data.draw(st.permutations(range(n2)))
+        relabelled = {(p1[i], p2[j]): c for (i, j), c in cmap.items()}
+        assert exact_values(n1, n2, r, relabelled) == exact_values(*host)
+
+    @settings(deadline=None, max_examples=40)
+    @given(small_coloured_hosts())
+    def test_part_swap(self, host):
+        n1, n2, r, cmap = host
+        swapped = {(j, i): c for (i, j), c in cmap.items()}
+        assert exact_values(n2, n1, r, swapped) == exact_values(*host)
+
+    @settings(deadline=None, max_examples=40)
+    @given(small_coloured_hosts(), st.data())
+    def test_colour_swap(self, host, data):
+        n1, n2, r, cmap = host
+        perm = data.draw(st.permutations(range(r)))
+        recoloured = {e: perm[c] for e, c in cmap.items()}
+        assert exact_values(n1, n2, r, recoloured) == exact_values(*host)
