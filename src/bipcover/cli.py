@@ -25,8 +25,9 @@ from .graph import TwoColouring
 from .mindeg import PartitionParams
 from .models import ModelParams, as_fraction, sample_bipartite, sample_colouring
 from .properties import check_degrees, count_no_common_neighbour_pairs
-from .sweep import (TrialOutcome, config_from_mapping, parse_config_file, parse_records,
-                    plot_script, records_to_csv, run_construction, run_sweep, summarise)
+from .sweep import (ALGORITHMS, SETTINGS, SOURCES, TrialOutcome, config_from_mapping,
+                    parse_config_file, parse_records, plot_script, records_to_csv,
+                    run_construction, run_sweep, summarise)
 
 
 def _outpath(name: str | None) -> Path | None:
@@ -214,14 +215,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    mapping: dict = {}
-    if args.config:
-        mapping.update(parse_config_file(Path(args.config).read_text()))
-    for key in ("n_values", "p_values", "c_values", "trials", "base_seed",
-                "source", "algorithm", "retry_limit", "threads", "delta", "epsilon"):
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
+    mapping = parse_config_file(Path(args.config).read_text()) if args.config else {}
+    mapping.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     config = config_from_mapping(mapping)
     records = run_sweep(config)
     _emit(records_to_csv(records), _outpath(args.out))
@@ -254,9 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     colour = sub.add_parser("colour", help="randomly 2-colour a graph file")
     colour.add_argument("graph")
-    colour.add_argument("--red-num", type=int, default=None)
-    colour.add_argument("--red-den", type=int, default=None)
-    colour.add_argument("--red", type=str, default=None)
+    _add_p_flags(colour, "red")
     colour.add_argument("--seed", type=int, default=0)
     colour.add_argument("--out", default=None)
     colour.set_defaults(func=_cmd_colour)
@@ -309,18 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a seeded trial grid")
     sweep.add_argument("--config", default=None, help="key = value config file")
-    sweep.add_argument("--n-values", dest="n_values", default=None)
-    sweep.add_argument("--p-values", dest="p_values", default=None)
-    sweep.add_argument("--c-values", dest="c_values", default=None)
-    sweep.add_argument("--trials", type=int, default=None)
-    sweep.add_argument("--base-seed", dest="base_seed", type=int, default=None)
-    sweep.add_argument("--source", choices=["uniform", "lower3", "lower4"], default=None)
-    sweep.add_argument("--algorithm",
-                       choices=["almost_cover", "partition3", "exact_tc"], default=None)
-    sweep.add_argument("--retry-limit", dest="retry_limit", type=int, default=None)
-    sweep.add_argument("--threads", type=int, default=None)
-    sweep.add_argument("--delta", default=None)
-    sweep.add_argument("--epsilon", default=None)
+    choices = {"source": SOURCES, "algorithm": ALGORITHMS}
+    for key in SETTINGS:  # values are read, and unreadable ones reported, by the sweep
+        sweep.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           choices=choices.get(key))
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=_cmd_sweep)
 

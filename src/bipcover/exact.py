@@ -179,24 +179,14 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
         raise TooLargeError(f"{total} vertices exceeds the guard of {TP_VERTEX_GUARD}; "
                             "pass force=True to override")
     walked = _walked_colours(colouring)
+    layers = [colouring.layer_rows(c) for c in walked]
     # Per walked colour, adjacency over combined vertex ids 0..n1+n2-1.
-    colour_adj = [[row << g.n1 for row in rows1] + list(rows2)
-                  for rows1, rows2 in map(colouring.layer_rows, walked)]
+    colour_adj = [[row << g.n1 for row in rows1] + list(rows2) for rows1, rows2 in layers]
     r = len(walked)
     full = (1 << total) - 1
+    low = (1 << g.n1) - 1
     nodes = 0
     memo: dict[int, tuple[int, list[tuple[int, int]]] | None] = {}
-
-    def component_of(v: int, allowed: int, adj: list[int]) -> int:
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            grow = 0
-            for u in iter_bits(frontier):
-                grow |= adj[u]
-            frontier = grow & allowed & ~comp
-            comp |= frontier
-        return comp
 
     def solve(remaining: int) -> tuple[int, list[tuple[int, int]]] | None:
         nonlocal nodes
@@ -209,8 +199,9 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
         # A single part absorbing everything left is always optimal; check
         # before enumerating subsets.
         if allow_singletons or remaining.bit_count() >= 2:
-            for c in range(r):
-                if component_of(v, remaining, colour_adj[c]) == remaining:
+            for c, (rows1, rows2) in enumerate(layers):
+                if len(components_from_rows(g.n1, g.n2, rows1, rows2,
+                                            remaining & low, remaining >> g.n1)) == 1:
                     memo[remaining] = (1, [(c, remaining)])
                     return memo[remaining]
         best: tuple[int, list[tuple[int, int]]] | None = None
@@ -236,7 +227,6 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
         raise InvalidArgumentError(
             "no partition exists without singleton parts on this instance")
     value, raw_parts = solution
-    low = (1 << g.n1) - 1
     parts = [(colouring.label(walked[c]), vertex_set(mask & low, mask >> g.n1))
              for c, mask in raw_parts]
     return ExactResult(value, MonoPartition(tuple(parts)), nodes)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -286,11 +285,15 @@ class RColouring:
         if r < 1:
             raise InvalidArgumentError("need at least one colour")
         i, j, stop = _edge_map_index(graph, colours)
-        values = list(colours.values())
-        c = _int64(values, -1, r)
         # A key's edge check comes before its colour check: only keys
         # before the first non-edge can fail on colour.
-        off = np.flatnonzero((c[:stop] < 0) | (c[:stop] >= r))
+        values = list(colours.values())[:stop]
+        try:
+            c = _int64(list(map(operator.index, values)), -1, r)
+        except TypeError:
+            odd = next(v for v in values if not hasattr(v, "__index__"))
+            raise InvalidArgumentError(f"colour {odd!r} is not an integer") from None
+        off = np.flatnonzero((c < 0) | (c >= r))
         if off.size:
             raise InvalidArgumentError(f"colour {values[off[0]]} out of range 0..{r - 1}")
         if stop < len(colours):
@@ -353,15 +356,9 @@ class TwoColouring(RColouring):
 
     @classmethod
     def from_edge_map(cls, graph: BipartiteGraph,
-                      colours: dict[tuple[int, int], Colour]) -> "TwoColouring":
-        i, j, stop = _edge_map_index(graph, colours)
-        if stop < len(colours):
-            raise _not_an_edge(colours, stop)
-        if len(colours) != graph.edge_count:
-            raise InvalidArgumentError("colouring must cover every edge exactly once")
-        red = np.fromiter(map(operator.is_, colours.values(), repeat(Colour.RED)),
-                          dtype=bool, count=len(colours))
-        return cls(graph, *rows_from_edges(graph.n1, graph.n2, i[red], j[red]))
+                      colours: dict[tuple[int, int], int]) -> "TwoColouring":
+        """Checked as RColouring's with r = 2: each value is 0/RED or 1/BLUE."""
+        return cls(graph, *RColouring.from_edge_map(graph, 2, colours).layer_rows(Colour.RED))
 
     @classmethod
     def monochromatic(cls, graph: BipartiteGraph, colour: Colour) -> "TwoColouring":

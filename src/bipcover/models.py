@@ -26,10 +26,14 @@ def as_fraction(x) -> Fraction:
 
     Strings and Fractions convert exactly; floats convert to their exact
     binary value.  Pass "0.05" rather than 0.05 when the decimal value
-    matters.
+    matters.  Anything else, or an unreadable value ("abc", "1/0", nan),
+    raises InvalidArgumentError.
     """
     if isinstance(x, (Fraction, str, int, float)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
     raise InvalidArgumentError(f"cannot interpret {x!r} as an exact fraction")
 
 

@@ -104,13 +104,3 @@ class RandomStream:
 
     def bernoulli(self, probability: Fraction) -> bool:
         return self.next_u64() < threshold_u64(probability)
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (n must be positive)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n

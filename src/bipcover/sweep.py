@@ -28,6 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .adversary import colour_lower3, colour_lower4
 from .construct import AuditReport
@@ -55,7 +56,7 @@ ALGORITHMS = ("almost_cover", "partition3", "exact_tc")
 @dataclass(frozen=True)
 class SweepConfig:
     n_values: tuple[int, ...]
-    trials: int
+    trials: int = 1
     base_seed: int = 0
     source: str = "uniform"
     algorithm: str = "almost_cover"
@@ -212,20 +213,23 @@ def records_to_csv(records: list[SweepRecord]) -> str:
 
 def parse_records(text: str) -> list[SweepRecord]:
     """The records of a CSV that ``records_to_csv`` wrote."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != RECORD_HEADER:
+    lines = list(content_lines(text))
+    if not lines or lines[0][1] != RECORD_HEADER:
         raise BipcoverError("not a sweep records CSV")
     records = []
-    for line in lines[1:]:
-        (n, p_num, p_den, seed, source, algorithm, trees, uncovered,
-         valid, case, runtime_ms) = line.split(",")
-        records.append(SweepRecord(
-            n=int(n), p=Fraction(int(p_num), int(p_den)), seed=int(seed),
-            source=source, algorithm=algorithm, trees=int(trees),
-            uncovered=int(uncovered), valid=valid == "true", case=case,
-            runtime_ms=int(runtime_ms),
-            # Only a caught BipcoverError writes case "error"; its class is not kept.
-            error="BipcoverError" if case == "error" else ""))
+    for lineno, line in lines[1:]:
+        try:
+            (n, p_num, p_den, seed, source, algorithm, trees, uncovered,
+             valid, case, runtime_ms) = line.split(",")
+            records.append(SweepRecord(
+                n=int(n), p=Fraction(int(p_num), int(p_den)), seed=int(seed),
+                source=source, algorithm=algorithm, trees=int(trees),
+                uncovered=int(uncovered), valid=valid == "true", case=case,
+                runtime_ms=int(runtime_ms),
+                # Only a caught BipcoverError writes case "error"; its class is not kept.
+                error="BipcoverError" if case == "error" else ""))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BipcoverError(f"records line {lineno}: malformed row") from exc
     return records
 
 
@@ -290,24 +294,40 @@ def parse_config_file(text: str) -> dict:
     return out
 
 
-def config_from_mapping(mapping: dict) -> SweepConfig:
-    def values(value, parse) -> tuple:
-        items = value if isinstance(value, (list, tuple)) else str(value).split(",")
-        return tuple(map(parse, items))
+def _listed(read: Callable) -> Callable:
+    """A reader for a comma list of ``read`` values."""
+    return lambda value: tuple(map(read, str(value).split(",")))
 
-    kwargs: dict = {
-        "n_values": values(mapping["n_values"], int),
-        "trials": int(mapping.get("trials", 1)),
-        "base_seed": int(mapping.get("base_seed", 0)),
-        "source": mapping.get("source", "uniform"),
-        "algorithm": mapping.get("algorithm", "almost_cover"),
-        "retry_limit": int(mapping.get("retry_limit", 16)),
-        "threads": int(mapping.get("threads", 1)),
-        "delta": as_fraction(mapping.get("delta", Fraction(1, 20))),
-        "epsilon": as_fraction(mapping.get("epsilon", Fraction(1, 10))),
-    }
-    if "p_values" in mapping and mapping["p_values"]:
-        kwargs["p_values"] = values(mapping["p_values"], as_fraction)
-    if "c_values" in mapping and mapping["c_values"]:
-        kwargs["c_values"] = values(mapping["c_values"], as_fraction)
+
+# How each SweepConfig field is read from a config file value or a CLI
+# flag; both the file keys and the ``sweep`` flags come from this table.
+SETTINGS: dict[str, Callable] = {
+    "n_values": _listed(int),
+    "trials": int,
+    "base_seed": int,
+    "source": str,
+    "algorithm": str,
+    "p_values": _listed(as_fraction),
+    "c_values": _listed(as_fraction),
+    "delta": as_fraction,
+    "epsilon": as_fraction,
+    "retry_limit": int,
+    "threads": int,
+}
+
+
+def config_from_mapping(mapping: dict) -> SweepConfig:
+    """A SweepConfig from setting name -> text; a blank value keeps the default."""
+    kwargs: dict = {}
+    for key, value in mapping.items():
+        if key not in SETTINGS:
+            raise BipcoverError(f"unknown sweep setting {key!r}")
+        if not str(value).strip():
+            continue
+        try:
+            kwargs[key] = SETTINGS[key](value)
+        except ValueError as exc:
+            raise BipcoverError(f"sweep setting {key}: cannot read {value!r}") from exc
+    if "n_values" not in kwargs:
+        raise BipcoverError("sweep setting n_values is required")
     return SweepConfig(**kwargs)

@@ -161,6 +161,53 @@ def test_sweep_config_file(tmp_path, capsys):
     assert len(records.read_text().splitlines()) == 3
 
 
+def test_sweep_flags_override_config_file(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n-values = 12\np_values = 1/2\ntrials = 2\nbase_seed =\n")
+    records = tmp_path / "r.csv"
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--trials", "3",
+                     "--out", str(records))
+    assert code == 0
+    assert len(records.read_text().splitlines()) == 4
+    cfg.write_text("n_values = 12\np_values = 1/2\ntrials =\n")
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(records))
+    assert code == 0
+    assert len(records.read_text().splitlines()) == 2  # blank trials: the default 1
+
+
+def _fails_cleanly(capsys, *argv) -> str:
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("bipcover: ") and err.count("\n") == 1
+    return err
+
+
+def test_unreadable_sweep_settings_fail_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n_values = 12\np_values = 1/2\ntrails = 5\n")
+    assert "'trails'" in _fails_cleanly(capsys, "sweep", "--config", str(cfg))
+    cfg.write_text("n_values = 12\np_values = 1/2\ntrials = two\n")
+    assert "trials: cannot read 'two'" in _fails_cleanly(capsys, "sweep", "--config", str(cfg))
+    assert "n_values: cannot read 'x'" in _fails_cleanly(
+        capsys, "sweep", "--n-values", "x", "--p-values", "1/2")
+    assert "trials: cannot read 'abc'" in _fails_cleanly(
+        capsys, "sweep", "--n-values", "12", "--p-values", "1/2", "--trials", "abc")
+
+
+def test_unreadable_probability_fails_cleanly(tmp_path, capsys):
+    for p in ("abc", "1/0"):
+        err = _fails_cleanly(capsys, "sample", "--n1", "4", "--n2", "4", "--p", p,
+                             "--out", str(tmp_path / "g.txt"))
+        assert repr(p) in err
+
+
+def test_malformed_records_fail_cleanly(tmp_path, capsys):
+    from bipcover.sweep import RECORD_HEADER
+    records = tmp_path / "r.csv"
+    records.write_text(f"{RECORD_HEADER}\n12,1,2,5,uniform\n")
+    assert "records line 2" in _fails_cleanly(capsys, "summarise", str(records))
+
+
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BIPCOVER_OUTDIR", str(tmp_path / "outputs"))
     code, _, _ = run(capsys, "sample", "--n1", "4", "--n2", "4", "--p", "0.5",

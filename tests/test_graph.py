@@ -56,6 +56,18 @@ class TestConstruction:
         with pytest.raises(InvalidArgumentError):
             TwoColouring.from_edge_map(g, {(0, 0): RED})
 
+    def test_edge_map_values_are_checked_colours(self):
+        g = BipartiteGraph.complete(2, 2)
+        named = {(0, 0): RED, (0, 1): BLUE, (1, 0): BLUE, (1, 1): RED}
+        assert TwoColouring.from_edge_map(g, {e: int(c) for e, c in named.items()}) == \
+            TwoColouring.from_edge_map(g, named)
+        for bad, message in ((2, "out of range"), ("R", "'R' is not an integer"),
+                             (0.9, "0.9 is not an integer")):
+            with pytest.raises(InvalidArgumentError, match=message):
+                TwoColouring.from_edge_map(g, {**named, (0, 1): bad})
+            with pytest.raises(InvalidArgumentError, match=message):
+                RColouring.from_edge_map(g, 2, {**named, (0, 1): bad})
+
 
 class TestDegree:
     def test_complete_graph_degree(self):

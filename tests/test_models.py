@@ -10,7 +10,7 @@ from bipcover import (BipartiteGraph, ModelParams, sample_bipartite,
                       sample_colouring, sample_mindeg_subgraph)
 from bipcover.errors import InvalidArgumentError
 from bipcover.formats import write_graph
-from bipcover.models import _CHUNK_SLOTS, _slot_matrix
+from bipcover.models import _CHUNK_SLOTS, _slot_matrix, as_fraction
 from bipcover.rng import TAG_MINDEG, combine, hash_block, threshold_u64
 from conftest import naive_hash_block, naive_mindeg_subgraph
 
@@ -180,6 +180,13 @@ def test_params_validation():
         ModelParams(0, 5, Fraction(1, 2))
     with pytest.raises(InvalidArgumentError):
         ModelParams(5, 5, Fraction(3, 2))
+
+
+def test_as_fraction_rejects_unreadable_values():
+    assert as_fraction("0.05") == Fraction(1, 20)
+    for bad in ("abc", "1/0", float("nan"), None):
+        with pytest.raises(InvalidArgumentError, match="cannot interpret"):
+            as_fraction(bad)
 
 
 def test_chunked_hashing_matches_single_block():

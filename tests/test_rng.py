@@ -56,12 +56,6 @@ def test_threshold_extremes():
         threshold_u64(Fraction(3, 2))
 
 
-def test_below_uniform_range():
-    s = RandomStream(1)
-    draws = [s.below(7) for _ in range(1000)]
-    assert set(draws) == set(range(7))
-
-
 def test_combine_sensitivity():
     assert combine(1, 2, 3) != combine(1, 3, 2)
     assert combine(0) != combine(0, 0)

@@ -8,7 +8,7 @@ from bipcover import SweepConfig, records_to_csv, run_sweep, summarise
 from bipcover.errors import BipcoverError
 from bipcover.exact import ExactResult, tc_exact
 from bipcover.models import ModelParams, sample_bipartite, sample_colouring
-from bipcover.sweep import (RECORD_HEADER, SUMMARY_HEADER, _tc_witness_ok,
+from bipcover.sweep import (RECORD_HEADER, SETTINGS, SUMMARY_HEADER, _tc_witness_ok,
                             config_from_mapping, parse_config_file, parse_records)
 
 
@@ -189,6 +189,29 @@ def test_config_file_round_trip():
     assert config.p_values == (Fraction(1, 4), Fraction(1, 2))
 
 
+def test_settings_declared_once():
+    from dataclasses import fields
+
+    from bipcover.cli import build_parser
+    assert set(SETTINGS) == {f.name for f in fields(SweepConfig)}
+    flags = set(vars(build_parser().parse_args(["sweep"])))
+    assert flags - {"command", "func", "config", "out"} == set(SETTINGS)
+
+
+def test_config_from_mapping_rejects_what_it_cannot_read():
+    with pytest.raises(BipcoverError, match="unknown sweep setting 'trails'"):
+        config_from_mapping({"n_values": "12", "p_values": "1/2", "trails": "5"})
+    with pytest.raises(BipcoverError, match="sweep setting trials: cannot read 'two'"):
+        config_from_mapping({"n_values": "12", "p_values": "1/2", "trials": "two"})
+    with pytest.raises(BipcoverError, match="sweep setting p_values: cannot read '1/0'"):
+        config_from_mapping({"n_values": "12", "p_values": "1/0"})
+    with pytest.raises(BipcoverError, match="n_values is required"):
+        config_from_mapping({"p_values": "1/2"})
+    config = config_from_mapping({"n_values": "12", "p_values": "1/2", "trials": " ",
+                                  "delta": ""})
+    assert config == SweepConfig(n_values=(12,), p_values=(Fraction(1, 2),))
+
+
 def test_config_validation():
     with pytest.raises(BipcoverError):
         SweepConfig(n_values=(10,), trials=0, p_values=(Fraction(1, 2),))
@@ -224,3 +247,11 @@ def test_records_csv_round_trip():
         parse_records("n,p\n1,2\n")
     with pytest.raises(BipcoverError, match="not a sweep records CSV"):
         parse_records("\n")
+
+
+def test_parse_records_names_a_malformed_line():
+    row = "12,1,2,5,uniform,almost_cover,3,0,true,spanning,4"
+    assert len(parse_records(f"{RECORD_HEADER}\n{row}\n")) == 1
+    for bad in ("12,1,2,5,uniform", row.replace(",3,", ",x,"), row.replace(",2,", ",0,")):
+        with pytest.raises(BipcoverError, match="records line 4: malformed row"):
+            parse_records(f"{RECORD_HEADER}\n{row}\n\n{bad}\n")
