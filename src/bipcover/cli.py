@@ -50,11 +50,18 @@ def _emit(text: str, out: Path | None, mode: str = "w") -> None:
             fh.write(text)
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file; one that cannot be read is a bipcover error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise BipcoverError(f"{path}: {exc.strerror}") from exc
+
+
 def _read(path: str | None):
     if path is None:
         raise BipcoverError("this mode needs a graph file argument")
-    with open(path) as fh:
-        return formats.parse_graph(fh)
+    return formats.parse_graph(_read_text(path))
 
 
 def _two_colouring(colouring, purpose: str) -> TwoColouring:
@@ -215,7 +222,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    mapping = parse_config_file(Path(args.config).read_text()) if args.config else {}
+    mapping = parse_config_file(_read_text(args.config)) if args.config else {}
     mapping.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     config = config_from_mapping(mapping)
     records = run_sweep(config)
@@ -224,8 +231,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_summarise(args) -> int:
-    text = Path(args.records).read_text()
-    records = parse_records(text)
+    records = parse_records(_read_text(args.records))
     _emit(summarise(records), _outpath(args.out))
     if args.plot_script:
         target = args.out if args.out and args.out != "-" else "summary.csv"

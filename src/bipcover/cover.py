@@ -136,27 +136,45 @@ class _Pipeline(ConstructionRun):
         self.thr_joker = math.floor(p * p * n / 25)    # strict >
         self.thr_attach = math.ceil(p * p * n / 200)   # >=
         self.thr_pref = math.ceil(p * p * n / 400)     # >=
-        # tree assembly: tree id -> (colour, root, members set, edges list)
-        self.trees: dict[str, tuple[Colour, Vertex, set[Vertex], list]] = {}
+        # tree assembly: tree id -> (colour, root, edges list), in P, S, 3 order
+        self.trees: dict[str, tuple[Colour, Vertex, list]] = {}
         self.uncovered: dict[Vertex, str] = {}
 
     # -- small helpers ----------------------------------------------------
 
-    def new_tree(self, tid: str, colour: Colour, root: Vertex) -> None:
-        self.trees[tid] = (colour, root, {root}, [])
-
-    def attach(self, tid: str, child: Vertex, parent: Vertex) -> None:
-        colour, root, members, edges = self.trees[tid]
-        members.add(child)
-        a, b = (child, parent) if child.part == 1 else (parent, child)
-        edges.append((a, b))
+    def attach(self, tid: str, part: int, mask: int, parents: int) -> None:
+        """Attach the vertices of ``part`` in ``mask``, ascending, each under
+        its lowest neighbour in ``parents`` by an edge of the tree's colour."""
+        colour, _, edges = self.trees[tid]
+        for x in iter_bits(mask):
+            child = Vertex(part, x)
+            parent = Vertex(3 - part, lowest(self.col.coloured_row(part, x, colour) & parents))
+            edges.append((child, parent) if part == 1 else (parent, child))
 
     def demote(self, part: int, mask: int, reason: str) -> None:
         self.uncovered.update(dict.fromkeys(part_vertices(part, mask), reason))
 
-    def unmatched(self, part: int, pref: int, colour: Colour, match: int) -> int:
-        """The vertices of ``pref`` with no ``colour`` edge into ``match``."""
-        return select(pref, lambda x: not self.col.coloured_row(part, x, colour) & match)
+    def joker_round(self, part: int, rest: int, jokers: int,
+                    first: Colour) -> tuple[int, int, int, int, int]:
+        """One joker round for the vertices ``rest`` of ``part``: (attachable,
+        prefers ``first``, first half, other half, unmatched).
+
+        A vertex is attachable with at least thr_attach joker neighbours and
+        prefers ``first`` with at least thr_pref ``first``-coloured ones.
+        The jokers are split by coin, retried until every attachable vertex
+        has an edge of its preferred colour into that colour's half; the
+        vertices still without one are unmatched."""
+        g, crow = self.g, self.col.coloured_row
+        attachable = select(rest, lambda x: (g.row(part, x) & jokers).bit_count()
+                            >= self.thr_attach)
+        pref = select(attachable, lambda x: (crow(part, x, first) & jokers).bit_count()
+                      >= self.thr_pref)
+        (half, other_half), failed = retry_draw(
+            self.params.retry_limit, lambda: coin_split(self.rng, jokers),
+            lambda d: (select(pref, lambda x: not crow(part, x, first) & d[0])
+                       | select(attachable & ~pref,
+                                lambda x: not crow(part, x, first.other) & d[1])))
+        return attachable, pref, half, other_half, failed
 
     # -- pipeline ----------------------------------------------------------
 
@@ -211,34 +229,21 @@ class _Pipeline(ConstructionRun):
         ns_assigned = ns_full & ~(1 << root_p.index)
 
         # Joker set: minority-root neighbours with many majority-coloured
-        # common neighbours with the majority root.
+        # common neighbours with the majority root.  A joker's edge to root_s
+        # is minority-coloured, so its > thr_joker >= 0 majority neighbours
+        # in np_full all lie in np_assigned: every joker drawn for the
+        # majority tree has a parent there.
         jokers = select(ns_assigned, lambda v: (crow(part_p, v, maj) & np_full).bit_count()
                         > self.thr_joker)
 
-        # Opposite side: vertices that can reach the jokers.
+        # Opposite side: vertices that can reach the jokers, with random
+        # joker preferences retried until each has a matching joker.
         rest_s = ((1 << g.part_size(part_s)) - 1) & ~np_full & ~(1 << root_s.index)
-        attachable = select(rest_s, lambda z: (g.row(part_s, z) & jokers).bit_count()
-                            >= self.thr_attach)
-        stranded = rest_s & ~attachable
-
-        # Attachable vertices that prefer the majority colour.
-        pref_p = select(attachable, lambda z: (crow(part_s, z, maj) & jokers).bit_count()
-                        >= self.thr_pref)
+        attachable, pref_p, jok_p, jok_s, failed = self.joker_round(
+            part_s, rest_s, jokers, maj)
         pref_s = attachable & ~pref_p
-
-        # Random joker preferences, retried until every attachable vertex
-        # has a preference-matching joker neighbour in its colour.
-        def draw() -> tuple[int, int, int]:
-            jok_p, jok_s = coin_split(self.rng, jokers)
-            return jok_p, jok_s, select(jok_p, lambda v: crow(part_p, v, maj) & np_assigned)
-
-        (jok_p, jok_s, jok_p_live), failed = retry_draw(
-            self.params.retry_limit, draw,
-            lambda d: (self.unmatched(part_s, pref_p, maj, d[2])
-                       | self.unmatched(part_s, pref_s, minr, d[1])))
-
-        att_p_live = pref_p & ~failed
-        att_s_live = pref_s & ~failed
+        stranded = rest_s & ~attachable
+        att_p, att_s = pref_p & ~failed, pref_s & ~failed
 
         # Record state in absolute colours before the case split.
         state.jokers = frozenset(part_vertices(part_p, jokers))
@@ -247,8 +252,7 @@ class _Pipeline(ConstructionRun):
         red_pref_mask, blue_pref_mask = orient(maj, pref_p, pref_s)
         state.attachable_red = frozenset(part_vertices(part_s, red_pref_mask))
         state.attachable_blue = frozenset(part_vertices(part_s, blue_pref_mask))
-        state.demoted = frozenset(part_vertices(part_s, failed)
-                                  + part_vertices(part_p, jok_p & ~jok_p_live))
+        state.demoted = frozenset(part_vertices(part_s, failed))
 
         prefs: dict[Vertex, Colour] = {root_p: maj, root_s: minr}
         prefs.update(dict.fromkeys(part_vertices(part_s, np_assigned), maj))
@@ -260,101 +264,62 @@ class _Pipeline(ConstructionRun):
         state.preference = prefs
 
         # Assemble the two main trees (third tree handled per case).
-        self.new_tree("P", maj, root_p)
-        self.new_tree("S", minr, root_s)
-        for v in iter_bits(np_assigned):
-            self.attach("P", Vertex(part_s, v), root_p)
-        for v in iter_bits((ns_assigned & ~jokers) | jok_s):
-            self.attach("S", Vertex(part_p, v), root_s)
-        for v in iter_bits(jok_p_live):
-            parent = lowest(crow(part_p, v, maj) & np_assigned)
-            self.attach("P", Vertex(part_p, v), Vertex(part_s, parent))
-        self.demote(part_p, jok_p & ~jok_p_live, "unattached-joker")
+        self.trees = {"P": (maj, root_p, []), "S": (minr, root_s, [])}
+        self.attach("P", part_s, np_assigned, 1 << root_p.index)
+        self.attach("S", part_p, (ns_assigned & ~jokers) | jok_s, 1 << root_s.index)
+        self.attach("P", part_p, jok_p, np_assigned)
         self.demote(part_s, failed, "retry-exhausted")
         self.demote(part_s, stranded, "isolated-from-jokers")
 
         # Case split over the still-unassigned part of the majority root's side.
-        w1, pivot = _pivot_scan(g, self.col, state, att_p_live, att_s_live)
-
-        attach_z = {}  # attachable vertex -> (tree id, joker parent)
-        for z in iter_bits(att_p_live):
-            parent = lowest(crow(part_s, z, maj) & jok_p_live)
-            attach_z[z] = ("P", Vertex(part_p, parent))
-        for z in iter_bits(att_s_live):
-            parent = lowest(crow(part_s, z, minr) & jok_s)
-            attach_z[z] = ("S", Vertex(part_p, parent))
-
+        w1, pivot = _pivot_scan(g, self.col, state, att_p, att_s)
+        halves, live = {"P": jok_p, "S": jok_s}, {"P": att_p, "S": att_s}
         if pivot is not None:
             state.case = CoverCase.THIRD_TREE
-            self._third_tree(state, part_p, part_s, *pivot, maj,
-                             att_p_live, att_s_live, attach_z, w1)
+            self._third_tree(state, part_p, part_s, *pivot, halves, live, w1)
         else:
             state.case = CoverCase.LEAF_ATTACH
-            for z, (tid, parent) in attach_z.items():
-                self.attach(tid, Vertex(part_s, z), parent)
-            for v in iter_bits(w1):
-                a_p = crow(part_p, v, maj) & att_p_live
-                a_s = crow(part_p, v, minr) & att_s_live
-                if a_p.bit_count() >= a_s.bit_count() and a_p:
-                    self.attach("P", Vertex(part_p, v), Vertex(part_s, lowest(a_p)))
-                    prefs[Vertex(part_p, v)] = maj
-                elif a_s:
-                    self.attach("S", Vertex(part_p, v), Vertex(part_s, lowest(a_s)))
-                    prefs[Vertex(part_p, v)] = minr
-                else:
-                    self.demote(part_p, 1 << v, "no-attachment")
+            for tid in "PS":
+                self.attach(tid, part_s, live[tid], halves[tid])
+
+            def seen(v: int, colour: Colour, mask: int) -> int:
+                return (crow(part_p, v, colour) & mask).bit_count()
+
+            to_p = select(w1, lambda v: seen(v, maj, att_p) >= max(seen(v, minr, att_s), 1))
+            to_s = select(w1 & ~to_p, lambda v: seen(v, minr, att_s))
+            self.attach("P", part_p, to_p, att_p)
+            self.attach("S", part_p, to_s, att_s)
+            for v in iter_bits(to_p | to_s):
+                prefs[Vertex(part_p, v)] = maj if to_p >> v & 1 else minr
+            self.demote(part_p, w1 & ~to_p & ~to_s, "no-attachment")
 
         state.uncovered_reasons = dict(self.uncovered)
-        trees = []
-        for tid in ("P", "S", "3"):
-            if tid in self.trees:
-                colour, _, members, edges = self.trees[tid]
-                trees.append(MonoTree(colour, frozenset(members), tuple(edges)))
-        return TreeCover(tuple(trees), frozenset(self.uncovered))
+        trees = tuple(MonoTree(colour, frozenset({root}.union(*edges)), tuple(edges))
+                      for colour, root, edges in self.trees.values())
+        return TreeCover(trees, frozenset(self.uncovered))
 
     def _third_tree(self, state: CoverState, part_p: int, part_s: int, pivot: int,
-                    c3: Colour, maj: Colour, att_p_live: int, att_s_live: int,
-                    attach_z: dict, w1: int) -> None:
-        minr = maj.other
-        donor = maj if c3 is minr else minr
-        donor_tid = "P" if donor is maj else "S"
-        donor_live = att_p_live if donor is maj else att_s_live
-        g, crow = self.g, self.col.coloured_row
-
+                    c3: Colour, halves: dict[str, int], live: dict[str, int],
+                    w1: int) -> None:
+        donor = c3.other
+        donor_tid = "P" if donor is state.majority else "S"
         pivot_v = Vertex(part_p, pivot)
-        j2 = crow(part_p, pivot, c3) & donor_live
+        j2 = self.col.coloured_row(part_p, pivot, c3) & live[donor_tid]
         rest = w1 & ~(1 << pivot)
-        z1 = select(rest, lambda x: (g.row(part_p, x) & j2).bit_count() >= self.thr_attach)
+        z1, pref2_donor, j2_donor, j2_c3, failed2 = self.joker_round(part_p, rest, j2, donor)
+        pref2_c3 = z1 & ~pref2_donor
         k1 = rest & ~z1
 
-        pref2_donor = select(z1, lambda x: (crow(part_p, x, donor) & j2).bit_count()
-                             >= self.thr_pref)
-        pref2_c3 = z1 & ~pref2_donor
-
-        (j2_donor, j2_c3), failed2 = retry_draw(
-            self.params.retry_limit, lambda: coin_split(self.rng, j2),
-            lambda d: (self.unmatched(part_p, pref2_donor, donor, d[0])
-                       | self.unmatched(part_p, pref2_c3, c3, d[1])))
-
         # Donor-tree members of the second joker set keep their original
-        # attachment; the rest move under the pivot's tree.
-        self.new_tree("3", c3, pivot_v)
-        for z in iter_bits(j2_donor):
-            tid, parent = attach_z[z]
-            self.attach(tid, Vertex(part_s, z), parent)
-        for z in iter_bits(j2_c3):
-            self.attach("3", Vertex(part_s, z), pivot_v)
-        for z, (tid, parent) in attach_z.items():
-            if not j2 >> z & 1:
-                self.attach(tid, Vertex(part_s, z), parent)
-
-        for x in iter_bits(z1 & ~failed2):
-            if pref2_donor >> x & 1:
-                parent = lowest(crow(part_p, x, donor) & j2_donor)
-                self.attach(donor_tid, Vertex(part_p, x), Vertex(part_s, parent))
-            else:
-                parent = lowest(crow(part_p, x, c3) & j2_c3)
-                self.attach("3", Vertex(part_p, x), Vertex(part_s, parent))
+        # attachment, ahead of that tree's other attachables (edge order is
+        # output); the rest move under the pivot's tree.
+        self.trees["3"] = (c3, pivot_v, [])
+        self.attach(donor_tid, part_s, j2_donor, halves[donor_tid])
+        self.attach("3", part_s, j2_c3, 1 << pivot)
+        for tid in "PS":
+            self.attach(tid, part_s, live[tid] & ~j2, halves[tid])
+        self.attach(donor_tid, part_p, pref2_donor & ~failed2, j2_donor)
+        self.attach("3", part_p, pref2_c3 & ~failed2, j2_c3)
         self.demote(part_p, failed2, "retry-exhausted")
         self.demote(part_p, k1, "isolated-from-second-jokers")
 

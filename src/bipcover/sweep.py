@@ -79,6 +79,12 @@ class SweepConfig:
         for p in self.p_values or ():
             if not 0 < p <= 1:
                 raise BipcoverError(f"p value {p} outside (0, 1]")
+        for n in self.n_values:
+            if n < 1:
+                raise BipcoverError(f"n value {n} is below 1")
+            for c, p in zip(self.c_values or (), self.p_grid(n)):
+                if not 0 < p <= 1:
+                    raise BipcoverError(f"c value {c} at n = {n} gives p = {p}, outside (0, 1]")
 
     def p_grid(self, n: int) -> list[Fraction]:
         if self.p_values is not None:

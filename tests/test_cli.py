@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import bipcover
 from bipcover import colour_lower3, sample_bipartite, sample_colouring, sample_mindeg_subgraph
 from bipcover.cli import main
@@ -208,6 +210,30 @@ def test_malformed_records_fail_cleanly(tmp_path, capsys):
     assert "records line 2" in _fails_cleanly(capsys, "summarise", str(records))
 
 
+@pytest.mark.parametrize("command, flags", (("summarise", []), ("sweep", ["--config"]),
+                                           ("check", ["--p", "0.5"]),
+                                           ("cover", ["--p", "0.5"])),
+                         ids=("summarise", "sweep-config", "check", "cover"))
+def test_missing_input_file_fails_cleanly(tmp_path, capsys, command, flags):
+    # The path goes last: after --config, and after the graph commands' --p.
+    missing = tmp_path / "missing.txt"
+    err = _fails_cleanly(capsys, command, *flags, str(missing))
+    assert err == f"bipcover: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("grid, message", (
+    (["--n-values", "1", "--c-values", "5"], "c value 5 at n = 1 gives p = 0,"),
+    (["--n-values", "12", "--c-values", "0"], "c value 0 at n = 12 gives p = 0,"),
+    (["--n-values", "12", "--c-values", "-1"], "c value -1 at n = 12 gives p = -"),
+    (["--n-values", "0", "--c-values", "1"], "n value 0 is below 1"),
+    (["--n-values", "0", "--p-values", "1/2"], "n value 0 is below 1"),
+), ids=("c-at-n1", "c-zero", "c-negative", "n0-c", "n0-p"))
+def test_sweep_grid_out_of_range_fails_cleanly(tmp_path, capsys, grid, message):
+    out = tmp_path / "records.csv"
+    assert message in _fails_cleanly(capsys, "sweep", *grid, "--out", str(out))
+    assert not out.exists()
+
+
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BIPCOVER_OUTDIR", str(tmp_path / "outputs"))
     code, _, _ = run(capsys, "sample", "--n1", "4", "--n2", "4", "--p", "0.5",
@@ -289,3 +315,19 @@ def test_cover_and_partition_unchanged_under_python_O(tmp_path, capsys):
         code, out, files = results[0]
         assert code == 0 and "out.txt" in files
         assert json.loads(files.get("audit.jsonl", out))["valid"] is True
+
+
+def test_cover_stdout_same_under_python_O(tmp_path):
+    # The same cover, to stdout, from two interpreters: plain and -O.
+    g = sample_bipartite(ModelParams(40, 40, Fraction(1, 2)), 5)
+    graph = tmp_path / "g.txt"
+    graph.write_text(write_graph(g, colour_lower3(g)[0]))
+    src = str(Path(bipcover.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = [subprocess.run([sys.executable, *flags, "-m", "bipcover.cli", "cover", str(graph),
+                            "--p", "1/2", "--seed", "2"], env=env, capture_output=True)
+            for flags in ([], ["-O"])]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith(b"# case ")

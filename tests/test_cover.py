@@ -4,12 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, CoverCase, CoverParams,
                       TwoColouring, Vertex, almost_cover, audit_state,
                       classify_case, colour_lower3, sample_bipartite,
                       sample_colouring, validate_cover)
-from bipcover.errors import InvalidArgumentError, PropertyFailureError
+from bipcover.errors import BipcoverError, InvalidArgumentError, PropertyFailureError
 from bipcover.models import ModelParams
 from conftest import naive_degree_bands, naive_validate_cover
 
@@ -288,3 +290,27 @@ def test_retry_exhaustion_demotes_and_stays_valid(seed):
     assert exhausted <= cover.uncovered
     assert validate_cover(g, col, cover).ok
     assert naive_validate_cover(g, col, cover)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(6, 40), st.sampled_from((1, 2, 3, 5)), st.integers(0, 2 ** 16),
+       st.sampled_from(("uniform", "lower3")))
+def test_every_joker_has_a_majority_parent(n, c, seed, source):
+    # A joker's edge to the minority root is minority-coloured, so its
+    # majority neighbours among the majority root's all avoid that root:
+    # each joker drawn for the majority tree has a parent to hang from.
+    p = min(Fraction(1), threshold_p(n, c))
+    g = sample_bipartite(ModelParams(n, n, p), seed)
+    try:
+        col = sample_colouring(g, Fraction(1, 2), seed) if source == "uniform" \
+            else colour_lower3(g)[0]
+        _, state = almost_cover(g, col, CoverParams(p=p, seed=seed))
+    except BipcoverError:
+        return
+    if state.case is CoverCase.SPANNING:
+        return
+    root_p, root_s = state.oriented_roots()
+    parents = col.coloured_row(root_p.part, root_p.index, state.majority) \
+        & ~(1 << root_s.index)
+    for v in state.jokers:
+        assert col.coloured_row(v.part, v.index, state.majority) & parents
