@@ -56,6 +56,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise BipcoverError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise BipcoverError(f"{path}: not {exc.encoding} text") from exc
 
 
 def _read(path: str | None):

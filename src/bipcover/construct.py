@@ -30,6 +30,8 @@ class ConstructionRun:
     def __init__(self, name: str, g: BipartiteGraph, colouring: TwoColouring, params):
         if g.n1 != g.n2:
             raise InvalidArgumentError(f"{name} needs a balanced graph")
+        if colouring.graph != g:
+            raise InvalidArgumentError(f"{name} needs a colouring of the given graph")
         self.g, self.col, self.params, self.n = g, colouring, params, g.n1
         self.rng = RandomStream(params.seed)
 

@@ -38,9 +38,12 @@ class PropertyFailureError(BipcoverError):
 
 
 class PartitionFailureError(BipcoverError):
-    """A bound asserted by the partition algorithm failed, or a retry
-    loop exhausted its budget.  Never raised after a partition has been
-    produced: callers get either a valid partition or this error."""
+    """A step of partition3 failed; ``step`` names it: ``opposite-roots``
+    (both colours' heavy vertices in one part), ``base-edges`` or
+    ``relink-degree`` (a bound broken by rounding at small n),
+    ``sample-retry``, ``joker-retry`` or ``relink-retry`` (a retry loop
+    out of budget), or ``connectivity``.  Never raised after a partition
+    has been produced: callers get either a valid partition or this error."""
 
     def __init__(self, step: str, message: str):
         self.step = step

@@ -200,10 +200,6 @@ def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,
                     *lines.tolist()])
 
 
-def _vertex_token(v: Vertex) -> str:
-    return f"{v.part}:{v.index}"
-
-
 def _parse_vertex(token: str, lineno: int) -> Vertex:
     try:
         part, index = token.split(":")
@@ -219,7 +215,7 @@ def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = (
     out.write(f"cover {g.n1} {g.n2}\n")
     for tree in cover.trees:
         out.write(f"tree {tree.colour.token}\n")
-        out.write("vertices " + " ".join(_vertex_token(v) for v in sorted(tree.vertices)) + "\n")
+        out.write("vertices " + " ".join(map(str, sorted(tree.vertices))) + "\n")
         if tree.edges:
             tokens = []
             for a, b in tree.edges:
@@ -229,7 +225,7 @@ def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = (
         out.write("end\n")
     out.write("uncovered")
     for v in sorted(cover.uncovered):
-        out.write(f" {_vertex_token(v)}")
+        out.write(f" {v}")
     out.write("\n")
     return out.getvalue()
 
@@ -289,7 +285,7 @@ def write_partition(partition: MonoPartition, g: BipartiteGraph,
     out.write(f"partition {g.n1} {g.n2}\n")
     for colour, part in partition.parts:
         out.write(f"part {colour.token} "
-                  + " ".join(_vertex_token(v) for v in sorted(part)) + "\n")
+                  + " ".join(map(str, sorted(part))) + "\n")
     return out.getvalue()
 
 

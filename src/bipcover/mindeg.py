@@ -24,8 +24,10 @@ Requires minimum degree at least (13/16 + delta) * n.  Outline:
    splitting into at most two connected parts.
 
 Every probabilistic step verifies its matching condition and retries up
-to ``retry_limit``; exhaustion raises PartitionFailureError rather than
-ever returning an invalid partition.
+to ``retry_limit``.  PartitionFailureError names the step that failed:
+``opposite-roots``, ``base-edges`` (rounding at small n), ``sample-retry``,
+``joker-retry``, ``relink-degree``, ``relink-retry`` or ``connectivity``.
+The other bounds follow from the entry checks by the paper's counting.
 """
 
 from __future__ import annotations
@@ -94,9 +96,7 @@ class PartitionState:
 
 
 def _lowest_k(mask: int, k: int) -> int:
-    short = k - mask.bit_count()
-    if short > 0:
-        raise PartitionFailureError("base-size", f"needed {short} more vertices than available")
+    # k never exceeds the mask: heavy_thr - 1 >= base_size, and u0 sees over relink_size
     rest = mask
     for _ in range(k):
         rest &= rest - 1  # clears the lowest set bit
@@ -136,20 +136,7 @@ class _Run(ConstructionRun):
                               state: PartitionState) -> MonoPartition:
         # With no heavy vertex in the other colour, this colour's degree
         # exceeds n/4 everywhere, which caps the component count at 3.
-        rows1, rows2 = self.col.layer_rows(colour)
-        floor = self.n // 4
-        for part in (1, 2):
-            rows = rows1 if part == 1 else rows2
-            for i in range(self.g.part_size(part)):
-                if 4 * rows[i].bit_count() <= self.n:
-                    raise PartitionFailureError(
-                        "one-colour-degree",
-                        f"{colour.token}-degree of {part}:{i} is {rows[i].bit_count()}, "
-                        f"not above n/4={floor}")
-        comps = components_from_rows(self.g.n1, self.g.n2, rows1, rows2)
-        if len(comps) > 3:
-            raise PartitionFailureError(
-                "one-colour-components", f"{len(comps)} components, expected at most 3")
+        comps = components_from_rows(self.g.n1, self.g.n2, *self.col.layer_rows(colour))
         parts = tuple((colour, vertex_set(m1, m2)) for m1, m2 in comps)
         for colour_, part in parts:
             for v in part:
@@ -177,12 +164,8 @@ class _Run(ConstructionRun):
         if e_red + e_blue < total_bound:
             raise PartitionFailureError(
                 "base-edges", f"e(bases)={e_red + e_blue} below {float(total_bound):.1f}")
+        # The majority colour has at least half the base-edges bound.
         maj = RED if e_red >= e_blue else BLUE
-        maj_bound = (Fraction(3, 16) + delta / 2) * n * base_size
-        if max(e_red, e_blue) < maj_bound:
-            raise PartitionFailureError(
-                "majority-edges", f"max colour count {max(e_red, e_blue)} "
-                f"below {float(maj_bound):.1f}")
         state.majority = maj
         minr = maj.other
 
@@ -194,12 +177,9 @@ class _Run(ConstructionRun):
         side_p_base, side_s_base = root_s.part, root_p.part
 
         joker_thr = delta * n / 100
+        # Over 3n/16 jokers: a joker sends <= base_size majority edges, others < joker_thr.
         jokers = select(base_s, lambda v: (crow(side_s_base, v, maj) & base_p).bit_count()
                         >= joker_thr)
-        if jokers.bit_count() < Fraction(3, 16) * n:
-            raise PartitionFailureError(
-                "joker-count", f"{jokers.bit_count()} jokers, "
-                f"below 3n/16={float(Fraction(3, 16) * n):.1f}")
         state.jokers = frozenset(part_vertices(side_s_base, jokers))
 
         # Thin the majority base to a small random sample that every joker
@@ -225,10 +205,6 @@ class _Run(ConstructionRun):
         for w in iter_bits(bulk):
             cnt_p = (crow(side_p_base, w, maj) & jokers).bit_count()
             cnt_s = (crow(side_p_base, w, minr) & jokers).bit_count()
-            if max(cnt_p, cnt_s) * 2 < delta * n:
-                raise PartitionFailureError(
-                    "bulk-choice", f"vertex {side_p_base}:{w} has only "
-                    f"{max(cnt_p, cnt_s)} joker neighbours in its best colour")
             bulk_choice[w] = maj if cnt_p >= cnt_s else minr
 
         # Joker preference draw: every bulk vertex must keep enough
@@ -257,24 +233,15 @@ class _Run(ConstructionRun):
         state.bulk_blue = frozenset(part_vertices(side_p_base, bulk_blue))
 
         # The big preference class on the bulk side absorbs the leftover part.
-        two_fifths = Fraction(2, 5) * n
-        if bulk_s.bit_count() >= two_fifths:
+        # A nonempty sample forces n >= 25, so the larger class has at least 12n/25 - 1/2 >= 0.4n.
+        if bulk_s.bit_count() >= Fraction(2, 5) * n:
             big_colour, big_mask = minr, bulk_s
-        elif bulk_p.bit_count() >= two_fifths:
-            big_colour, big_mask = maj, bulk_p
         else:
-            raise PartitionFailureError(
-                "bulk-split", f"neither preference class reached 0.4n "
-                f"({bulk_p.bit_count()} vs {bulk_s.bit_count()})")
+            big_colour, big_mask = maj, bulk_p
 
+        # Each rest vertex sees at least (17/80 + delta)n > (3/16 + delta)n of the big class.
         rest = ((1 << g.part_size(side_s_base)) - 1) & ~(1 << root_p.index) & ~base_s
         state.rest = frozenset(part_vertices(side_s_base, rest))
-        reach_bound = (Fraction(3, 16) + delta) * n
-        for u in iter_bits(rest):
-            if (g.row(side_s_base, u) & big_mask).bit_count() < reach_bound:
-                raise PartitionFailureError(
-                    "rest-degree", f"vertex {side_s_base}:{u} sees only "
-                    f"{(g.row(side_s_base, u) & big_mask).bit_count()} of the big class")
 
         # preference assembly (absolute colours)
         prefs: dict[Vertex, Colour] = {root_p: maj, root_s: minr}
@@ -313,10 +280,7 @@ class _Run(ConstructionRun):
                 raise PartitionFailureError(
                     "relink-degree", f"vertex {side_s_base}:{u} sees only "
                     f"{cnt_other + cnt_big} relink vertices")
-            if max(cnt_other, cnt_big) < delta * n:
-                raise PartitionFailureError(
-                    "relink-choice", f"vertex {side_s_base}:{u} has no colour with "
-                    f"{float(delta * n):.1f} relink neighbours")
+            # relink-degree leaves the larger count at least delta*n
             rest_choice[u] = other_colour if cnt_other >= cnt_big else big_colour
 
         half_floor = delta * n / 2
@@ -348,18 +312,16 @@ class _Run(ConstructionRun):
         the component counts the construction promises."""
         g = self.g
         parts = []
+        # Both classes are nonempty: the two roots take opposite colours.
         for colour in (RED, BLUE):
             m1, m2 = vertex_masks(g, [v for v, c in prefs.items() if c is colour])
-            if not (m1 | m2):
-                continue
             comps = components_from_rows(g.n1, g.n2, *self.col.layer_rows(colour), m1, m2)
             if len(comps) > allowed[colour]:
                 raise PartitionFailureError(
                     "connectivity", f"{colour.token}-preference class spans "
                     f"{len(comps)} components, expected at most {allowed[colour]}")
             parts.extend((colour, vertex_set(c1, c2)) for c1, c2 in comps)
-        if len(parts) > 3:
-            raise PartitionFailureError("part-count", f"{len(parts)} parts")
+        # At most 1 + 1 or 2 + 1 parts once connectivity holds.
         return MonoPartition(tuple(parts))
 
 
@@ -367,8 +329,8 @@ def partition3(g: BipartiteGraph, colouring: TwoColouring,
                params: PartitionParams) -> tuple[MonoPartition, PartitionState]:
     """Partition V(G) into at most three monochromatic connected parts.
 
-    Precondition: balanced parts and minimum degree at least
-    (13/16 + delta) * n, checked on entry.  Raises
+    Precondition: balanced parts, a colouring of ``g`` and minimum degree
+    at least (13/16 + delta) * n, checked on entry.  Raises
     PartitionFailureError when a claimed bound fails at this scale or a
     randomised step exhausts its retries; never returns an invalid
     partition.

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -219,6 +220,17 @@ def test_missing_input_file_fails_cleanly(tmp_path, capsys, command, flags):
     missing = tmp_path / "missing.txt"
     err = _fails_cleanly(capsys, command, *flags, str(missing))
     assert err == f"bipcover: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command, flags", (("summarise", []), ("sweep", ["--config"]),
+                                           ("check", ["--p", "0.5"]),
+                                           ("cover", ["--p", "0.5"])),
+                         ids=("summarise", "sweep-config", "check", "cover"))
+def test_undecodable_input_file_fails_cleanly(tmp_path, capsys, command, flags):
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x80\x81")
+    err = _fails_cleanly(capsys, command, *flags, str(binary))
+    assert re.fullmatch(rf"bipcover: {re.escape(str(binary))}: not [\w-]+ text\n", err)
 
 
 @pytest.mark.parametrize("grid, message", (

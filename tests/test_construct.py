@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from bipcover import (BLUE, RED, BipartiteGraph, ModelParams, sample_bipartite,
+from bipcover import (BLUE, RED, BipartiteGraph, CoverParams, ModelParams, PartitionParams,
+                      TwoColouring, almost_cover, colour_lower3, partition3, sample_bipartite,
                       sample_colouring)
 from bipcover.construct import bernoulli_subset, coin_split, heavy_masks, retry_draw
+from bipcover.errors import InvalidArgumentError
 from bipcover.graph import iter_bits, select, select_flags
 from bipcover.rng import RandomStream
 from conftest import naive_bernoulli_subset, naive_coin_split, naive_heavy_masks
@@ -122,3 +124,28 @@ def test_array_heavy_masks_match_vertex_loop(n, seed):
     empty = BipartiteGraph.from_edges(3, 2, [])
     assert heavy_masks(empty, sample_colouring(empty, Fraction(1, 2), 0),
                        lambda d, dc: dc >= 0) == {c: (0b111, 0b11) for c in (RED, BLUE)}
+
+
+@pytest.mark.parametrize("source", ("uniform", "lower3"))
+def test_cover_rejects_a_colouring_of_another_graph(source):
+    # Unchecked, the cover's trees would use edges of g2 that g1 lacks.
+    g1, g2 = (sample_bipartite(ModelParams(60, 60, Fraction(1, 2)), s) for s in (1, 2))
+    col2 = sample_colouring(g2, Fraction(1, 2), 3) if source == "uniform" else colour_lower3(g2)[0]
+    with pytest.raises(InvalidArgumentError, match="colouring of the given graph"):
+        almost_cover(g1, col2, CoverParams(p=Fraction(1, 2), seed=1))
+
+
+def test_partition_rejects_a_colouring_of_another_graph():
+    # g2 is K_{16,16} less one edge: its all-red colouring leaves g1's edge 0-0 uncoloured.
+    g1 = BipartiteGraph.complete(16, 16)
+    g2 = BipartiteGraph.from_rows(16, 16, [(1 << 16) - 2] + [(1 << 16) - 1] * 15)
+    with pytest.raises(InvalidArgumentError, match="colouring of the given graph"):
+        partition3(g1, TwoColouring.monochromatic(g2, RED),
+                   PartitionParams(delta=Fraction(1, 20)))
+
+
+def test_equal_graph_objects_are_the_same_graph():
+    g1, g2 = BipartiteGraph.complete(16, 16), BipartiteGraph.complete(16, 16)
+    partition, _ = partition3(g1, TwoColouring.monochromatic(g2, BLUE),
+                              PartitionParams(delta=Fraction(1, 20)))
+    assert len(partition.parts) == 1

@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, PartitionParams, Vertex,
                       TwoColouring, audit_partition_state, colour_lower3,
                       partition3, sample_colouring, sample_mindeg_subgraph,
                       validate_partition)
-from bipcover.errors import InvalidArgumentError, PartitionFailureError
+from bipcover.errors import (ConstructionInfeasibleError, InvalidArgumentError,
+                             PartitionFailureError)
 from conftest import naive_validate_partition
 
 DELTA = Fraction(1, 20)
@@ -209,3 +212,68 @@ def test_heavy_sets_follow_the_exact_threshold(delta):
                              if col.coloured_row(v.part, v.index, colour).bit_count() >= threshold}
         checked += 1
     assert checked
+
+
+def test_relink_degree_can_fire():
+    # The floor in the relink size leaves 1:47 one relink vertex short of 2*delta*n = 19.2.
+    g = sample_mindeg_subgraph(64, Fraction(13, 16) + Fraction(3, 20), 28508)
+    col = colour_lower3(g)[0].swapped()
+    with pytest.raises(PartitionFailureError,
+                       match="^relink-degree: vertex 1:47 sees only 19 relink vertices$"):
+        partition3(g, col, PartitionParams(delta=Fraction(3, 20), seed=28508))
+
+
+LIVE_STEPS = {"opposite-roots", "base-edges", "sample-retry", "joker-retry",
+              "relink-degree", "relink-retry", "connectivity"}
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(25, 100),
+       st.sampled_from((Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(3, 20))),
+       st.sampled_from(("mindeg", "complete")), st.sampled_from(("uniform", "blocks", "lower3")),
+       st.booleans(), st.integers(0, 100), st.integers(0, 2 ** 16))
+def test_returned_states_meet_the_implied_bounds(n, delta, host, source, swap, red_rows, seed):
+    # The bounds partition3 no longer re-checks, each implied by the
+    # minimum degree and an earlier step; only the live steps may fail.
+    g = (sample_mindeg_subgraph(n, Fraction(13, 16) + delta, seed) if host == "mindeg"
+         else BipartiteGraph.complete(n, n))
+    if source == "uniform":
+        col = sample_colouring(g, Fraction(1, 2), seed)
+    elif source == "blocks":
+        col = TwoColouring.from_red_rows(g, [g.row(1, i) if i < red_rows else 0
+                                             for i in range(n)])
+    else:
+        try:
+            col = colour_lower3(g)[0]
+        except ConstructionInfeasibleError:
+            assume(False)
+    if swap:
+        col = col.swapped()
+    try:
+        partition, state = partition3(g, col, PartitionParams(delta=delta, seed=seed))
+    except PartitionFailureError as err:
+        assert err.step in LIVE_STEPS
+        return
+    assert len(partition.parts) <= 3
+    assert validate_partition(g, col, partition).ok
+    if state.branch == "one-colour":
+        colour = partition.parts[0][0]
+        assert all(c is colour for c, _ in partition.parts)
+        assert all(4 * col.coloured_row(v.part, v.index, colour).bit_count() > n
+                   for v in g.vertices())
+        return
+    base_size = int((Fraction(9, 16) + delta / 2) * n)
+    assert len(state.base_red) == len(state.base_blue) == base_size
+    audit = audit_partition_state(g, col, state)
+    assert audit.entry("majority-base-edges").satisfied
+    assert 16 * len(state.jokers) > 3 * n
+    jokers = sum(1 << v.index for v in state.jokers)
+    assert all((g.row(w.part, w.index) & jokers).bit_count() >= delta * n for w in state.bulk)
+    big_classes = [c for c in (state.bulk_red, state.bulk_blue) if len(c) >= Fraction(2, 5) * n]
+    assert big_classes
+    for big in big_classes:
+        mask = sum(1 << v.index for v in big)
+        assert all((g.row(u.part, u.index) & mask).bit_count() > (Fraction(3, 16) + delta) * n
+                   for u in state.rest)
+    if state.branch == "relink":
+        assert len(state.relink) == int((Fraction(3, 16) + delta) * n)
