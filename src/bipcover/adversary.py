@@ -73,27 +73,9 @@ def colour_lower3(g: BipartiteGraph) -> tuple[TwoColouring, Lower3Witness]:
 def _lower3_colouring(g: BipartiteGraph, r_idx: int, b_idx: int,
                       x_mask: int, y_mask: int) -> tuple[TwoColouring, Lower3Witness]:
     nr = g.row(1, r_idx)
-    nb = g.row(2, b_idx)
-    red1 = [0] * g.n1
-    for i in range(g.n1):
-        row = g.row(1, i)
-        if i == r_idx:
-            red1[i] = row  # r's edges all go to N(r)
-        elif x_mask >> i & 1:
-            red1[i] = row & nr  # X-N(r) red, X-Y blue; X-b impossible
-        else:  # i in N(b)
-            red1[i] = row & y_mask  # N(b)-Y red; N(b)-N(r) and N(b)-b blue
-        # Defensive: the zone rules must classify every edge.
-        blue = row & ~red1[i]
-        if i == r_idx:
-            uncovered = blue
-        elif x_mask >> i & 1:
-            uncovered = blue & ~y_mask
-        else:
-            uncovered = blue & ~nr & ~(1 << b_idx)
-        if uncovered:
-            raise ConstructionInfeasibleError(
-                f"edge of 1:{i} escaped the zone colouring rules")
+    # Every edge is zoned: X rows miss b (X misses N(b)), N(b) rows off Y are blue, r's row is N(r).
+    red1 = [nr if i == r_idx else g.row(1, i) & (nr if x_mask >> i & 1 else y_mask)
+            for i in range(g.n1)]
     colouring = TwoColouring.from_red_rows(g, red1)
     witness = Lower3Witness(Vertex(1, r_idx), Vertex(2, b_idx),
                             vertex_set(x_mask, 0), vertex_set(0, y_mask))
@@ -132,12 +114,7 @@ def colour_lower4(g: BipartiteGraph) -> tuple[TwoColouring, Lower4Witness]:
             "no disjoint-neighbourhood part-2 pair outside the part-1 pair's neighbourhoods")
     u2, v2 = pair2
     special2 = (1 << u2) | (1 << v2)
-    red1 = []
-    for i in range(g.n1):
-        if i in (u1, v1):
-            red1.append(rows1[i])
-        else:
-            red1.append(rows1[i] & special2)
+    red1 = [rows1[i] if i in (u1, v1) else rows1[i] & special2 for i in range(g.n1)]
     colouring = TwoColouring.from_red_rows(g, red1)
     witness = Lower4Witness((Vertex(1, u1), Vertex(1, v1)), (Vertex(2, u2), Vertex(2, v2)))
     return colouring, witness

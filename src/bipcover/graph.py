@@ -328,16 +328,27 @@ class RColouring:
         return hash((self.graph, self._layers))
 
 
+def _check_red_rows(part: int, red: Sequence[int], rows: tuple[int, ...]) -> None:
+    if len(red) != len(rows):
+        raise InvalidArgumentError(f"one red row per part-{part} vertex required")
+    bad = next((i for i, (r, row) in enumerate(zip(red, rows)) if r & ~row), None)
+    if bad is not None:
+        raise InvalidArgumentError(f"red row of {part}:{bad} marks a non-edge")
+
+
 class TwoColouring(RColouring):
     """Red/blue label per edge: the r = 2 case of RColouring.
 
-    The blue layer is derived once, as the adjacency rows minus the red
-    rows, so the colouring is total on E(G) by construction.
+    Red rows must mark edges of the graph only, and red2 must be red1's
+    transpose (not checked).  The blue layer is the adjacency rows minus
+    the red rows, so the colouring is total on E(G) by construction.
     """
 
     __slots__ = ()
 
     def __init__(self, graph: BipartiteGraph, red1: tuple[int, ...], red2: tuple[int, ...]):
+        _check_red_rows(1, red1, graph._rows1)
+        _check_red_rows(2, red2, graph._rows2)
         blue1 = tuple(row & ~red for row, red in zip(graph._rows1, red1))
         blue2 = tuple(row & ~red for row, red in zip(graph._rows2, red2))
         super().__init__(graph, ((red1, red2), (blue1, blue2)))
@@ -346,13 +357,10 @@ class TwoColouring(RColouring):
     def from_red_rows(cls, graph: BipartiteGraph, red1: Iterable[int],
                       red2: Iterable[int] | None = None) -> "TwoColouring":
         r1 = tuple(red1)
-        if len(r1) != graph.n1:
-            raise InvalidArgumentError("one red row per part-1 vertex required")
-        for i, row in enumerate(r1):
-            if row & ~graph.row(1, i):
-                raise InvalidArgumentError(f"red row of 1:{i} marks a non-edge")
-        r2 = tuple(red2) if red2 is not None else transpose_rows(r1, graph.n2)
-        return cls(graph, r1, r2)
+        if red2 is None:
+            _check_red_rows(1, r1, graph._rows1)  # bits outside part 2 overflow the transpose
+            red2 = transpose_rows(r1, graph.n2)
+        return cls(graph, r1, tuple(red2))
 
     @classmethod
     def from_edge_map(cls, graph: BipartiteGraph,
@@ -533,42 +541,32 @@ def _check_tree(g: BipartiteGraph, colouring: TwoColouring, tree: MonoTree,
     if not tree.vertices:
         report.add(f"{label}: empty vertex set")
         return
-    for v in tree.vertices:
-        try:
-            g.check_vertex(v)
-        except InvalidArgumentError:
-            report.add(f"{label}: vertex {v} not in graph")
-            return
+    try:
+        m1, m2 = vertex_masks(g, tree.vertices)
+    except InvalidArgumentError:
+        inside = set(g.vertices())
+        stray = next(v for v in tree.vertices if v not in inside)
+        report.add(f"{label}: vertex {stray} not in graph")
+        return
     if len(tree.edges) != len(tree.vertices) - 1:
         report.add(f"{label}: {len(tree.edges)} edges for {len(tree.vertices)} vertices")
-    adjacency: dict[Vertex, list[Vertex]] = {v: [] for v in tree.vertices}
+    rows1, rows2 = [0] * g.n1, [0] * g.n2
     for a, b in tree.edges:
         u, w = (a, b) if a.part == 1 else (b, a)
         if u.part != 1 or w.part != 2:
             report.add(f"{label}: edge {a}-{b} does not join the two parts")
-            continue
-        if u not in tree.vertices or w not in tree.vertices:
+        elif u not in tree.vertices or w not in tree.vertices:
             report.add(f"{label}: edge {a}-{b} leaves the tree's vertex set")
-            continue
-        if not g.has_edge(u.index, w.index):
+        elif not g.has_edge(u.index, w.index):
             report.add(f"{label}: edge {a}-{b} not present in the graph")
-            continue
-        if colouring.colour_of(u.index, w.index) is not tree.colour:
+        elif colouring.colour_of(u.index, w.index) is not tree.colour:
             report.add(f"{label}: edge {a}-{b} is not {tree.colour.token}")
-            continue
-        adjacency[u].append(w)
-        adjacency[w].append(u)
+        else:
+            rows1[u.index] |= 1 << w.index
+            rows2[w.index] |= 1 << u.index
     # Connectivity over the tree's own edges; with the edge count check
     # this certifies acyclicity as well.
-    start = min(tree.vertices)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != len(tree.vertices):
+    if len(components_from_rows(g.n1, g.n2, rows1, rows2, m1, m2)) != 1:
         report.add(f"{label}: edges do not connect all vertices")
 
 

@@ -227,8 +227,11 @@ def parse_records(text: str) -> list[SweepRecord]:
         try:
             (n, p_num, p_den, seed, source, algorithm, trees, uncovered,
              valid, case, runtime_ms) = line.split(",")
+            p = Fraction(int(p_num), int(p_den))
+            if not 0 < p <= 1 or valid not in ("true", "false"):
+                raise ValueError("p outside (0, 1] or valid not true/false")
             records.append(SweepRecord(
-                n=int(n), p=Fraction(int(p_num), int(p_den)), seed=int(seed),
+                n=int(n), p=p, seed=int(seed),
                 source=source, algorithm=algorithm, trees=int(trees),
                 uncovered=int(uncovered), valid=valid == "true", case=case,
                 runtime_ms=int(runtime_ms),

@@ -96,6 +96,76 @@ def naive_validate_cover(g, colouring, cover) -> bool:
     return union == all_vertices and total == len(all_vertices)
 
 
+def _reference_check_tree(g, colouring, tree, label, report: list[str]) -> None:
+    if not tree.vertices:
+        report.append(f"{label}: empty vertex set")
+        return
+    for v in tree.vertices:
+        try:
+            g.check_vertex(v)
+        except InvalidArgumentError:
+            report.append(f"{label}: vertex {v} not in graph")
+            return
+    if len(tree.edges) != len(tree.vertices) - 1:
+        report.append(f"{label}: {len(tree.edges)} edges for {len(tree.vertices)} vertices")
+    adjacency: dict[Vertex, list[Vertex]] = {v: [] for v in tree.vertices}
+    for a, b in tree.edges:
+        u, w = (a, b) if a.part == 1 else (b, a)
+        if u.part != 1 or w.part != 2:
+            report.append(f"{label}: edge {a}-{b} does not join the two parts")
+            continue
+        if u not in tree.vertices or w not in tree.vertices:
+            report.append(f"{label}: edge {a}-{b} leaves the tree's vertex set")
+            continue
+        if not g.has_edge(u.index, w.index):
+            report.append(f"{label}: edge {a}-{b} not present in the graph")
+            continue
+        if colouring.colour_of(u.index, w.index) is not tree.colour:
+            report.append(f"{label}: edge {a}-{b} is not {tree.colour.token}")
+            continue
+        adjacency[u].append(w)
+        adjacency[w].append(u)
+    start = min(tree.vertices)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if len(seen) != len(tree.vertices):
+        report.append(f"{label}: edges do not connect all vertices")
+
+
+def reference_validate_cover(g, colouring, cover) -> list[str]:
+    """The violations ``validate_cover`` must report, message for message.
+
+    A frozen copy of the dict-and-DFS cover validator that predates the
+    bit-row one: same checks, same order, same wording.
+    """
+    report: list[str] = []
+    for t, tree in enumerate(cover.trees):
+        _reference_check_tree(g, colouring, tree, f"tree {t}", report)
+    groups = [tree.vertices for tree in cover.trees] + [cover.uncovered]
+    names = [f"tree {t}" for t in range(len(cover.trees))] + ["uncovered"]
+    for a in range(len(groups)):
+        for b in range(a + 1, len(groups)):
+            shared = groups[a] & groups[b]
+            if shared:
+                report.append(f"{names[a]} and {names[b]} share {sorted(shared)[0]}")
+    covered: set[Vertex] = set()
+    for grp in groups:
+        covered |= grp
+    everything = set(g.vertices())
+    missing = everything - covered
+    extra = covered - everything
+    if missing:
+        report.append(f"coverage: {len(missing)} vertices unaccounted, e.g. {sorted(missing)[0]}")
+    if extra:
+        report.append(f"coverage: {len(extra)} foreign vertices, e.g. {sorted(extra)[0]}")
+    return report
+
+
 def naive_validate_partition(g, colouring, partition) -> bool:
     all_vertices = set(g.vertices())
     union: set[Vertex] = set()

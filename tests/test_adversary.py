@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
                       Vertex, colour_blowup_pair, colour_lower3, colour_lower4,
@@ -62,6 +64,39 @@ class TestLower3:
             hits += 1
             assert tc_exact(g, colouring).value >= 3
         assert hits >= 8
+
+
+# The colour of each (part-1 zone, part-2 zone) pair in colour_lower3's
+# docstring; a pair missing here is one no edge may join.
+LOWER3_ZONE_COLOURS = {("r", "N(r)"): RED, ("X", "N(r)"): RED, ("X", "Y"): BLUE,
+                       ("N(b)", "Y"): RED, ("N(b)", "N(r)"): BLUE, ("N(b)", "b"): BLUE}
+
+
+@st.composite
+def hosts(draw):
+    n1, n2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rows1 = draw(st.lists(st.integers(0, (1 << n2) - 1), min_size=n1, max_size=n1))
+    return BipartiteGraph.from_rows(n1, n2, rows1)
+
+
+class TestLower3Zones:
+    @settings(deadline=None, max_examples=200)
+    @given(hosts())
+    def test_every_edge_has_its_zone_colour(self, g):
+        try:
+            colouring, w = colour_lower3(g)
+        except ConstructionInfeasibleError:
+            return
+        r, b = w.anchor_red.index, w.anchor_blue.index
+        n_r = {Vertex(2, j) for j in range(g.n2) if g.has_edge(r, j)}
+        n_b = {Vertex(1, i) for i in range(g.n1) if g.has_edge(i, b)}
+        zone1 = {w.anchor_red: "r", **{v: "N(b)" for v in n_b}, **{v: "X" for v in w.rest1}}
+        zone2 = {w.anchor_blue: "b", **{v: "N(r)" for v in n_r}, **{v: "Y" for v in w.rest2}}
+        assert len(zone1) == g.n1 == 1 + len(n_b) + len(w.rest1)
+        assert len(zone2) == g.n2 == 1 + len(n_r) + len(w.rest2)
+        for i, j, colour in colouring.edge_colours():
+            zones = zone1[Vertex(1, i)], zone2[Vertex(2, j)]
+            assert LOWER3_ZONE_COLOURS[zones] is colour, zones
 
 
 class TestLower4:

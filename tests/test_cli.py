@@ -211,6 +211,16 @@ def test_malformed_records_fail_cleanly(tmp_path, capsys):
     assert "records line 2" in _fails_cleanly(capsys, "summarise", str(records))
 
 
+@pytest.mark.parametrize("p_num, p_den", ((0, 1), (3, 2), (-1, 2)))
+def test_summarise_rejects_p_outside_the_unit_interval(tmp_path, capsys, p_num, p_den):
+    from bipcover.sweep import RECORD_HEADER
+    records = tmp_path / "r.csv"
+    records.write_text(f"{RECORD_HEADER}\n1,{p_num},{p_den},5,uniform,almost_cover,0,0,"
+                       "false,error,0\n")
+    err = _fails_cleanly(capsys, "summarise", str(records))
+    assert err == "bipcover: records line 2: malformed row\n"
+
+
 @pytest.mark.parametrize("command, flags", (("summarise", []), ("sweep", ["--config"]),
                                            ("check", ["--p", "0.5"]),
                                            ("cover", ["--p", "0.5"])),

@@ -1,7 +1,9 @@
 """Core graph types, queries, validators, and their invariants."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from bipcover import (BLUE, RED, BipartiteGraph, MonoPartition, MonoTree,
                       edge_count_between, monochromatic_components,
                       sample_bipartite, sample_colouring, spanning_tree_of,
                       validate_cover, validate_partition)
+from bipcover import CoverParams, almost_cover, colour_lower3
 from bipcover.errors import InvalidArgumentError, NotConnectedError
+from bipcover.errors import ConstructionInfeasibleError
 from bipcover.graph import (components_from_rows, rows_from_edges, rows_from_matrix,
                             rows_to_matrix, transpose_rows)
 from bipcover.models import ModelParams
@@ -22,6 +26,7 @@ from conftest import (graph_from_coloured_edges, matching_graph, naive_colour_of
                       naive_components, naive_matrix, naive_rows_from_edges,
                       naive_transpose, naive_validate_cover,
                       naive_validate_partition)
+from conftest import reference_validate_cover
 
 
 def v1(i):
@@ -509,3 +514,138 @@ class TestColouringLayers:
         assert as_r != col and col != as_r
         assert isinstance(col, RColouring) and type(as_r) is RColouring
         assert col.colour_of(0, 0) is RED and type(as_r.colour_of(0, 0)) is int
+
+
+def k44_minus_00():
+    return BipartiteGraph.from_edges(4, 4, [(i, j) for i in range(4) for j in range(4)
+                                            if (i, j) != (0, 0)])
+
+
+class TestTwoColouringChecks:
+    def test_red_bit_on_a_non_edge_rejected(self):
+        # Kept before the constructor checked its rows: 1:0-2:0 became a
+        # red component of a graph without that edge.
+        g = k44_minus_00()
+        with pytest.raises(InvalidArgumentError, match="red row of 1:0 marks a non-edge"):
+            TwoColouring(g, (1, 0, 0, 0), (1, 0, 0, 0))
+
+    def test_bad_part2_row_alone_rejected(self):
+        g = k44_minus_00()
+        with pytest.raises(InvalidArgumentError, match="red row of 2:0 marks a non-edge"):
+            TwoColouring(g, (0, 0, 0, 0), (1, 0, 0, 0))
+        with pytest.raises(InvalidArgumentError, match="red row of 2:0 marks a non-edge"):
+            TwoColouring.from_red_rows(g, (0, 0, 0, 0), (1, 0, 0, 0))
+
+    def test_missing_rows_rejected(self):
+        g = k44_minus_00()
+        with pytest.raises(InvalidArgumentError, match="one red row per part-1 vertex required"):
+            TwoColouring(g, (), ())
+        with pytest.raises(InvalidArgumentError, match="one red row per part-2 vertex required"):
+            TwoColouring(g, (0, 0, 0, 0), (0, 0, 0))
+
+    @pytest.mark.parametrize("row", (1 << 4, 1 << 70, -1))
+    def test_row_off_the_part_rejected_before_the_transpose(self, row):
+        g = BipartiteGraph.complete(4, 4)
+        with pytest.raises(InvalidArgumentError, match="red row of 1:2 marks a non-edge"):
+            TwoColouring.from_red_rows(g, (0, 0, row, 0))
+
+    def test_checked_rows_build_the_same_colouring(self):
+        g = k44_minus_00()
+        red1 = tuple(g.row(1, i) & 0b0101 for i in range(4))
+        col = TwoColouring(g, red1, transpose_rows(red1, 4))
+        assert col == TwoColouring.from_red_rows(g, red1)
+        assert col.swapped().swapped() == col
+
+
+def test_graph_imports_nothing_of_the_package_but_errors():
+    # The validators must not depend on the constructions they referee.
+    tree = ast.parse(Path(__file__).parent.parent.joinpath("src/bipcover/graph.py").read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("bipcover")):
+            package.add((node.level, node.module))
+        elif isinstance(node, ast.Import):
+            package.update((0, a.name) for a in node.names if a.name.startswith("bipcover"))
+    assert package == {(1, "errors")}
+
+
+FOREIGN = ("3:0", "1:n+2", "2:-1")
+MUTATIONS = ("drop-edge", "add-edge", "flip-colour", "drop-vertex", "copy-to-uncovered",
+             "foreign-in-tree", "foreign-in-uncovered", "reverse-edge", "part1-edge", "split")
+
+
+def tree_side(edges, start):
+    """The vertices joined to ``start`` by ``edges``."""
+    side, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in side:
+                    side.add(y)
+                    stack.append(y)
+    return side
+
+
+def mutated(data, g, cover):
+    """``cover`` with one drawn mutation applied."""
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    trees, uncovered = list(cover.trees), set(cover.uncovered)
+    foreign = {"3:0": Vertex(3, 0), "1:n+2": Vertex(1, g.n1 + 2),
+               "2:-1": Vertex(2, -1)}[data.draw(st.sampled_from(FOREIGN))]
+    if kind == "foreign-in-uncovered" or not trees:
+        return TreeCover(cover.trees, frozenset(uncovered | {foreign}))
+    t = data.draw(st.integers(0, len(trees) - 1))
+    colour, vertices, edges = trees[t].colour, set(trees[t].vertices), list(trees[t].edges)
+    k = data.draw(st.integers(0, max(len(edges) - 1, 0)))
+    some_vertex = data.draw(st.sampled_from(sorted(vertices))) if vertices else foreign
+    i, i2 = data.draw(st.integers(0, g.n1 - 1)), data.draw(st.integers(0, g.n1 - 1))
+    j = data.draw(st.integers(0, g.n2 - 1))
+    if kind == "drop-edge" and edges:
+        del edges[k]
+    elif kind == "add-edge":
+        edges.append((Vertex(1, i), Vertex(2, j)))
+    elif kind == "flip-colour":
+        colour = colour.other
+    elif kind == "drop-vertex":
+        vertices.discard(some_vertex)
+    elif kind == "copy-to-uncovered":
+        uncovered.add(some_vertex)
+    elif kind == "foreign-in-tree":
+        vertices.add(foreign)
+    elif kind == "reverse-edge" and edges:
+        edges[k] = edges[k][::-1]
+    elif kind == "part1-edge":
+        edges.append((Vertex(1, i), Vertex(1, i2)))
+    elif kind == "split" and edges:
+        # Cut edge k: two trees, each valid if the original was.
+        rest = edges[:k] + edges[k + 1:]
+        side = tree_side(rest, edges[k][0])
+        trees.insert(t + 1, MonoTree(colour, frozenset(vertices - side),
+                                     tuple(e for e in rest if e[0] not in side)))
+        vertices &= side
+        edges = [e for e in rest if e[0] in side]
+    trees[t] = MonoTree(colour, frozenset(vertices), tuple(edges))
+    return TreeCover(tuple(trees), frozenset(uncovered))
+
+
+class TestValidatorOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(6, 40), st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))),
+           st.integers(0, 2 ** 32), st.booleans(), st.data())
+    def test_violations_match_the_reference_validator(self, n, p, seed, lower3, data):
+        g = sample_bipartite(ModelParams(n, n, p), seed)
+        col = sample_colouring(g, Fraction(1, 2), seed)
+        if lower3:
+            try:
+                col, _ = colour_lower3(g)
+            except ConstructionInfeasibleError:
+                pass
+        cover, _ = almost_cover(g, col, CoverParams(p=p, seed=seed))
+        assert validate_cover(g, col, cover).violations == []
+        assert reference_validate_cover(g, col, cover) == []
+        for _ in range(data.draw(st.integers(1, 3))):
+            cover = mutated(data, g, cover)
+            assert validate_cover(g, col, cover).violations == \
+                reference_validate_cover(g, col, cover)

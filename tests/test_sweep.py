@@ -255,3 +255,10 @@ def test_parse_records_names_a_malformed_line():
     for bad in ("12,1,2,5,uniform", row.replace(",3,", ",x,"), row.replace(",2,", ",0,")):
         with pytest.raises(BipcoverError, match="records line 4: malformed row"):
             parse_records(f"{RECORD_HEADER}\n{row}\n\n{bad}\n")
+
+
+def test_parse_records_rejects_a_valid_flag_it_never_writes():
+    row = "12,1,2,5,uniform,almost_cover,3,0,true,spanning,4"
+    for flag in ("maybe", "True", ""):
+        with pytest.raises(BipcoverError, match="records line 3: malformed row"):
+            parse_records(f"{RECORD_HEADER}\n{row}\n{row.replace('true', flag)}\n")
