@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex, lowest,
-                    rows_from_matrix, select_flags)
+                    rows_from_matrix, select, select_flags)
 from .rng import RandomStream, threshold_u64
 
 T = TypeVar("T")
@@ -34,6 +34,19 @@ class ConstructionRun:
             raise InvalidArgumentError(f"{name} needs a colouring of the given graph")
         self.g, self.col, self.params, self.n = g, colouring, params, g.n1
         self.rng = RandomStream(params.seed)
+
+    def matched_split(self, part: int, pool: int, first: int, second: int,
+                      colour: Colour, floor) -> tuple[int, int, int]:
+        """``coin_split`` of ``pool``, redrawn up to ``retry_limit`` times until
+        each vertex of ``part`` in ``first`` (``second``) has at least ``floor``
+        edges of ``colour`` (``colour.other``) into the first (second) half:
+        (first half, second half, the vertices short in the last draw)."""
+        crow = self.col.coloured_row
+        (half, other_half), short = retry_draw(
+            self.params.retry_limit, lambda: coin_split(self.rng, pool),
+            lambda h: select(first, lambda x: (crow(part, x, colour) & h[0]).bit_count() < floor)
+            | select(second, lambda x: (crow(part, x, colour.other) & h[1]).bit_count() < floor))
+        return half, other_half, short
 
 
 def heavy_masks(g: BipartiteGraph, colouring: TwoColouring,

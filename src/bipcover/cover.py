@@ -10,7 +10,8 @@ whose density is calibrated by the parameter ``p``:
    between their neighbourhoods.
 3. Jokers are minority-root neighbours with many majority-coloured
    common neighbours with the majority root; they can join either tree,
-   so their tree preference is drawn uniformly at random.
+   so their tree preference is drawn by coin in the matched split that
+   ``construct.ConstructionRun.matched_split`` shares with partition3.
 4. Every other vertex of the minority root's part with enough joker
    neighbours gets the preference colour in which it sees more jokers,
    and is attached through a preference-matching joker.  Vertices with
@@ -33,8 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .construct import (AuditReport, ConstructionRun, coin_split, heavy_masks, orient,
-                        pick_roots, retry_draw)
+from .construct import AuditReport, ConstructionRun, heavy_masks, orient, pick_roots
 from .errors import InvalidArgumentError, PropertyFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoTree, TreeCover,
                     TwoColouring, Vertex, components_from_rows, edges_between,
@@ -161,20 +161,16 @@ class _Pipeline(ConstructionRun):
 
         A vertex is attachable with at least thr_attach joker neighbours and
         prefers ``first`` with at least thr_pref ``first``-coloured ones.
-        The jokers are split by coin, retried until every attachable vertex
-        has an edge of its preferred colour into that colour's half; the
-        vertices still without one are unmatched."""
+        The jokers go through ``matched_split`` with floor 1: every
+        attachable vertex needs an edge of its preferred colour into that
+        colour's half, and the vertices still without one are unmatched."""
         g, crow = self.g, self.col.coloured_row
         attachable = select(rest, lambda x: (g.row(part, x) & jokers).bit_count()
                             >= self.thr_attach)
         pref = select(attachable, lambda x: (crow(part, x, first) & jokers).bit_count()
                       >= self.thr_pref)
-        (half, other_half), failed = retry_draw(
-            self.params.retry_limit, lambda: coin_split(self.rng, jokers),
-            lambda d: (select(pref, lambda x: not crow(part, x, first) & d[0])
-                       | select(attachable & ~pref,
-                                lambda x: not crow(part, x, first.other) & d[1])))
-        return attachable, pref, half, other_half, failed
+        return attachable, pref, *self.matched_split(part, jokers, pref, attachable & ~pref,
+                                                     first, 1)
 
     # -- pipeline ----------------------------------------------------------
 

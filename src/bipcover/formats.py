@@ -74,9 +74,10 @@ def _first(mask: np.ndarray, stop: int) -> int:
     return int(hits[0]) if hits.size else stop
 
 
-def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
-    if fields[0] != "bipartite" or len(fields) != 3:
-        raise FormatError(f"line {lineno}: expected 'bipartite <n1> <n2>'")
+def _parse_header(fields: list[str], lineno: int, directive: str) -> tuple[int, int]:
+    """The part sizes of a '<directive> <n1> <n2>' header line."""
+    if fields[0] != directive or len(fields) != 3:
+        raise FormatError(f"line {lineno}: expected '{directive} <n1> <n2>'")
     try:
         n1, n2 = int(fields[1]), int(fields[2])
     except ValueError:
@@ -163,7 +164,7 @@ def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]
         raise FormatError("missing 'bipartite <n1> <n2>' header")
     counts = counts[content]
     starts = np.cumsum(counts) - counts
-    n1, n2 = _parse_header(tokens[:counts[0]].tolist(), content[0] + 1)
+    n1, n2 = _parse_header(tokens[:counts[0]].tolist(), content[0] + 1, "bipartite")
     i, j, codes = _parse_edge_lines(tokens, starts[1:], counts[1:], content[1:] + 1, n1, n2)
     graph = BipartiteGraph(n1, n2, *rows_from_edges(n1, n2, i, j))
     if codes is None:
@@ -232,7 +233,7 @@ def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = (
 
 def parse_cover(source: str | TextIO) -> TreeCover:
     trees: list[MonoTree] = []
-    uncovered: frozenset[Vertex] = frozenset()
+    uncovered: frozenset[Vertex] | None = None
     colour: Colour | None = None
     vertices: list[Vertex] = []
     edges: list[tuple[Vertex, Vertex]] = []
@@ -241,10 +242,11 @@ def parse_cover(source: str | TextIO) -> TreeCover:
         fields = line.split()
         kind = fields[0]
         if not header_seen:
-            if kind != "cover" or len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected 'cover <n1> <n2>'")
+            _parse_header(fields, lineno, "cover")
             header_seen = True
             continue
+        if kind in ("vertices", "edges") and colour is None:
+            raise FormatError(f"line {lineno}: '{kind}' outside a tree block")
         if kind == "tree":
             if colour is not None:
                 raise FormatError(f"line {lineno}: previous tree not ended")
@@ -267,6 +269,10 @@ def parse_cover(source: str | TextIO) -> TreeCover:
             trees.append(MonoTree(colour, frozenset(vertices), tuple(edges)))
             colour = None
         elif kind == "uncovered":
+            if colour is not None:
+                raise FormatError(f"line {lineno}: 'uncovered' inside a tree block")
+            if uncovered is not None:
+                raise FormatError(f"line {lineno}: second 'uncovered' line")
             uncovered = frozenset(_parse_vertex(t, lineno) for t in fields[1:])
         else:
             raise FormatError(f"line {lineno}: unknown directive {kind!r}")
@@ -274,7 +280,7 @@ def parse_cover(source: str | TextIO) -> TreeCover:
         raise FormatError("unterminated tree block")
     if not header_seen:
         raise FormatError("missing 'cover <n1> <n2>' header")
-    return TreeCover(tuple(trees), uncovered)
+    return TreeCover(tuple(trees), uncovered or frozenset())
 
 
 def write_partition(partition: MonoPartition, g: BipartiteGraph,
@@ -295,8 +301,7 @@ def parse_partition(source: str | TextIO) -> MonoPartition:
     for lineno, line in content_lines(source):
         fields = line.split()
         if not header_seen:
-            if fields[0] != "partition" or len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected 'partition <n1> <n2>'")
+            _parse_header(fields, lineno, "partition")
             header_seen = True
             continue
         if fields[0] != "part" or len(fields) < 2 or fields[1] not in _RB:

@@ -15,13 +15,13 @@ Requires minimum degree at least (13/16 + delta) * n.  Outline:
    random sample (so that its part is mostly free for re-assignment),
    retried until every joker keeps majority edges into the sample.
 4. Every remaining vertex on the sample's side prefers a colour in
-   which it has many joker neighbours; joker preferences are drawn at
-   random and retried until everyone keeps enough matching jokers.
+   which it has many joker neighbours; the jokers are split by the
+   shared ``matched_split`` until everyone keeps enough matching jokers.
 5. The remaining vertices on the other side attach through whichever of
    the two preference classes grew large; if some vertex has no edge of
-   that colour there, a relink set around it is re-randomised so that
-   everybody can still pick a colour, at the cost of the majority class
-   splitting into at most two connected parts.
+   that colour there, a relink set around it is split by ``matched_split``
+   so that everybody can still pick a colour, at the cost of the majority
+   class splitting into at most two connected parts.
 
 Every probabilistic step verifies its matching condition and retries up
 to ``retry_limit``.  PartitionFailureError names the step that failed:
@@ -35,10 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
-from .construct import (AuditReport, ConstructionRun, bernoulli_subset, coin_split,
-                        heavy_masks, orient, pick_roots, retry_draw)
+from .construct import (AuditReport, ConstructionRun, bernoulli_subset, heavy_masks,
+                        orient, pick_roots, retry_draw)
 from .errors import InvalidArgumentError, PartitionFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
                     TwoColouring, Vertex, components_from_rows, edges_between,
@@ -46,6 +45,7 @@ from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
 from .models import as_fraction
 
 SUBSAMPLE_CAP = Fraction(1, 25)  # keeps the sampled side mostly intact
+BRANCHES = ("one-colour", "two-parts", "relink")  # the values of PartitionState.branch
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class PartitionState:
     n: int
     delta: Fraction
     subsample_p: Fraction
-    branch: str  # "one-colour", "two-parts", or "relink"
+    branch: str  # one of BRANCHES
     heavy_red: frozenset[Vertex] = frozenset()
     heavy_blue: frozenset[Vertex] = frozenset()
     root_red: Vertex | None = None
@@ -139,8 +139,7 @@ class _Run(ConstructionRun):
         comps = components_from_rows(self.g.n1, self.g.n2, *self.col.layer_rows(colour))
         parts = tuple((colour, vertex_set(m1, m2)) for m1, m2 in comps)
         for colour_, part in parts:
-            for v in part:
-                state.preference[v] = colour_
+            state.preference.update(dict.fromkeys(part, colour_))
         return MonoPartition(parts)
 
     def _deep(self, state: PartitionState, root_red: Vertex,
@@ -201,32 +200,24 @@ class _Run(ConstructionRun):
         # Everyone else on the sample's side picks the colour with more
         # joker neighbours (guaranteed at least delta*n/2 in one colour).
         bulk = ((1 << g.part_size(side_p_base)) - 1) & ~(1 << root_s.index) & ~sample
-        bulk_choice: dict[int, Colour] = {}
-        for w in iter_bits(bulk):
-            cnt_p = (crow(side_p_base, w, maj) & jokers).bit_count()
-            cnt_s = (crow(side_p_base, w, minr) & jokers).bit_count()
-            bulk_choice[w] = maj if cnt_p >= cnt_s else minr
+        bulk_p = select(bulk, lambda w: (crow(side_p_base, w, maj) & jokers).bit_count()
+                        >= (crow(side_p_base, w, minr) & jokers).bit_count())
+        bulk_s = bulk & ~bulk_p
 
         # Joker preference draw: every bulk vertex must keep enough
         # matching jokers of its chosen colour.
         match_floor = delta * n / 8
-
-        def matches(drawn: tuple[int, int]) -> Iterator[int]:
-            jok_p, jok_s = drawn
-            return ((crow(side_p_base, w, cw) & (jok_p if cw is maj else jok_s)).bit_count()
-                    for w, cw in bulk_choice.items())
-
-        (jok_p, jok_s), failed = retry_draw(
-            retry, lambda: coin_split(self.rng, jokers),
-            lambda d: any(cnt < match_floor for cnt in matches(d)))
+        jok_p, jok_s, failed = self.matched_split(side_p_base, jokers, bulk_p, bulk_s,
+                                                  maj, match_floor)
         if failed:
             raise PartitionFailureError(
                 "joker-retry", f"some bulk vertex kept fewer than "
                 f"{float(match_floor):.1f} matching jokers in {retry} draws")
-        state.min_bulk_matches = min(matches((jok_p, jok_s)), default=None)
+        state.min_bulk_matches = min(
+            [(crow(side_p_base, w, c) & half).bit_count()
+             for mask, c, half in ((bulk_p, maj, jok_p), (bulk_s, minr, jok_s))
+             for w in iter_bits(mask)], default=None)
 
-        bulk_p = select(bulk, lambda w: bulk_choice[w] is maj)
-        bulk_s = bulk & ~bulk_p
         bulk_red, bulk_blue = orient(maj, bulk_p, bulk_s)
         state.bulk = frozenset(part_vertices(side_p_base, bulk))
         state.bulk_red = frozenset(part_vertices(side_p_base, bulk_red))
@@ -249,8 +240,8 @@ class _Run(ConstructionRun):
         prefs.update(dict.fromkeys(part_vertices(side_s_base, base_s & ~jokers), minr))
         prefs.update(dict.fromkeys(part_vertices(side_s_base, jok_p), maj))
         prefs.update(dict.fromkeys(part_vertices(side_s_base, jok_s), minr))
-        for w, cw in bulk_choice.items():
-            prefs[Vertex(side_p_base, w)] = cw
+        for w in iter_bits(bulk):
+            prefs[Vertex(side_p_base, w)] = maj if bulk_p >> w & 1 else minr
         # note: base_p minus the sample is part of the bulk, already chosen
 
         stuck = select(rest, lambda u: not crow(side_s_base, u, big_colour) & big_mask)
@@ -272,27 +263,18 @@ class _Run(ConstructionRun):
         relink = _lowest_k(relink_pool, relink_size)
         state.relink = frozenset(part_vertices(side_p_base, relink))
 
-        rest_choice: dict[int, Colour] = {}
-        for u in iter_bits(rest):
-            cnt_other = (crow(side_s_base, u, other_colour) & relink).bit_count()
-            cnt_big = (crow(side_s_base, u, big_colour) & relink).bit_count()
-            if cnt_other + cnt_big < 2 * delta * n:
-                raise PartitionFailureError(
-                    "relink-degree", f"vertex {side_s_base}:{u} sees only "
-                    f"{cnt_other + cnt_big} relink vertices")
-            # relink-degree leaves the larger count at least delta*n
-            rest_choice[u] = other_colour if cnt_other >= cnt_big else big_colour
+        few = select(rest, lambda u: (g.row(side_s_base, u) & relink).bit_count() < 2 * delta * n)
+        if few:
+            raise PartitionFailureError(
+                "relink-degree", f"vertex {side_s_base}:{lowest(few)} sees only "
+                f"{(g.row(side_s_base, lowest(few)) & relink).bit_count()} relink vertices")
+        # u takes other_colour if it has half of u's (>= 2*delta*n) relink edges.
+        rest_other = select(rest, lambda u: 2 * (crow(side_s_base, u, other_colour) & relink)
+                            .bit_count() >= (g.row(side_s_base, u) & relink).bit_count())
 
         half_floor = delta * n / 2
-
-        def short(drawn: tuple[int, int]) -> bool:
-            relink_other, relink_big = drawn
-            return any((crow(side_s_base, u, cu)
-                        & (relink_other if cu is other_colour else relink_big)).bit_count()
-                       < half_floor for u, cu in rest_choice.items())
-
-        (relink_other, relink_big), failed = retry_draw(
-            retry, lambda: coin_split(self.rng, relink), short)
+        relink_other, relink_big, failed = self.matched_split(
+            side_s_base, relink, rest_other, rest & ~rest_other, other_colour, half_floor)
         if failed:
             raise PartitionFailureError(
                 "relink-retry", f"some leftover vertex kept fewer than "
@@ -300,8 +282,8 @@ class _Run(ConstructionRun):
 
         prefs.update(dict.fromkeys(part_vertices(side_p_base, relink_other), other_colour))
         prefs.update(dict.fromkeys(part_vertices(side_p_base, relink_big), big_colour))
-        for u, cu in rest_choice.items():
-            prefs[Vertex(side_s_base, u)] = cu
+        for u in iter_bits(rest):
+            prefs[Vertex(side_s_base, u)] = other_colour if rest_other >> u & 1 else big_colour
         state.preference = prefs
         partition = self._assemble(prefs, {other_colour: 2, big_colour: 1})
         return partition, state

@@ -32,14 +32,14 @@ from typing import Callable
 
 from .adversary import colour_lower3, colour_lower4
 from .construct import AuditReport
-from .cover import CoverParams, almost_cover, audit_state
+from .cover import CoverCase, CoverParams, almost_cover, audit_state
 from .errors import BipcoverError
 from .exact import ExactResult, tc_exact
 from .formats import content_lines
 from .graph import (BipartiteGraph, MonoPartition, TreeCover, TwoColouring,
                     ValidationReport, monochromatic_components, validate_cover,
                     validate_partition)
-from .mindeg import PartitionParams, audit_partition_state, partition3
+from .mindeg import BRANCHES, PartitionParams, audit_partition_state, partition3
 from .models import (ModelParams, as_fraction, sample_bipartite,
                      sample_colouring, sample_mindeg_subgraph)
 from .rng import TAG_SWEEP, combine
@@ -51,6 +51,9 @@ SUMMARY_HEADER = ("n,p_num,p_den,source,algorithm,trials,valid_rate,error_rate,"
 
 SOURCES = ("uniform", "lower3", "lower4")
 ALGORITHMS = ("almost_cover", "partition3", "exact_tc")
+# The case column: a cover case, a partition3 branch, "exact" for tc_exact
+# (run_construction) or "error" for a failed trial (_trial).
+CASES = frozenset((*(c.value for c in CoverCase), *BRANCHES, "exact", "error"))
 
 
 @dataclass(frozen=True)
@@ -227,16 +230,19 @@ def parse_records(text: str) -> list[SweepRecord]:
         try:
             (n, p_num, p_den, seed, source, algorithm, trees, uncovered,
              valid, case, runtime_ms) = line.split(",")
-            p = Fraction(int(p_num), int(p_den))
-            if not 0 < p <= 1 or valid not in ("true", "false"):
-                raise ValueError("p outside (0, 1] or valid not true/false")
-            records.append(SweepRecord(
-                n=int(n), p=p, seed=int(seed),
+            record = SweepRecord(
+                n=int(n), p=Fraction(int(p_num), int(p_den)), seed=int(seed),
                 source=source, algorithm=algorithm, trees=int(trees),
                 uncovered=int(uncovered), valid=valid == "true", case=case,
                 runtime_ms=int(runtime_ms),
                 # Only a caught BipcoverError writes case "error"; its class is not kept.
-                error="BipcoverError" if case == "error" else ""))
+                error="BipcoverError" if case == "error" else "")
+            if (not 0 < record.p <= 1 or valid not in ("true", "false")
+                    or source not in SOURCES or algorithm not in ALGORITHMS
+                    or case not in CASES or record.n < 1
+                    or min(record.trees, record.uncovered, record.runtime_ms) < 0):
+                raise ValueError("a value that records_to_csv never writes")
+            records.append(record)
         except (ValueError, ZeroDivisionError) as exc:
             raise BipcoverError(f"records line {lineno}: malformed row") from exc
     return records

@@ -15,7 +15,7 @@ import numpy as np
 from bipcover import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex)
 from bipcover.errors import InvalidArgumentError
 from bipcover.exact import KnnReport, _component_masks, _maximal, _min_cover
-from bipcover.graph import select
+from bipcover.graph import components_from_rows, select, vertex_masks
 from bipcover.rng import _GOLDEN, _MIX1, _MIX2, MASK64, TAG_MINDEG, combine
 
 
@@ -163,6 +163,38 @@ def reference_validate_cover(g, colouring, cover) -> list[str]:
         report.append(f"coverage: {len(missing)} vertices unaccounted, e.g. {sorted(missing)[0]}")
     if extra:
         report.append(f"coverage: {len(extra)} foreign vertices, e.g. {sorted(extra)[0]}")
+    return report
+
+
+def reference_validate_partition(g, colouring, partition) -> list[str]:
+    """The violations ``validate_partition`` must report, message for message.
+
+    A frozen copy of the partition validator as it stands before the
+    validators move to masks: same checks, same order, same wording.
+    """
+    report: list[str] = []
+    seen: set[Vertex] = set()
+    for k, (colour, part) in enumerate(partition.parts):
+        if not part:
+            report.append(f"part {k}: empty")
+            continue
+        for v in part:
+            try:
+                g.check_vertex(v)
+            except InvalidArgumentError:
+                report.append(f"part {k}: vertex {v} not in graph")
+                return report
+        overlap = seen & part
+        if overlap:
+            report.append(f"part {k} overlaps an earlier part at {sorted(overlap)[0]}")
+        seen |= part
+        inside = components_from_rows(g.n1, g.n2, *colouring.layer_rows(colour),
+                                      *vertex_masks(g, part))
+        if len(inside) != 1:
+            report.append(f"part {k}: {len(inside)} {colour.token}-components, expected 1")
+    missing = set(g.vertices()) - seen
+    if missing:
+        report.append(f"coverage: {len(missing)} vertices missing, e.g. {sorted(missing)[0]}")
     return report
 
 

@@ -221,6 +221,15 @@ def test_summarise_rejects_p_outside_the_unit_interval(tmp_path, capsys, p_num, 
     assert err == "bipcover: records line 2: malformed row\n"
 
 
+def test_summarise_rejects_a_row_sweep_never_writes(tmp_path, capsys):
+    # Unknown source, algorithm and case, negative counts and runtime.
+    from bipcover.sweep import RECORD_HEADER
+    records = tmp_path / "r.csv"
+    records.write_text(f"{RECORD_HEADER}\n12,1,2,5,bogus,nope,-3,-7,true,whatever,-1\n")
+    err = _fails_cleanly(capsys, "summarise", str(records))
+    assert err == "bipcover: records line 2: malformed row\n"
+
+
 @pytest.mark.parametrize("command, flags", (("summarise", []), ("sweep", ["--config"]),
                                            ("check", ["--p", "0.5"]),
                                            ("cover", ["--p", "0.5"])),

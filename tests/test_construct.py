@@ -1,18 +1,24 @@
 """The steps almost_cover and partition3 share: seeded splits and retries."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, CoverParams, ModelParams, PartitionParams,
                       TwoColouring, almost_cover, colour_lower3, partition3, sample_bipartite,
                       sample_colouring)
-from bipcover.construct import bernoulli_subset, coin_split, heavy_masks, retry_draw
+from bipcover.construct import (ConstructionRun, bernoulli_subset, coin_split, heavy_masks,
+                                retry_draw)
 from bipcover.errors import InvalidArgumentError
 from bipcover.graph import iter_bits, select, select_flags
 from bipcover.rng import RandomStream
-from conftest import naive_bernoulli_subset, naive_coin_split, naive_heavy_masks
+from conftest import (graph_from_coloured_edges, naive_bernoulli_subset, naive_coin_split,
+                      naive_heavy_masks)
 
 MASKS = (0, 1, 0b1011_0010_0110, (1 << 70) | (1 << 3) | 1, (1 << 64) - 1)
 
@@ -149,3 +155,79 @@ def test_equal_graph_objects_are_the_same_graph():
     partition, _ = partition3(g1, TwoColouring.monochromatic(g2, BLUE),
                               PartitionParams(delta=Fraction(1, 20)))
     assert len(partition.parts) == 1
+
+
+def naive_matched_split(rng, g, col, part, pool, first, second, colour, floor, limit):
+    """Scalar coin splits of ``pool`` until no vertex of ``first`` (``second``)
+    has fewer than ``floor`` ``colour`` (other colour) edges into its half,
+    counted edge by edge; at most ``limit`` draws."""
+    def seen(x, c, half):
+        pairs = [(x, y) if part == 1 else (y, x) for y in iter_bits(half)]
+        return sum(1 for i, j in pairs if g.has_edge(i, j) and col.colour_of(i, j) is c)
+
+    for _ in range(limit):
+        half, other_half = naive_coin_split(rng, pool)
+        short = 0
+        for x in range(g.part_size(part)):
+            if (first >> x & 1 and seen(x, colour, half) < floor
+                    or second >> x & 1 and seen(x, colour.other, other_half) < floor):
+                short |= 1 << x
+        if not short:
+            break
+    return half, other_half, short
+
+
+@st.composite
+def split_inputs(draw):
+    n = draw(st.integers(1, 10))
+    edges = [(i, j, draw(st.sampled_from((RED, BLUE))))
+             for i in range(n) for j in range(n) if draw(st.booleans())]
+    g, col = graph_from_coloured_edges(n, n, edges)
+    part = draw(st.sampled_from((1, 2)))
+    pool = draw(st.integers(0, (1 << n) - 1))
+    roles = [draw(st.sampled_from((0, 1, 2))) for _ in range(n)]
+    first = sum(1 << x for x, r in enumerate(roles) if r == 1)
+    second = sum(1 << x for x, r in enumerate(roles) if r == 2)
+    return g, col, part, pool, first, second
+
+
+@settings(deadline=None, max_examples=300)
+@given(split_inputs(), st.sampled_from((RED, BLUE)),
+       st.sampled_from((1, 2, 3, Fraction(5, 2))), st.sampled_from((1, 2, 5)),
+       st.integers(0, 2 ** 64 - 1))
+def test_matched_split_matches_a_naive_retry_loop(inputs, colour, floor, limit, seed):
+    g, col, part, pool, first, second = inputs
+    run = ConstructionRun("split", g, col, CoverParams(p=Fraction(1, 2), retry_limit=limit,
+                                                       seed=seed))
+    ref = RandomStream(seed)
+    assert run.matched_split(part, pool, first, second, colour, floor) == \
+        naive_matched_split(ref, g, col, part, pool, first, second, colour, floor, limit)
+    assert run.rng.block(1).tolist() == ref.block(1).tolist()
+
+
+@pytest.mark.parametrize("limit", (1, 4))
+def test_matched_split_exhausts_on_an_unreachable_floor(limit):
+    g = BipartiteGraph.complete(6, 6)
+    col = sample_colouring(g, Fraction(1, 2), 3)
+    run = ConstructionRun("split", g, col, CoverParams(p=Fraction(1, 2), retry_limit=limit,
+                                                       seed=9))
+    ref = RandomStream(9)
+    # Seven edges into a five-vertex pool are out of reach: every draw is
+    # spent and every vertex of first and second stays short.
+    half, other_half, short = run.matched_split(2, 0b11111, 0b101, 0b010, RED, 7)
+    draws = [coin_split(ref, 0b11111) for _ in range(limit)]
+    assert (half, other_half, short) == (*draws[-1], 0b111)
+    assert run.rng.next_u64() == ref.next_u64()
+
+
+def test_coin_splits_stay_in_construct():
+    # The coin-split retry rule lives in ConstructionRun.matched_split;
+    # the constructions call it rather than drawing splits themselves.
+    src = Path(__file__).parent.parent / "src" / "bipcover"
+    imported = {}
+    for name in ("cover", "mindeg"):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        imported[name] = {a.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "coin_split" not in imported["cover"] | imported["mindeg"]
+    assert "retry_draw" not in imported["cover"]

@@ -328,3 +328,32 @@ def test_write_graph_without_edges_on_many_colours():
     g = BipartiteGraph.from_edges(2, 3, [])
     col = RColouring(g, [((0, 0), (0, 0, 0))] * 3)
     assert write_graph(g, col) == "bipartite 2 3\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cover 2 2\nvertices 1:0\ntree R\nvertices 1:1\nend\nuncovered\n",
+     "line 2: 'vertices' outside a tree block"),
+    ("cover 2 2\ntree R\nvertices 1:0\nend\nedges 0-0\nuncovered\n",
+     "line 5: 'edges' outside a tree block"),
+    ("cover 2 2\nuncovered 1:0\nuncovered 1:1\n", "line 3: second 'uncovered' line"),
+    ("cover 2 2\ntree R\nvertices 1:0\nuncovered 1:1\nend\n",
+     "line 4: 'uncovered' inside a tree block"),
+    ("cover x y\nuncovered\n", "line 1: part sizes must be integers"),
+    ("cover 0 2\nuncovered\n", "line 1: part sizes must be positive"),
+    ("# c\ncover 2\nuncovered\n", "line 2: expected 'cover <n1> <n2>'"),
+], ids=("vertices-outside", "edges-outside", "second-uncovered", "uncovered-inside",
+        "header-not-integers", "header-not-positive", "header-short"))
+def test_parse_cover_rejects_what_write_cover_never_writes(text, message):
+    # Each of these used to drop or overwrite vertices without a word.
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_cover(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("partition a b\npart R 1:0 2:0\n", "line 1: part sizes must be integers"),
+    ("partition 1 -1\npart R 1:0 2:0\n", "line 1: part sizes must be positive"),
+    ("partition 1 1 1\npart R 1:0 2:0\n", "line 1: expected 'partition <n1> <n2>'"),
+], ids=("not-integers", "not-positive", "long"))
+def test_parse_partition_rejects_a_header_write_partition_never_writes(text, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_partition(text)

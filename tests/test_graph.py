@@ -15,18 +15,18 @@ from bipcover import (BLUE, RED, BipartiteGraph, MonoPartition, MonoTree,
                       edge_count_between, monochromatic_components,
                       sample_bipartite, sample_colouring, spanning_tree_of,
                       validate_cover, validate_partition)
-from bipcover import CoverParams, almost_cover, colour_lower3
-from bipcover.errors import InvalidArgumentError, NotConnectedError
+from bipcover import CoverParams, PartitionParams, almost_cover, colour_lower3, partition3
+from bipcover.errors import InvalidArgumentError, NotConnectedError, PartitionFailureError
 from bipcover.errors import ConstructionInfeasibleError
 from bipcover.graph import (components_from_rows, rows_from_edges, rows_from_matrix,
                             rows_to_matrix, transpose_rows)
-from bipcover.models import ModelParams
+from bipcover.models import ModelParams, sample_mindeg_subgraph
 from bipcover.formats import parse_graph
 from conftest import (graph_from_coloured_edges, matching_graph, naive_colour_of,
                       naive_components, naive_matrix, naive_rows_from_edges,
                       naive_transpose, naive_validate_cover,
                       naive_validate_partition)
-from conftest import reference_validate_cover
+from conftest import reference_validate_cover, reference_validate_partition
 
 
 def v1(i):
@@ -649,3 +649,66 @@ class TestValidatorOracle:
             cover = mutated(data, g, cover)
             assert validate_cover(g, col, cover).violations == \
                 reference_validate_cover(g, col, cover)
+
+
+PARTITION_MUTATIONS = ("drop-vertex", "move-vertex", "duplicate-vertex", "flip-colour",
+                       "foreign-vertex", "empty-part", "split-part")
+
+
+def mutated_partition(data, g, partition):
+    """``partition`` with one drawn mutation applied."""
+    kind = data.draw(st.sampled_from(PARTITION_MUTATIONS))
+    parts = [(colour, set(part)) for colour, part in partition.parts]
+    k, other = (data.draw(st.integers(0, len(parts) - 1)) for _ in range(2))
+    colour, part = parts[k]
+    v = data.draw(st.sampled_from(sorted(part))) if part else None
+    if kind == "foreign-vertex" or v is None:
+        part.add({"3:0": Vertex(3, 0), "1:n+2": Vertex(1, g.n1 + 2),
+                  "2:-1": Vertex(2, -1)}[data.draw(st.sampled_from(FOREIGN))])
+    elif kind == "drop-vertex":
+        part.discard(v)
+    elif kind == "move-vertex":
+        part.discard(v)
+        parts[other][1].add(v)
+    elif kind == "duplicate-vertex":
+        parts[other][1].add(v)
+    elif kind == "flip-colour":
+        parts[k] = (colour.other, part)
+    elif kind == "empty-part":
+        part.clear()
+    else:  # split-part: a drawn nonempty share of the part becomes a part of its own
+        share = set(data.draw(st.lists(st.sampled_from(sorted(part)), min_size=1)))
+        if share != part:
+            parts.insert(k + 1, (colour, share))
+            part -= share
+    return MonoPartition(tuple((c, frozenset(p)) for c, p in parts))
+
+
+class TestPartitionValidatorOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(16, 64), st.sampled_from((Fraction(1, 100), Fraction(1, 20),
+                                                  Fraction(1, 10))),
+           st.integers(0, 2 ** 32), st.sampled_from(("uniform", "rows", "lower3")),
+           st.booleans(), st.data())
+    def test_violations_match_the_reference_validator(self, n, delta, seed, source, swap,
+                                                      data):
+        g = sample_mindeg_subgraph(n, Fraction(13, 16) + delta, seed)
+        try:
+            if source == "uniform":
+                col = sample_colouring(g, data.draw(st.sampled_from(
+                    (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))), seed)
+            elif source == "rows":
+                cut = data.draw(st.integers(0, n))
+                col = TwoColouring.from_red_rows(g, [g.row(1, i) * (i < cut) for i in range(n)])
+            else:
+                col, _ = colour_lower3(g)
+            col = col.swapped() if swap else col
+            partition, _ = partition3(g, col, PartitionParams(delta=delta, seed=seed))
+        except (ConstructionInfeasibleError, PartitionFailureError):
+            return
+        assert validate_partition(g, col, partition).violations == []
+        assert reference_validate_partition(g, col, partition) == []
+        for _ in range(data.draw(st.integers(1, 3))):
+            partition = mutated_partition(data, g, partition)
+            assert validate_partition(g, col, partition).violations == \
+                reference_validate_partition(g, col, partition)

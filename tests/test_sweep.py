@@ -262,3 +262,24 @@ def test_parse_records_rejects_a_valid_flag_it_never_writes():
     for flag in ("maybe", "True", ""):
         with pytest.raises(BipcoverError, match="records line 3: malformed row"):
             parse_records(f"{RECORD_HEADER}\n{row}\n{row.replace('true', flag)}\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    (4, "bogus"), (5, "nope"), (9, "whatever"), (9, "Spanning"), (0, "0"), (0, "-12"),
+    (6, "-3"), (7, "-7"), (10, "-1"),
+], ids=("source", "algorithm", "case", "case-capitalised", "n-zero", "n-negative",
+        "trees", "uncovered", "runtime"))
+def test_parse_records_rejects_values_records_to_csv_never_writes(field, value):
+    row = "12,1,2,5,uniform,almost_cover,3,0,true,spanning,4".split(",")
+    row[field] = value
+    with pytest.raises(BipcoverError, match="records line 2: malformed row"):
+        parse_records(f"{RECORD_HEADER}\n{','.join(row)}\n")
+
+
+def test_parse_records_accepts_every_case_a_trial_writes():
+    # The cover cases, the partition3 branches, tc_exact's "exact" and "error".
+    cases = ("spanning", "third_tree", "leaf_attach", "one-colour", "two-parts", "relink",
+             "exact", "error")
+    rows = [f"12,1,2,5,uniform,almost_cover,0,0,false,{case},0" for case in cases]
+    assert [r.case for r in parse_records("\n".join([RECORD_HEADER, *rows]) + "\n")] == \
+        list(cases)
