@@ -190,11 +190,8 @@ class _Pipeline(ConstructionRun):
             raise PropertyFailureError(
                 "heavy-sets", "one colour has no heavy vertex and neither colour spans")
 
-        roots = pick_roots(heavy)
-        if roots is None:
-            raise PropertyFailureError(
-                "roots", "heavy vertices of the two colours only exist in one part")
-        root_red, root_blue = roots
+        # Not None: a vertex with an edge is heavy in its larger colour (3*dc > d).
+        root_red, root_blue = pick_roots(heavy)
 
         # Majority colour between the two root neighbourhoods.  nb lives on
         # root_red's side (it is the other root's neighbour mask), so its
@@ -205,12 +202,10 @@ class _Pipeline(ConstructionRun):
         e_red = edges_between(lambda i: crow(root_red.part, i, RED), nb, nr)
         e_blue = edges_between(lambda i: crow(root_red.part, i, BLUE), nb, nr)
 
-        state.case = CoverCase.LEAF_ATTACH
         state.root_red, state.root_blue = root_red, root_blue
         state.parts_swapped = root_red.part == 2
         state.majority = RED if e_red >= e_blue else BLUE
-        cover = self._construct(state)
-        return cover, state
+        return self._construct(state), state
 
     def _construct(self, state: CoverState) -> TreeCover:
         g, crow = self.g, self.col.coloured_row

@@ -42,8 +42,8 @@ class PartitionFailureError(BipcoverError):
     (both colours' heavy vertices in one part), ``base-edges`` or
     ``relink-degree`` (a bound broken by rounding at small n),
     ``sample-retry``, ``joker-retry`` or ``relink-retry`` (a retry loop
-    out of budget), or ``connectivity``.  Never raised after a partition
-    has been produced: callers get either a valid partition or this error."""
+    out of budget).  Never raised after a partition has been produced:
+    callers get either a valid partition or this error."""
 
     def __init__(self, step: str, message: str):
         self.step = step

@@ -54,8 +54,8 @@ def _component_masks(n1: int, n2: int, layers) -> dict[int, tuple[int, int, int]
 def _min_cover(universe: int, sets: list[int]) -> tuple[int, list[int], int]:
     """Exact minimum set cover by branch and bound.
 
-    Returns (size, chosen set indices, nodes explored).  ``sets`` must be
-    able to cover ``universe``.
+    Returns (size, chosen set indices, nodes explored).  ``sets`` must cover
+    ``universe``, as the maximal components of all layers, singletons included, do.
     """
     order = sorted(range(len(sets)), key=lambda k: -sets[k].bit_count())
     sets_by_size = [sets[k] for k in order]
@@ -65,8 +65,6 @@ def _min_cover(universe: int, sets: list[int]) -> tuple[int, list[int], int]:
     for v in iter_bits(universe):
         bit = 1 << v
         covering[v] = [k for k, s in enumerate(sets_by_size) if s & bit]
-        if not covering[v]:
-            raise InvalidArgumentError("universe element not covered by any set")
         cover_union[v] = 0
         for k in covering[v]:
             cover_union[v] |= sets_by_size[k]
@@ -190,8 +188,6 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
 
     def solve(remaining: int) -> tuple[int, list[tuple[int, int]]] | None:
         nonlocal nodes
-        if remaining == 0:
-            return 0, []
         if remaining in memo:
             return memo[remaining]
         nodes += 1
@@ -213,6 +209,7 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
                 tried.add(part)
                 if not allow_singletons and part.bit_count() < 2:
                     continue
+                # Nonempty: part == remaining met the one-part check, or was a banned singleton.
                 sub = solve(remaining & ~part)
                 if sub is None:
                     continue

@@ -209,6 +209,14 @@ def _parse_vertex(token: str, lineno: int) -> Vertex:
         raise FormatError(f"line {lineno}: bad vertex token {token!r}") from None
 
 
+def _outside(sizes: dict[int, int], lineno: int, vertices: Iterable[Vertex]) -> str | None:
+    """The error for the first of ``vertices`` outside the header's parts, if any."""
+    for v in vertices:
+        if not 0 <= v.index < sizes.get(v.part, 0):
+            return f"line {lineno}: vertex {v} outside the header's parts"
+    return None
+
+
 def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
     out = io.StringIO()
     for c in comments:
@@ -237,13 +245,13 @@ def parse_cover(source: str | TextIO) -> TreeCover:
     colour: Colour | None = None
     vertices: list[Vertex] = []
     edges: list[tuple[Vertex, Vertex]] = []
-    header_seen = False
+    sizes: dict[int, int] | None = None
+    stray = None  # the first vertex outside the header's parts, reported after all else
     for lineno, line in content_lines(source):
         fields = line.split()
         kind = fields[0]
-        if not header_seen:
-            _parse_header(fields, lineno, "cover")
-            header_seen = True
+        if sizes is None:
+            sizes = dict(zip((1, 2), _parse_header(fields, lineno, "cover")))
             continue
         if kind in ("vertices", "edges") and colour is None:
             raise FormatError(f"line {lineno}: '{kind}' outside a tree block")
@@ -255,7 +263,9 @@ def parse_cover(source: str | TextIO) -> TreeCover:
             colour = _RB[fields[1]]
             vertices, edges = [], []
         elif kind == "vertices":
-            vertices.extend(_parse_vertex(t, lineno) for t in fields[1:])
+            found = [_parse_vertex(t, lineno) for t in fields[1:]]
+            vertices.extend(found)
+            stray = stray or _outside(sizes, lineno, found)
         elif kind == "edges":
             for token in fields[1:]:
                 try:
@@ -263,6 +273,7 @@ def parse_cover(source: str | TextIO) -> TreeCover:
                     edges.append((Vertex(1, int(i)), Vertex(2, int(j))))
                 except ValueError:
                     raise FormatError(f"line {lineno}: bad edge token {token!r}") from None
+                stray = stray or _outside(sizes, lineno, edges[-1])
         elif kind == "end":
             if colour is None:
                 raise FormatError(f"line {lineno}: 'end' outside a tree block")
@@ -273,14 +284,20 @@ def parse_cover(source: str | TextIO) -> TreeCover:
                 raise FormatError(f"line {lineno}: 'uncovered' inside a tree block")
             if uncovered is not None:
                 raise FormatError(f"line {lineno}: second 'uncovered' line")
-            uncovered = frozenset(_parse_vertex(t, lineno) for t in fields[1:])
+            found = [_parse_vertex(t, lineno) for t in fields[1:]]
+            uncovered = frozenset(found)
+            stray = stray or _outside(sizes, lineno, found)
         else:
             raise FormatError(f"line {lineno}: unknown directive {kind!r}")
     if colour is not None:
         raise FormatError("unterminated tree block")
-    if not header_seen:
+    if sizes is None:
         raise FormatError("missing 'cover <n1> <n2>' header")
-    return TreeCover(tuple(trees), uncovered or frozenset())
+    if stray:
+        raise FormatError(stray)
+    if uncovered is None:
+        raise FormatError("missing 'uncovered' line")
+    return TreeCover(tuple(trees), uncovered)
 
 
 def write_partition(partition: MonoPartition, g: BipartiteGraph,
@@ -297,17 +314,20 @@ def write_partition(partition: MonoPartition, g: BipartiteGraph,
 
 def parse_partition(source: str | TextIO) -> MonoPartition:
     parts: list[tuple[Colour, frozenset[Vertex]]] = []
-    header_seen = False
+    sizes: dict[int, int] | None = None
+    stray = None  # as in parse_cover
     for lineno, line in content_lines(source):
         fields = line.split()
-        if not header_seen:
-            _parse_header(fields, lineno, "partition")
-            header_seen = True
+        if sizes is None:
+            sizes = dict(zip((1, 2), _parse_header(fields, lineno, "partition")))
             continue
         if fields[0] != "part" or len(fields) < 2 or fields[1] not in _RB:
             raise FormatError(f"line {lineno}: expected 'part <R|B> <vertices...>'")
-        colour = _RB[fields[1]]
-        parts.append((colour, frozenset(_parse_vertex(t, lineno) for t in fields[2:])))
-    if not header_seen:
+        found = [_parse_vertex(t, lineno) for t in fields[2:]]
+        parts.append((_RB[fields[1]], frozenset(found)))
+        stray = stray or _outside(sizes, lineno, found)
+    if sizes is None:
         raise FormatError("missing 'partition <n1> <n2>' header")
+    if stray:
+        raise FormatError(stray)
     return MonoPartition(tuple(parts))

@@ -149,11 +149,6 @@ def _edge_map_index(graph: "BipartiteGraph",
     return i, j, int(missing[0]) if missing.size else stop
 
 
-def _not_an_edge(colours: dict, position: int) -> InvalidArgumentError:
-    i, j = list(colours)[position]
-    return InvalidArgumentError(f"({i},{j}) is not an edge")
-
-
 def _check_part_sizes(n1: int, n2: int) -> None:
     if n1 < 1 or n2 < 1:
         raise InvalidArgumentError("both parts must be nonempty")
@@ -202,6 +197,7 @@ class BipartiteGraph:
 
     @classmethod
     def complete(cls, n1: int, n2: int) -> "BipartiteGraph":
+        _check_part_sizes(n1, n2)
         full2 = (1 << n2) - 1
         full1 = (1 << n1) - 1
         return cls(n1, n2, tuple([full2] * n1), tuple([full1] * n2))
@@ -297,7 +293,7 @@ class RColouring:
         if off.size:
             raise InvalidArgumentError(f"colour {values[off[0]]} out of range 0..{r - 1}")
         if stop < len(colours):
-            raise _not_an_edge(colours, stop)
+            raise InvalidArgumentError("({},{}) is not an edge".format(*list(colours)[stop]))
         if len(colours) != graph.edge_count:
             raise InvalidArgumentError("colouring must cover every edge exactly once")
         return cls(graph, [rows_from_edges(graph.n1, graph.n2, i[c == k], j[c == k])

@@ -26,8 +26,9 @@ Requires minimum degree at least (13/16 + delta) * n.  Outline:
 Every probabilistic step verifies its matching condition and retries up
 to ``retry_limit``.  PartitionFailureError names the step that failed:
 ``opposite-roots``, ``base-edges`` (rounding at small n), ``sample-retry``,
-``joker-retry``, ``relink-degree``, ``relink-retry`` or ``connectivity``.
-The other bounds follow from the entry checks by the paper's counting.
+``joker-retry``, ``relink-degree`` or ``relink-retry``.  The other bounds,
+and the connectivity of each preference class, follow from the entry
+checks and these steps.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ class _Run(ConstructionRun):
         state.rest = frozenset(part_vertices(side_s_base, rest))
 
         # preference assembly (absolute colours)
-        prefs: dict[Vertex, Colour] = {root_p: maj, root_s: minr}
+        state.preference = prefs = {root_p: maj, root_s: minr}
         prefs.update(dict.fromkeys(part_vertices(side_p_base, sample), maj))
         prefs.update(dict.fromkeys(part_vertices(side_s_base, base_s & ~jokers), minr))
         prefs.update(dict.fromkeys(part_vertices(side_s_base, jok_p), maj))
@@ -248,9 +249,7 @@ class _Run(ConstructionRun):
         if not stuck:
             prefs.update(dict.fromkeys(part_vertices(side_s_base, rest), big_colour))
             state.branch = "two-parts"
-            state.preference = prefs
-            partition = self._assemble(prefs, {RED: 1, BLUE: 1})
-            return partition, state
+            return self._assemble(prefs), state
 
         # Some vertex has no big-colour edge into the big class: rewire a
         # relink set around it so every leftover vertex can still choose.
@@ -284,26 +283,18 @@ class _Run(ConstructionRun):
         prefs.update(dict.fromkeys(part_vertices(side_p_base, relink_big), big_colour))
         for u in iter_bits(rest):
             prefs[Vertex(side_s_base, u)] = other_colour if rest_other >> u & 1 else big_colour
-        state.preference = prefs
-        partition = self._assemble(prefs, {other_colour: 2, big_colour: 1})
-        return partition, state
+        return self._assemble(prefs), state
 
-    def _assemble(self, prefs: dict[Vertex, Colour],
-                  allowed: dict[Colour, int]) -> MonoPartition:
-        """Split each preference class into its colour components and check
-        the component counts the construction promises."""
+    def _assemble(self, prefs: dict[Vertex, Colour]) -> MonoPartition:
+        """Split each preference class into its colour components."""
         g = self.g
         parts = []
-        # Both classes are nonempty: the two roots take opposite colours.
+        # Each class is connected by the matchings that passed; a relink adds one
+        # component, relink_other + rest_other, joined through u0: 1 + 1 or 1 + 2 parts.
         for colour in (RED, BLUE):
             m1, m2 = vertex_masks(g, [v for v, c in prefs.items() if c is colour])
             comps = components_from_rows(g.n1, g.n2, *self.col.layer_rows(colour), m1, m2)
-            if len(comps) > allowed[colour]:
-                raise PartitionFailureError(
-                    "connectivity", f"{colour.token}-preference class spans "
-                    f"{len(comps)} components, expected at most {allowed[colour]}")
             parts.extend((colour, vertex_set(c1, c2)) for c1, c2 in comps)
-        # At most 1 + 1 or 2 + 1 parts once connectivity holds.
         return MonoPartition(tuple(parts))
 
 

@@ -10,6 +10,7 @@ from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
                       Vertex, colour_blowup_pair, colour_lower3, colour_lower4,
                       lower4_witness_valid, monochromatic_components,
                       sample_bipartite, tc_exact)
+from bipcover.adversary import Lower4Witness
 from bipcover.errors import ConstructionInfeasibleError, InvalidArgumentError
 from bipcover.models import ModelParams
 from conftest import matching_graph
@@ -166,3 +167,21 @@ class TestBlowup:
         assert isinstance(colouring, RColouring)
         assert colouring.num_colours == 3
         assert tc_exact(g, colouring).value >= 6
+
+
+@pytest.mark.parametrize("n, r", [(0, 2), (-4, 2)])
+def test_blowup_needs_a_positive_size(n, r):
+    with pytest.raises(InvalidArgumentError, match="^more colours than group slots$"):
+        colour_blowup_pair(n, r)
+
+
+def test_lower4_witness_check_rejects_each_broken_invariant():
+    # N(1:0) = {2:0}, N(1:1) = {2:1}, N(1:2) = {2:2, 2:3}, N(1:3) = {2:0, 2:4}.
+    g = BipartiteGraph.from_edges(4, 5, [(0, 0), (1, 1), (2, 2), (2, 3), (3, 0), (3, 4)])
+    pair1 = (Vertex(1, 0), Vertex(1, 1))
+    assert lower4_witness_valid(g, Lower4Witness(pair1, (Vertex(2, 2), Vertex(2, 4))))
+    # part-1 pair sharing 2:0; part-2 pair sharing 1:2; 2:0 inside the pair's reach
+    for broken in (Lower4Witness((Vertex(1, 0), Vertex(1, 3)), (Vertex(2, 2), Vertex(2, 4))),
+                   Lower4Witness(pair1, (Vertex(2, 2), Vertex(2, 3))),
+                   Lower4Witness(pair1, (Vertex(2, 0), Vertex(2, 2)))):
+        assert not lower4_witness_valid(g, broken)

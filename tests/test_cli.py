@@ -362,3 +362,47 @@ def test_cover_stdout_same_under_python_O(tmp_path):
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.startswith(b"# case ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "{bare}", "--p", "0.5"], "cover needs a coloured graph"),
+    (["exact", "--mode", "tc", "{bare}"], "exact solving needs a coloured graph"),
+    (["colour", "{coloured}"], "input already carries a colouring"),
+    (["sample", "--n1", "2", "--n2", "2", "--p-num", "1"], "--p-num and --p-den go together"),
+    (["check", "{bare}", "--p-den", "2"], "--p-num and --p-den go together"),
+    (["sample", "--n1", "2", "--n2", "2"],
+     "a probability is required (use --p or --p-num/--p-den)"),
+], ids=("cover-bare", "exact-bare", "colour-coloured", "p-num-alone", "p-den-alone",
+        "no-probability"))
+def test_input_checks_fail_cleanly(tmp_path, capsys, argv, message):
+    bare, coloured = tmp_path / "bare.txt", tmp_path / "coloured.txt"
+    bare.write_text("bipartite 2 2\n0 0\n1 1\n")
+    coloured.write_text("bipartite 2 2\n0 0 R\n1 1 B\n")
+    code, out, err = run(capsys, *(a.format(bare=bare, coloured=coloured) for a in argv))
+    assert (code, out, err) == (2, "", f"bipcover: {message}\n")
+
+
+def test_exact_tp_writes_its_partition_witness(tmp_path, capsys):
+    # Without singletons, 1:1 needs its blue edge, so 2:1 leaves the red path.
+    g = tmp_path / "g.txt"
+    g.write_text("bipartite 2 2\n0 0 R\n0 1 R\n1 1 B\n")
+    code, out, _ = run(capsys, "exact", "--mode", "tp", str(g), "--no-singletons")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 2
+    assert sorted(data["witness"], key=lambda w: w["colour"]) == [
+        {"colour": 0, "vertices": ["1:0", "2:0"]}, {"colour": 1, "vertices": ["1:1", "2:1"]}]
+
+
+def test_adversary_lower4_writes_its_witness(tmp_path, capsys):
+    # Two part-1 vertices with disjoint neighbourhoods, and two part-2
+    # vertices outside both, with disjoint neighbourhoods of their own.
+    g = tmp_path / "g.txt"
+    g.write_text("bipartite 4 4\n0 0\n1 1\n2 2\n3 3\n")
+    code, out, _ = run(capsys, "adversary", "--mode", "lower4", str(g))
+    assert code == 0
+    witness = json.loads(next(line for line in out.splitlines()
+                              if line.startswith("# witness "))[len("# witness "):])
+    assert witness == {"pair1": ["1:0", "1:1"], "pair2": ["2:2", "2:3"]}
+    _, colouring = parse_graph(out)
+    assert colouring is not None

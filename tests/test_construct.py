@@ -6,14 +6,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, CoverParams, ModelParams, PartitionParams,
                       TwoColouring, almost_cover, colour_lower3, partition3, sample_bipartite,
                       sample_colouring)
-from bipcover.construct import (ConstructionRun, bernoulli_subset, coin_split, heavy_masks,
-                                retry_draw)
+from bipcover.construct import (AuditReport, ConstructionRun, bernoulli_subset, coin_split,
+                                heavy_masks, pick_roots, retry_draw)
 from bipcover.errors import InvalidArgumentError
 from bipcover.graph import iter_bits, select, select_flags
 from bipcover.rng import RandomStream
@@ -231,3 +231,27 @@ def test_coin_splits_stay_in_construct():
                           if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "coin_split" not in imported["cover"] | imported["mindeg"]
     assert "retry_draw" not in imported["cover"]
+
+
+def test_audit_report_entry_names_a_missing_entry():
+    report = AuditReport()
+    report.add("joker-count", 3, 2.0, True)
+    assert report.entry("joker-count").measured == 3
+    with pytest.raises(KeyError, match="stranded-count"):
+        report.entry("stranded-count")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_cover_heavy_sets_of_both_colours_give_opposite_roots(n1, n2, data):
+    # A vertex with an edge is heavy (3*dc > d) in its larger colour, so the
+    # neighbour of a red-heavy vertex is heavy in the other part.  Slots are
+    # absent, red or blue, so hosts with isolated vertices are drawn too.
+    slots = data.draw(st.lists(st.sampled_from((None, RED, BLUE)),
+                               min_size=n1 * n2, max_size=n1 * n2))
+    cmap = {divmod(k, n2): c for k, c in enumerate(slots) if c is not None}
+    g = BipartiteGraph.from_edges(n1, n2, list(cmap))
+    heavy = heavy_masks(g, TwoColouring.from_edge_map(g, cmap), lambda d, dc: 3 * dc > d)
+    assume(heavy[RED] != (0, 0) and heavy[BLUE] != (0, 0))
+    roots = pick_roots(heavy)
+    assert roots is not None and roots[0].part != roots[1].part

@@ -314,3 +314,16 @@ def test_every_joker_has_a_majority_parent(n, c, seed, source):
         & ~(1 << root_s.index)
     for v in state.jokers:
         assert col.coloured_row(v.part, v.index, state.majority) & parents
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(p=Fraction(0)), "p must be in (0, 1]"),
+    (dict(p=Fraction(3, 2)), "p must be in (0, 1]"),
+    (dict(p=Fraction(1, 2), epsilon=Fraction(1)), "epsilon must be in (0, 1)"),
+    (dict(p=Fraction(1, 2), epsilon=Fraction(0)), "epsilon must be in (0, 1)"),
+    (dict(p=Fraction(1, 2), retry_limit=0), "retry limit must be at least 1"),
+], ids=("p-zero", "p-above-one", "epsilon-one", "epsilon-zero", "no-retries"))
+def test_cover_params_checked(kwargs, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        CoverParams(**kwargs)
+    assert str(exc.value) == message

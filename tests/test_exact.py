@@ -11,7 +11,7 @@ from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring, Verte
                       exhaustive_knn_check, sample_bipartite, sample_colouring,
                       tc_exact, tp_exact, validate_partition)
 from bipcover import exact
-from bipcover.errors import TooLargeError
+from bipcover.errors import InvalidArgumentError, TooLargeError
 from bipcover.formats import parse_graph
 from bipcover.graph import components_from_rows
 from bipcover.models import ModelParams
@@ -318,3 +318,55 @@ class TestExactSymmetries:
         perm = data.draw(st.permutations(range(r)))
         recoloured = {e: perm[c] for e, c in cmap.items()}
         assert exact_values(n1, n2, r, recoloured) == exact_values(*host)
+
+
+def _union(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_coloured_hosts(), st.data())
+def test_maximal_components_cover_the_universe(host, data):
+    # _min_cover gets every vertex covered: both callers pass every component
+    # of a layer, singletons included, and _maximal drops only nested sets.
+    n1, n2, r, cmap = host
+    g = BipartiteGraph.from_edges(n1, n2, list(cmap))
+    col = RColouring.from_edge_map(g, r, cmap)
+    walked = map(col.layer_rows, exact._walked_colours(col))
+    assert _union(exact._maximal(exact._component_masks(n1, n2, walked))) \
+        == (1 << (n1 + n2)) - 1
+    # exhaustive_knn_check's layers: every colour of K_{n,n}, one row code per part-1 vertex
+    codes = data.draw(st.lists(st.integers(0, r ** n1 - 1), min_size=n1, max_size=n1))
+    layers = [([0] * n1, [0] * n1) for _ in range(r)]
+    for i, a in enumerate(codes):
+        for j in range(n1):
+            rows1, rows2 = layers[a // r ** j % r]
+            rows1[i] |= 1 << j
+            rows2[j] |= 1 << i
+    assert _union(exact._maximal(exact._component_masks(n1, n1, layers))) == (1 << 2 * n1) - 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_coloured_hosts(), st.booleans())
+def test_tp_search_never_reaches_an_empty_remainder(host, allow_singletons):
+    # A part equal to the remaining set is connected, so the one-part check
+    # returns before the search recurses on nothing (a banned singleton is
+    # skipped instead); an empty remainder would end in a negative shift.
+    n1, n2, _, cmap = host
+    g = BipartiteGraph.from_edges(n1, n2, list(cmap))
+    col = TwoColouring.from_edge_map(g, {e: c % 2 for e, c in cmap.items()})
+    expected = naive_tp(g, col, allow_singletons)
+    if expected is None:
+        with pytest.raises(InvalidArgumentError, match="no partition exists"):
+            tp_exact(g, col, allow_singletons)
+    else:
+        assert tp_exact(g, col, allow_singletons).value == expected
+
+
+@pytest.mark.parametrize("n, r", [(0, 2), (2, 0)])
+def test_knn_check_needs_positive_sizes(n, r):
+    with pytest.raises(InvalidArgumentError, match="^n and r must be positive$"):
+        exhaustive_knn_check(n, r, 1)

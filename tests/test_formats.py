@@ -341,8 +341,29 @@ def test_write_graph_without_edges_on_many_colours():
     ("cover x y\nuncovered\n", "line 1: part sizes must be integers"),
     ("cover 0 2\nuncovered\n", "line 1: part sizes must be positive"),
     ("# c\ncover 2\nuncovered\n", "line 2: expected 'cover <n1> <n2>'"),
+    ("cover 2 2\ntree R\nvertices 1:0 x\nend\nuncovered\n", "line 3: bad vertex token 'x'"),
+    ("cover 2 2\ntree R\ntree B\n", "line 3: previous tree not ended"),
+    ("cover 2 2\ntree R\nvertices 1:0 2:0\nedges 0_0\nend\nuncovered\n",
+     "line 4: bad edge token '0_0'"),
+    ("cover 2 2\nend\nuncovered\n", "line 2: 'end' outside a tree block"),
+    ("cover 2 2\nleaves 1:0\n", "line 2: unknown directive 'leaves'"),
+    ("# no header\n", "missing 'cover <n1> <n2>' header"),
+    ("cover 2 2\ntree R\nvertices 1:7\nend\nuncovered\n",
+     "line 3: vertex 1:7 outside the header's parts"),
+    ("cover 2 2\ntree R\nvertices 1:0 2:1\nedges 0-1 0-2\nend\nuncovered\n",
+     "line 4: vertex 2:2 outside the header's parts"),
+    ("cover 2 2\nuncovered 1:1 3:0\n", "line 2: vertex 3:0 outside the header's parts"),
+    ("cover 2 2\ntree R\nvertices 2:-1\nend\nuncovered 1:9\n",
+     "line 3: vertex 2:-1 outside the header's parts"),
+    ("cover 2 2\ntree R\nvertices 1:0\nend\n", "missing 'uncovered' line"),
+    ("cover 2 2\ntree R\nvertices 1:7\nend\nleaves\n", "line 5: unknown directive 'leaves'"),
+    ("cover 2 2\nuncovered 1:7\ntree R\nvertices 1:0\n", "unterminated tree block"),
 ], ids=("vertices-outside", "edges-outside", "second-uncovered", "uncovered-inside",
-        "header-not-integers", "header-not-positive", "header-short"))
+        "header-not-integers", "header-not-positive", "header-short", "bad-vertex-token",
+        "tree-not-ended", "bad-edge-token", "end-outside", "unknown-directive",
+        "missing-header", "vertex-beyond-part", "endpoint-beyond-part", "no-such-part",
+        "first-stray-named", "missing-uncovered", "stray-after-line-errors",
+        "stray-after-unterminated"))
 def test_parse_cover_rejects_what_write_cover_never_writes(text, message):
     # Each of these used to drop or overwrite vertices without a word.
     with pytest.raises(FormatError, match=f"^{message}$"):
@@ -353,7 +374,22 @@ def test_parse_cover_rejects_what_write_cover_never_writes(text, message):
     ("partition a b\npart R 1:0 2:0\n", "line 1: part sizes must be integers"),
     ("partition 1 -1\npart R 1:0 2:0\n", "line 1: part sizes must be positive"),
     ("partition 1 1 1\npart R 1:0 2:0\n", "line 1: expected 'partition <n1> <n2>'"),
-], ids=("not-integers", "not-positive", "long"))
+    ("\n# no header\n", "missing 'partition <n1> <n2>' header"),
+], ids=("not-integers", "not-positive", "long", "missing"))
 def test_parse_partition_rejects_a_header_write_partition_never_writes(text, message):
     with pytest.raises(FormatError, match=f"^{message}$"):
         parse_partition(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("partition 2 2\npart R 1:0 2:0 1-1\n", "line 2: bad vertex token '1-1'"),
+    ("partition 2 2\npart R 1:9 3:0\n", "line 2: vertex 1:9 outside the header's parts"),
+    ("partition 2 2\npart R 1:0 2:0\npart B 1:1 0:1\n",
+     "line 3: vertex 0:1 outside the header's parts"),
+    ("partition 2 2\npart R 1:9\nparts B 1:1\n",
+     "line 3: expected 'part <R|B> <vertices...>'"),
+], ids=("bad-vertex-token", "beyond-part", "no-such-part", "stray-after-line-errors"))
+def test_parse_partition_rejects_a_vertex_write_partition_never_writes(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_partition(text)
+    assert str(exc.value) == message

@@ -712,3 +712,53 @@ class TestPartitionValidatorOracle:
             partition = mutated_partition(data, g, partition)
             assert validate_partition(g, col, partition).violations == \
                 reference_validate_partition(g, col, partition)
+
+
+def _matching_colouring():
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+    return g, TwoColouring.monochromatic(g, RED)
+
+
+GRAPH_INPUT_ERRORS = [
+    ("index-beyond-int64", lambda: BipartiteGraph.from_edges(2, 2, [(0, 0), (2 ** 70, 1)]),
+     f"edge ({2 ** 70},1) out of range"),
+    ("from-rows-empty-part", lambda: BipartiteGraph.from_rows(0, 2, []),
+     "both parts must be nonempty"),
+    ("complete-empty-part", lambda: BipartiteGraph.complete(0, 3), "both parts must be nonempty"),
+    ("part-1-row-count", lambda: BipartiteGraph.from_rows(2, 2, [1]),
+     "expected 2 part-1 rows, got 1"),
+    ("part-2-row-count", lambda: BipartiteGraph.from_rows(2, 2, [1, 2], [1, 2, 0]),
+     "expected 2 part-2 rows, got 3"),
+    ("part-size-of-part-3", lambda: BipartiteGraph.complete(2, 2).part_size(3),
+     "part must be 1 or 2, got 3"),
+    ("row-of-part-0", lambda: BipartiteGraph.complete(2, 2).row(0, 0),
+     "part must be 1 or 2, got 0"),
+    ("no-colours", lambda: RColouring.from_edge_map(BipartiteGraph.complete(1, 1), 0, {}),
+     "need at least one colour"),
+    ("non-edge-key", lambda: RColouring.from_edge_map(_matching_colouring()[0], 2,
+                                                      {(0, 0): 0, (0, 1): 1}),
+     "(0,1) is not an edge"),
+    ("colour-without-colouring", lambda: edge_count_between(
+        BipartiteGraph.complete(2, 2), [Vertex(1, 0)], [Vertex(2, 0)], colour=RED),
+     "colouring and colour must be given together"),
+    ("tree-on-no-vertices", lambda: spanning_tree_of(*_matching_colouring(), RED, []),
+     "cannot build a tree on no vertices"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in GRAPH_INPUT_ERRORS],
+                         ids=[case[0] for case in GRAPH_INPUT_ERRORS])
+def test_graph_input_checks(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_graph_repr():
+    assert repr(BipartiteGraph.complete(2, 3)) == "BipartiteGraph(n1=2, n2=3, edges=6)"
+
+
+def test_validate_cover_flags_a_tree_without_vertices():
+    g, col = _matching_colouring()
+    cover = TreeCover((MonoTree(RED, frozenset(), ()),), frozenset(g.vertices()))
+    assert validate_cover(g, col, cover).violations == ["tree 0: empty vertex set"]

@@ -1,5 +1,7 @@
 """The minimum-degree 3-partition: branches, audits, failure modes."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -277,3 +279,98 @@ def test_returned_states_meet_the_implied_bounds(n, delta, host, source, swap, r
                    for u in state.rest)
     if state.branch == "relink":
         assert len(state.relink) == int((Fraction(3, 16) + delta) * n)
+
+
+def joker_instance(fill_seed=0):
+    """K_{64,64} whose bulk vertices keep few matching jokers at delta = 17/100.
+
+    Row 0 is red on columns 1-45 (red root 1:0, base columns 1-41) and
+    column 0 is blue (blue root 2:0, base rows 1-41).  In the bases' block,
+    rows 1-21 are red and rows 22-41 blue: red is the majority, 861 to 820,
+    and rows 1-21 are the jokers.  Columns 42-63 are red on a random 10 or
+    11 of the jokers, so each sees about ten jokers of its colour.  Every
+    other slot is random.
+    """
+    n, rnd = 64, random.Random(fill_seed)
+    red = [[rnd.random() < 0.5 for _ in range(n)] for _ in range(n)]
+    red[0][1:46] = [True] * 45
+    for i in range(n):
+        red[i][0] = False
+        if 1 <= i <= 41:
+            red[i][1:42] = [i <= 21] * 41
+    for j in range(42, n):
+        chosen = set(rnd.sample(range(1, 22), rnd.choice((10, 11))))
+        for i in range(1, 22):
+            red[i][j] = i in chosen
+    g = BipartiteGraph.complete(n, n)
+    return g, TwoColouring.from_red_rows(
+        g, [sum(1 << j for j in range(n) if red[i][j]) for i in range(n)])
+
+
+def test_joker_retry_can_fire():
+    g, col = joker_instance()
+    with pytest.raises(PartitionFailureError, match="^joker-retry: some bulk vertex kept "
+                       "fewer than 1.4 matching jokers in 1 draws$"):
+        partition3(g, col, PartitionParams(delta=Fraction(17, 100), retry_limit=1, seed=6))
+
+
+@st.composite
+def partition_inputs(draw):
+    """(graph, colouring, params): the hosts and colourings of
+    test_returned_states_meet_the_implied_bounds, or the joker instance
+    at a larger retry limit."""
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.integers(0, 3)) == 0:
+        g, col = joker_instance(draw(st.integers(0, 3)))
+        return g, col, PartitionParams(delta=Fraction(17, 100), seed=seed,
+                                       retry_limit=draw(st.sampled_from((2, 4, 32))))
+    n = draw(st.integers(25, 100))
+    delta = draw(st.sampled_from((Fraction(1, 100), Fraction(1, 20), Fraction(1, 10),
+                                  Fraction(3, 20))))
+    g = (sample_mindeg_subgraph(n, Fraction(13, 16) + delta, seed)
+         if draw(st.booleans()) else BipartiteGraph.complete(n, n))
+    source = draw(st.sampled_from(("uniform", "blocks", "lower3")))
+    if source == "uniform":
+        col = sample_colouring(g, Fraction(1, 2), seed)
+    elif source == "blocks":
+        red_rows = draw(st.integers(0, 100))
+        col = TwoColouring.from_red_rows(g, [g.row(1, i) if i < red_rows else 0
+                                             for i in range(n)])
+    else:
+        try:
+            col = colour_lower3(g)[0]
+        except ConstructionInfeasibleError:
+            assume(False)
+    return g, (col.swapped() if draw(st.booleans()) else col), PartitionParams(delta, seed=seed)
+
+
+@settings(deadline=None, max_examples=200)
+@given(partition_inputs())
+def test_preference_classes_split_into_the_promised_parts(inputs):
+    # Each preference class is connected by the matchings that passed, and
+    # a relink adds one other-colour component: per colour, 1 + 1 parts on
+    # two-parts and 1 + (1 or 2) on relink, the other colour being the
+    # second root's.
+    g, col, params = inputs
+    try:
+        partition, state = partition3(g, col, params)
+    except PartitionFailureError as err:
+        assert err.step in LIVE_STEPS - {"connectivity"}
+        return
+    counts = Counter(colour for colour, _ in partition.parts)
+    if state.branch == "two-parts":
+        assert counts == {RED: 1, BLUE: 1}
+    elif state.branch == "relink":
+        other = state.preference[state.second_root]
+        assert counts[other.other] == 1 and counts[other] in (1, 2)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(delta=Fraction(3, 16)), "delta must be in (0, 3/16)"),
+    (dict(delta=DELTA, subsample_p=Fraction(1, 10)), "subsample probability must be in (0, 1/25]"),
+    (dict(delta=DELTA, retry_limit=0), "retry limit must be at least 1"),
+], ids=("delta-too-large", "subsample-too-large", "no-retries"))
+def test_partition_params_checked(kwargs, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        PartitionParams(**kwargs)
+    assert str(exc.value) == message

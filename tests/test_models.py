@@ -212,3 +212,10 @@ def test_blocked_slot_matrix_matches_all_at_once(shape, probability):
     seed = combine(17, TAG_MINDEG)
     want = naive_hash_block(seed, 0, n1 * n2) < threshold_u64(probability)
     assert np.array_equal(_slot_matrix(seed, n1, n2, probability), want.reshape(n1, n2))
+
+
+@pytest.mark.parametrize("q", [Fraction(-1, 2), Fraction(3, 2)])
+def test_red_probability_checked(q):
+    g = BipartiteGraph.complete(2, 2)
+    with pytest.raises(InvalidArgumentError, match=r"^red probability must be in \[0, 1\]$"):
+        sample_colouring(g, q, 0)

@@ -265,3 +265,46 @@ def _naive_pair_counts(g):
                     total += 1
         counts.append(total)
     return tuple(counts)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_expansion(BipartiteGraph.complete(2, 3), Fraction(1, 2), [], []),
+     "property checks expect a balanced graph"),
+    (lambda: check_domination(BipartiteGraph.complete(2, 2), Fraction(1, 2),
+                              [Vertex(1, 0), Vertex(2, 0)]),
+     "vertex set spans both parts"),
+], ids=("unbalanced", "set-spans-both-parts"))
+def test_property_input_checks(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_domination_not_applicable_below_its_scale():
+    # |U| = 2 < p * n / 100 = 3
+    g = BipartiteGraph.complete(300, 300)
+    report = check_domination(g, Fraction(1), [Vertex(1, 0), Vertex(1, 1)])
+    assert not report.applicable
+    assert report.stats == {"reason": "U below the check's scale"}
+
+
+def test_connectivity_violation_on_two_disjoint_halves():
+    # Each half has degree 4 >= (1/2 + 1/10) * (1/2) * 8 = 2.4, yet H has two components.
+    rows = [(0b1111 if i < 4 else 0b11110000) for i in range(8)]
+    g = BipartiteGraph.from_rows(8, 8, rows)
+    report = check_min_degree_connectivity(g, Fraction(1, 2), Fraction(1, 10), g.vertices())
+    assert report.applicable and report.satisfied is False
+    assert report.violations == [("components", [Vertex(1, 0), Vertex(1, 4)], 2, 1)]
+
+
+def test_connectivity_on_a_partial_vertex_set():
+    # H leaves out 1:0 and 2:5; the rows of the vertices outside H are empty.
+    g = BipartiteGraph.complete(6, 6)
+    h = [v for v in g.vertices() if v not in (Vertex(1, 0), Vertex(2, 5))]
+    report = check_min_degree_connectivity(g, Fraction(1), Fraction(1, 10), h)
+    assert report.applicable and report.satisfied
+    assert report.stats == {"components": 1, "vertices": 10}
+    blue_only = check_min_degree_connectivity(g, Fraction(1), Fraction(1, 10), h,
+                                              h_edge_filter=lambda a, b: a.index != 1)
+    assert not blue_only.applicable
+    assert blue_only.stats["reason"] == "min degree 0 below 3.60"

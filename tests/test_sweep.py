@@ -283,3 +283,28 @@ def test_parse_records_accepts_every_case_a_trial_writes():
     rows = [f"12,1,2,5,uniform,almost_cover,0,0,false,{case},0" for case in cases]
     assert [r.case for r in parse_records("\n".join([RECORD_HEADER, *rows]) + "\n")] == \
         list(cases)
+
+
+def test_run_construction_reports_a_bad_tc_witness(monkeypatch):
+    import bipcover.sweep as sweep
+    g = sample_bipartite(ModelParams(6, 6, Fraction(1, 2)), 3)
+    col = sample_colouring(g, Fraction(1, 2), 3)
+    assert sweep.run_construction(g, col, None).report.ok
+    result = tc_exact(g, col)
+    monkeypatch.setattr(sweep, "tc_exact",
+                        lambda g, col: ExactResult(result.value, result.witness[1:], 0))
+    outcome = sweep.run_construction(g, col, None)
+    assert outcome.report.violations == ["witness is not a cover by monochromatic components"]
+    assert (outcome.case, outcome.trees) == ("exact", result.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: small_config(source="blocks"), "unknown source 'blocks'"),
+    (lambda: small_config(algorithm="tp_exact"), "unknown algorithm 'tp_exact'"),
+    (lambda: parse_config_file("trials = 2\nn_values 12\n"),
+     "config line 2: expected 'key = value'"),
+], ids=("unknown-source", "unknown-algorithm", "config-line-without-equals"))
+def test_sweep_input_checks(call, message):
+    with pytest.raises(BipcoverError) as exc:
+        call()
+    assert str(exc.value) == message
