@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConstructionInfeasibleError, InvalidArgumentError
 from .graph import (BipartiteGraph, Colour, RColouring, TwoColouring, Vertex,
-                    iter_bits, vertex_set)
+                    colour_layers, iter_bits, rows_from_edges, vertex_set)
 
 
 @dataclass(frozen=True)
@@ -148,17 +150,9 @@ def colour_blowup_pair(n: int, r: int) -> tuple[BipartiteGraph, TwoColouring | R
         raise InvalidArgumentError("more colours than group slots")
     half = n // 2
     group = half // r
-    half_mask = (1 << half) - 1
-    rows1 = [half_mask if i < half else half_mask << half for i in range(n)]
-    g = BipartiteGraph.from_rows(n, n, rows1)
-
-    def colour_of(i: int, j: int) -> int:
-        gi = (i % half) // group
-        gj = (j % half) // group
-        return (gi + gj) % r
-
-    colours = {(i, j): colour_of(i, j) for i, j in g.edges()}
-    if r == 2:
-        two = TwoColouring.from_edge_map(g, {e: Colour(c) for e, c in colours.items()})
-        return g, two
-    return g, RColouring.from_edge_map(g, r, colours)
+    idx = np.arange(n)
+    i, j = np.nonzero(idx[:, None] // half == idx // half)  # both ends in one half
+    codes = ((i % half) // group + (j % half) // group) % r
+    g = BipartiteGraph(n, n, *rows_from_edges(n, n, i, j))
+    layers = colour_layers(n, n, i, j, codes, r)
+    return g, (TwoColouring(g, *layers[Colour.RED]) if r == 2 else RColouring(g, layers))

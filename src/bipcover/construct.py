@@ -9,7 +9,7 @@ with the audit report shape both return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, TypeVar
 
@@ -116,10 +116,6 @@ class AuditEntry:
     bound: float | None
     satisfied: bool | None  # None = not applicable
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "measured": self.measured,
-                "bound": self.bound, "satisfied": self.satisfied}
-
 
 @dataclass
 class AuditReport:
@@ -127,6 +123,17 @@ class AuditReport:
 
     def add(self, name: str, measured, bound, satisfied) -> None:
         self.entries.append(AuditEntry(name, measured, bound, satisfied))
+
+    def check(self, name: str, measured, bound, at_most: bool = False) -> None:
+        """Record ``measured`` against the exact ``bound``: at least it, or at
+        most it with ``at_most``.  A None measurement is not applicable."""
+        if measured is None:
+            return self.not_applicable(name)
+        holds = Fraction(measured) <= bound if at_most else Fraction(measured) >= bound
+        self.add(name, measured, float(bound), holds)
+
+    def not_applicable(self, *names: str) -> None:
+        self.entries.extend(AuditEntry(name, None, None, None) for name in names)
 
     @property
     def all_satisfied(self) -> bool:
@@ -139,4 +146,4 @@ class AuditReport:
         raise KeyError(name)
 
     def as_dict(self) -> dict:
-        return {"entries": [e.as_dict() for e in self.entries]}
+        return asdict(self)

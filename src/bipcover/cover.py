@@ -362,10 +362,8 @@ def audit_state(g: BipartiteGraph, colouring: TwoColouring,
     n, p = state.n, state.p
     deep = state.case is not CoverCase.SPANNING and state.root_red is not None
     if deep:
-        report.add("joker-count", len(state.jokers), float(p * n / 100),
-                   Fraction(len(state.jokers)) >= p * n / 100)
-        report.add("stranded-count", len(state.stranded), float(100 / p),
-                   Fraction(len(state.stranded)) <= 100 / p)
+        report.check("joker-count", len(state.jokers), p * n / 100)
+        report.check("stranded-count", len(state.stranded), 100 / p, at_most=True)
         maj = state.majority
         root_p, root_s = state.oriented_roots()
         np_full = colouring.coloured_row(root_p.part, root_p.index, maj)
@@ -373,19 +371,14 @@ def audit_state(g: BipartiteGraph, colouring: TwoColouring,
         # ns_full sits on root_p's side: iterate it there.
         e_maj = edges_between(lambda i: colouring.coloured_row(root_p.part, i, maj),
                               ns_full, np_full)
-        bound = p * np_full.bit_count() * ns_full.bit_count() / 4
-        report.add("majority-edge-density", e_maj, float(bound), Fraction(e_maj) >= bound)
+        report.check("majority-edge-density", e_maj,
+                     p * np_full.bit_count() * ns_full.bit_count() / 4)
     else:
-        report.add("joker-count", None, None, None)
-        report.add("stranded-count", None, None, None)
-        report.add("majority-edge-density", None, None, None)
-    if state.case is CoverCase.THIRD_TREE:
-        report.add("stranded2-count", len(state.stranded2), float(100 / p),
-                   Fraction(len(state.stranded2)) <= 100 / p)
-    else:
-        report.add("stranded2-count", None, None, None)
-    uncovered = len(state.uncovered_reasons)
-    report.add("uncovered-total", uncovered, float(200 / p), Fraction(uncovered) <= 200 / p)
+        report.not_applicable("joker-count", "stranded-count", "majority-edge-density")
+    third = state.case is CoverCase.THIRD_TREE
+    report.check("stranded2-count", len(state.stranded2) if third else None, 100 / p,
+                 at_most=True)
+    report.check("uncovered-total", len(state.uncovered_reasons), 200 / p, at_most=True)
 
     eps = state.epsilon
     # Degrees are integers, so the exact band is the integer one.

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import (BipartiteGraph, Colour, MonoPartition, MonoTree, RColouring,
-                    TreeCover, TwoColouring, Vertex, rows_from_edges, rows_to_matrix)
+                    TreeCover, TwoColouring, Vertex, colour_layers, first_hit,
+                    rows_from_edges, rows_to_matrix)
 
 Colouring = TwoColouring | RColouring
 _RB = {"R": Colour.RED, "B": Colour.BLUE}
@@ -68,12 +69,6 @@ def _read_ints(tokens: np.ndarray, table: dict[str, int], lo: int,
     return values, len(tokens)
 
 
-def _first(mask: np.ndarray, stop: int) -> int:
-    """Position of the first true entry of mask[:stop] (stop if none)."""
-    hits = np.flatnonzero(mask[:stop])
-    return int(hits[0]) if hits.size else stop
-
-
 def _parse_header(fields: list[str], lineno: int, directive: str) -> tuple[int, int]:
     """The part sizes of a '<directive> <n1> <n2>' header line."""
     if fields[0] != directive or len(fields) != 3:
@@ -99,7 +94,7 @@ def _parse_edge_lines(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray
     duplicate, colour token.
     """
     error = None
-    stop = _first((counts < 2) | (counts > 3), len(counts))
+    stop = first_hit((counts < 2) | (counts > 3), len(counts))
     if stop < len(counts):
         error = f"line {linenos[stop]}: expected '<i> <j> [colour]'"
     size = max(n1, n2)
@@ -110,7 +105,7 @@ def _parse_edge_lines(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray
         stop = parsed // 2
         error = f"line {linenos[stop]}: endpoints must be integers"
     i, j = ends[0:2 * stop:2], ends[1:2 * stop:2]
-    bad = _first((i < 0) | (i >= n1) | (j < 0) | (j >= n2), stop)
+    bad = first_hit((i < 0) | (i >= n1) | (j < 0) | (j >= n2), stop)
     if bad < stop:
         stop = bad
         a, b = map(int, tokens[starts[stop]:starts[stop] + 2])
@@ -128,7 +123,7 @@ def _parse_edge_lines(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray
     bound = max(min(n1 * n2, np.iinfo(np.int64).max), 2)
     colour_tokens = tokens[starts[:stop][counts[:stop] == 3] + 2]
     codes, parsed = _read_ints(colour_tokens, _RB, -1, bound)
-    bad = _first((codes < 0) | (codes >= bound), parsed)
+    bad = first_hit((codes < 0) | (codes >= bound), parsed)
     if bad < len(colour_tokens):
         token = colour_tokens[bad]
         if bad == parsed:
@@ -173,11 +168,7 @@ def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]
     if r <= 2:
         red = codes == Colour.RED
         return graph, TwoColouring(graph, *rows_from_edges(n1, n2, i[red], j[red]))
-    # Only the colours that occur get rows; the rest share one empty layer.
-    layers = [((0,) * n1, (0,) * n2)] * r
-    for c in np.unique(codes).tolist():
-        layers[c] = rows_from_edges(n1, n2, i[codes == c], j[codes == c])
-    return graph, RColouring(graph, layers)
+    return graph, RColouring(graph, colour_layers(n1, n2, i, j, codes, r))
 
 
 def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,
@@ -217,6 +208,16 @@ def _outside(sizes: dict[int, int], lineno: int, vertices: Iterable[Vertex]) -> 
     return None
 
 
+def _repeated(lineno: int, vertices: list[Vertex]) -> str | None:
+    """The error for the first of ``vertices`` that repeats an earlier one, if any."""
+    seen: set[Vertex] = set()
+    for v in vertices:
+        if v in seen:
+            return f"line {lineno}: vertex {v} repeated"
+        seen.add(v)
+    return None
+
+
 def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
     out = io.StringIO()
     for c in comments:
@@ -226,11 +227,8 @@ def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = (
         out.write(f"tree {tree.colour.token}\n")
         out.write("vertices " + " ".join(map(str, sorted(tree.vertices))) + "\n")
         if tree.edges:
-            tokens = []
-            for a, b in tree.edges:
-                u, w = (a, b) if a.part == 1 else (b, a)
-                tokens.append(f"{u.index}-{w.index}")
-            out.write("edges " + " ".join(tokens) + "\n")
+            ends = [(a, b) if a.part == 1 else (b, a) for a, b in tree.edges]
+            out.write("edges " + " ".join(f"{u.index}-{w.index}" for u, w in ends) + "\n")
         out.write("end\n")
     out.write("uncovered")
     for v in sorted(cover.uncovered):
@@ -247,13 +245,14 @@ def parse_cover(source: str | TextIO) -> TreeCover:
     edges: list[tuple[Vertex, Vertex]] = []
     sizes: dict[int, int] | None = None
     stray = None  # the first vertex outside the header's parts, reported after all else
+    repeat = None  # the first vertex repeated in a tree block or line, reported last
     for lineno, line in content_lines(source):
         fields = line.split()
         kind = fields[0]
         if sizes is None:
             sizes = dict(zip((1, 2), _parse_header(fields, lineno, "cover")))
             continue
-        if kind in ("vertices", "edges") and colour is None:
+        if kind in ("vertices", "edges", "end") and colour is None:
             raise FormatError(f"line {lineno}: '{kind}' outside a tree block")
         if kind == "tree":
             if colour is not None:
@@ -264,6 +263,7 @@ def parse_cover(source: str | TextIO) -> TreeCover:
             vertices, edges = [], []
         elif kind == "vertices":
             found = [_parse_vertex(t, lineno) for t in fields[1:]]
+            repeat = repeat or _repeated(lineno, vertices + found)
             vertices.extend(found)
             stray = stray or _outside(sizes, lineno, found)
         elif kind == "edges":
@@ -275,8 +275,6 @@ def parse_cover(source: str | TextIO) -> TreeCover:
                     raise FormatError(f"line {lineno}: bad edge token {token!r}") from None
                 stray = stray or _outside(sizes, lineno, edges[-1])
         elif kind == "end":
-            if colour is None:
-                raise FormatError(f"line {lineno}: 'end' outside a tree block")
             trees.append(MonoTree(colour, frozenset(vertices), tuple(edges)))
             colour = None
         elif kind == "uncovered":
@@ -285,6 +283,7 @@ def parse_cover(source: str | TextIO) -> TreeCover:
             if uncovered is not None:
                 raise FormatError(f"line {lineno}: second 'uncovered' line")
             found = [_parse_vertex(t, lineno) for t in fields[1:]]
+            repeat = repeat or _repeated(lineno, found)
             uncovered = frozenset(found)
             stray = stray or _outside(sizes, lineno, found)
         else:
@@ -297,6 +296,8 @@ def parse_cover(source: str | TextIO) -> TreeCover:
         raise FormatError(stray)
     if uncovered is None:
         raise FormatError("missing 'uncovered' line")
+    if repeat:
+        raise FormatError(repeat)
     return TreeCover(tuple(trees), uncovered)
 
 
@@ -315,7 +316,7 @@ def write_partition(partition: MonoPartition, g: BipartiteGraph,
 def parse_partition(source: str | TextIO) -> MonoPartition:
     parts: list[tuple[Colour, frozenset[Vertex]]] = []
     sizes: dict[int, int] | None = None
-    stray = None  # as in parse_cover
+    stray = repeat = None  # as in parse_cover
     for lineno, line in content_lines(source):
         fields = line.split()
         if sizes is None:
@@ -324,10 +325,11 @@ def parse_partition(source: str | TextIO) -> MonoPartition:
         if fields[0] != "part" or len(fields) < 2 or fields[1] not in _RB:
             raise FormatError(f"line {lineno}: expected 'part <R|B> <vertices...>'")
         found = [_parse_vertex(t, lineno) for t in fields[2:]]
+        repeat = repeat or _repeated(lineno, found)
         parts.append((_RB[fields[1]], frozenset(found)))
         stray = stray or _outside(sizes, lineno, found)
     if sizes is None:
         raise FormatError("missing 'partition <n1> <n2>' header")
-    if stray:
-        raise FormatError(stray)
+    if stray or repeat:
+        raise FormatError(stray or repeat)
     return MonoPartition(tuple(parts))

@@ -120,6 +120,23 @@ def rows_from_edges(n1: int, n2: int, i: np.ndarray,
     return rows_from_matrix(matrix), rows_from_matrix(matrix.T)
 
 
+def colour_layers(n1: int, n2: int, i: np.ndarray, j: np.ndarray, codes: np.ndarray,
+                  r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Layer rows (part 1, part 2) of colours 0..r-1 for the edges
+    (i[k], j[k]) of colour codes[k]; only the colours that occur get rows,
+    the rest share one empty layer."""
+    layers = [((0,) * n1, (0,) * n2)] * r
+    for c in np.unique(codes).tolist():
+        layers[c] = rows_from_edges(n1, n2, i[codes == c], j[codes == c])
+    return layers
+
+
+def first_hit(mask: np.ndarray, stop: int) -> int:
+    """Position of the first true entry of mask[:stop] (stop if none)."""
+    hits = np.flatnonzero(mask[:stop])
+    return int(hits[0]) if hits.size else stop
+
+
 def _int64(values: list, lo: int, hi: int) -> np.ndarray:
     """``values`` as an int64 array; if any lies outside int64, all are
     first clipped to [lo, hi], which must keep every range check's verdict."""
@@ -134,19 +151,7 @@ def _index_pairs(pairs: list, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray,
     outside n1 x n2 (len(pairs) if none)."""
     ij = _int64(pairs, -1, max(n1, n2, 0)).reshape(len(pairs), 2)
     i, j = ij[:, 0], ij[:, 1]
-    bad = np.flatnonzero((i < 0) | (i >= n1) | (j < 0) | (j >= n2))
-    return i, j, int(bad[0]) if bad.size else len(pairs)
-
-
-def _edge_map_index(graph: "BipartiteGraph",
-                    colours: dict) -> tuple[np.ndarray, np.ndarray, int]:
-    """Index arrays of an edge map's keys, and the position of the first
-    key that is not an edge of ``graph`` (len(colours) if none)."""
-    keys = list(colours)
-    i, j, stop = _index_pairs(keys, graph.n1, graph.n2)
-    adjacency = rows_to_matrix(graph._rows1, graph.n2)
-    missing = np.flatnonzero(adjacency[i[:stop], j[:stop]] == 0)
-    return i, j, int(missing[0]) if missing.size else stop
+    return i, j, first_hit((i < 0) | (i >= n1) | (j < 0) | (j >= n2), len(pairs))
 
 
 def _check_part_sizes(n1: int, n2: int) -> None:
@@ -280,7 +285,9 @@ class RColouring:
                       colours: dict[tuple[int, int], int]) -> "RColouring":
         if r < 1:
             raise InvalidArgumentError("need at least one colour")
-        i, j, stop = _edge_map_index(graph, colours)
+        keys = list(colours)
+        i, j, stop = _index_pairs(keys, graph.n1, graph.n2)
+        stop = first_hit(rows_to_matrix(graph._rows1, graph.n2)[i[:stop], j[:stop]] == 0, stop)
         # A key's edge check comes before its colour check: only keys
         # before the first non-edge can fail on colour.
         values = list(colours.values())[:stop]
@@ -289,15 +296,14 @@ class RColouring:
         except TypeError:
             odd = next(v for v in values if not hasattr(v, "__index__"))
             raise InvalidArgumentError(f"colour {odd!r} is not an integer") from None
-        off = np.flatnonzero((c < 0) | (c >= r))
-        if off.size:
-            raise InvalidArgumentError(f"colour {values[off[0]]} out of range 0..{r - 1}")
-        if stop < len(colours):
-            raise InvalidArgumentError("({},{}) is not an edge".format(*list(colours)[stop]))
-        if len(colours) != graph.edge_count:
+        off = first_hit((c < 0) | (c >= r), stop)
+        if off < stop:
+            raise InvalidArgumentError(f"colour {values[off]} out of range 0..{r - 1}")
+        if stop < len(keys):
+            raise InvalidArgumentError("({},{}) is not an edge".format(*keys[stop]))
+        if len(keys) != graph.edge_count:
             raise InvalidArgumentError("colouring must cover every edge exactly once")
-        return cls(graph, [rows_from_edges(graph.n1, graph.n2, i[c == k], j[c == k])
-                           for k in range(r)])
+        return cls(graph, colour_layers(graph.n1, graph.n2, i, j, c, r))
 
     def label(self, c: int) -> int:
         """The colour value that queries return for layer ``c``."""

@@ -214,10 +214,12 @@ class _Run(ConstructionRun):
             raise PartitionFailureError(
                 "joker-retry", f"some bulk vertex kept fewer than "
                 f"{float(match_floor):.1f} matching jokers in {retry} draws")
+        # Never empty: an accepted sample has >= sp*n/2 > 0 vertices, so n >= 25
+        # and the bulk has >= n - 1 - n/25 vertices.
         state.min_bulk_matches = min(
             [(crow(side_p_base, w, c) & half).bit_count()
              for mask, c, half in ((bulk_p, maj, jok_p), (bulk_s, minr, jok_s))
-             for w in iter_bits(mask)], default=None)
+             for w in iter_bits(mask)])
 
         bulk_red, bulk_blue = orient(maj, bulk_p, bulk_s)
         state.bulk = frozenset(part_vertices(side_p_base, bulk))
@@ -326,22 +328,15 @@ def audit_partition_state(g: BipartiteGraph, colouring: TwoColouring,
         e_maj = edges_between(lambda i: colouring.coloured_row(side, i, maj),
                               blue_base_mask, red_base_mask)
         size = len(state.base_red)
-        report.add("base-edges", e_total, float((Fraction(3, 8) + delta) * n * size),
-                   Fraction(e_total) >= (Fraction(3, 8) + delta) * n * size)
-        report.add("majority-base-edges", e_maj,
-                   float((Fraction(3, 16) + delta / 2) * n * size),
-                   Fraction(e_maj) >= (Fraction(3, 16) + delta / 2) * n * size)
-        report.add("joker-count", len(state.jokers), float(Fraction(3, 16) * n),
-                   Fraction(len(state.jokers)) >= Fraction(3, 16) * n)
+        report.check("base-edges", e_total, (Fraction(3, 8) + delta) * n * size)
+        report.check("majority-base-edges", e_maj, (Fraction(3, 16) + delta / 2) * n * size)
+        report.check("joker-count", len(state.jokers), Fraction(3, 16) * n)
         sp = state.subsample_p
         sample_size = len(state.base_sample)
         report.add("sample-size", sample_size, float(sp * n),
                    sp * n / 2 <= sample_size <= sp * n)
-        report.add("bulk-matches", state.min_bulk_matches, float(delta * n / 8),
-                   None if state.min_bulk_matches is None
-                   else Fraction(state.min_bulk_matches) >= delta * n / 8)
+        report.check("bulk-matches", state.min_bulk_matches, delta * n / 8)
     else:
-        for name in ("base-edges", "majority-base-edges", "joker-count",
-                     "sample-size", "bulk-matches"):
-            report.add(name, None, None, None)
+        report.not_applicable("base-edges", "majority-base-edges", "joker-count",
+                              "sample-size", "bulk-matches")
     return report

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from bipcover import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex)
+from bipcover import (BLUE, RED, BipartiteGraph, Colour, RColouring, TwoColouring, Vertex)
 from bipcover.errors import InvalidArgumentError
 from bipcover.exact import KnnReport, _component_masks, _maximal, _min_cover
 from bipcover.graph import components_from_rows, select, vertex_masks
@@ -259,14 +259,14 @@ def naive_tp(g, colouring, allow_singletons=True) -> int | None:
 def _block_ok(g, colouring, block: set[Vertex], allow_singletons: bool) -> bool:
     if len(block) == 1:
         return allow_singletons
-    for colour in (RED, BLUE):
+    for colour in map(colouring.label, range(colouring.num_colours)):
         edges = []
         for v in block:
             if v.part != 1:
                 continue
             for w in block:
                 if w.part == 2 and g.has_edge(v.index, w.index) \
-                        and colouring.colour_of(v.index, w.index) is colour:
+                        and colouring.colour_of(v.index, w.index) == colour:
                     edges.append((v, w))
         if naive_connected(block, edges):
             return True
@@ -452,3 +452,29 @@ def naive_knn_check(n: int, r: int, bound: int) -> KnnReport:
         if value > bound:
             report.violations.append(code)
     return report
+
+
+# ---------------------------------------------------------------------------
+# The two-halves blow-up through a per-edge colour dict
+
+
+def reference_colour_blowup_pair(n: int, r: int):
+    """``colour_blowup_pair`` as it stood before it built its colour layers
+    from index arrays, frozen: one colour per edge in a dict, then the
+    checked ``from_edge_map`` constructors."""
+    half = n // 2
+    group = half // r
+    half_mask = (1 << half) - 1
+    rows1 = [half_mask if i < half else half_mask << half for i in range(n)]
+    g = BipartiteGraph.from_rows(n, n, rows1)
+
+    def colour_of(i: int, j: int) -> int:
+        gi = (i % half) // group
+        gj = (j % half) // group
+        return (gi + gj) % r
+
+    colours = {(i, j): colour_of(i, j) for i, j in g.edges()}
+    if r == 2:
+        two = TwoColouring.from_edge_map(g, {e: Colour(c) for e, c in colours.items()})
+        return g, two
+    return g, RColouring.from_edge_map(g, r, colours)

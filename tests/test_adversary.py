@@ -13,7 +13,7 @@ from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
 from bipcover.adversary import Lower4Witness
 from bipcover.errors import ConstructionInfeasibleError, InvalidArgumentError
 from bipcover.models import ModelParams
-from conftest import matching_graph
+from conftest import matching_graph, reference_colour_blowup_pair
 
 
 class TestLower3:
@@ -147,6 +147,13 @@ class TestBlowup:
         assert g.min_degree() == 4
         degrees = [g.row(1, i).bit_count() for i in range(8)]
         assert degrees == [4] * 8
+
+    def test_matches_the_dict_construction(self):
+        # Every n <= 24 with 2r | n: the same graph, colouring type and layers.
+        for n in range(1, 25):
+            for r in range(2, n // 2 + 1):
+                if n % (2 * r) == 0:
+                    assert colour_blowup_pair(n, r) == reference_colour_blowup_pair(n, r)
 
     def test_divisibility_enforced(self):
         with pytest.raises(InvalidArgumentError):

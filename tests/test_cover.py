@@ -229,7 +229,7 @@ class TestRandomRegime:
             return  # degenerate inputs may legitimately fail earlier
         assert set(state.uncovered_reasons) == set(cover.uncovered)
         allowed = {"isolated-from-jokers", "isolated-from-second-jokers",
-                   "retry-exhausted", "unattached-joker", "no-attachment"}
+                   "retry-exhausted", "no-attachment"}
         assert set(state.uncovered_reasons.values()) <= allowed
         assert validate_cover(g, col, cover).ok
 

@@ -1,6 +1,7 @@
 """Exact solvers against independent enumeration oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,26 @@ class TestTpExact:
         for seed in range(60):
             g = sample_bipartite(ModelParams(4, 4, Fraction(1, 2)), seed)
             col = sample_colouring(g, Fraction(1, 2), seed)
+            assert tp_exact(g, col).value == naive_tp(g, col)
+
+    def test_referee_reads_r_colouring_labels(self):
+        g = BipartiteGraph.complete(1, 1)
+        assert naive_tp(g, RColouring.from_edge_map(g, 1, {(0, 0): 0})) == 1
+
+    def test_agrees_with_naive_enumeration_on_three_colourings(self):
+        # All 81 3-colourings of K_{2,2}, then seeded random 3-colourings
+        # of hosts with up to 3 + 3 vertices.
+        g = BipartiteGraph.complete(2, 2)
+        edges = list(g.edges())
+        for code in range(81):
+            col = RColouring.from_edge_map(g, 3, {e: code // 3 ** k % 3
+                                                  for k, e in enumerate(edges)})
+            assert tp_exact(g, col).value == naive_tp(g, col)
+        for seed in range(40):
+            rnd = random.Random(seed)
+            n1, n2 = rnd.randint(1, 3), rnd.randint(1, 3)
+            g = sample_bipartite(ModelParams(n1, n2, Fraction(rnd.randint(1, 4), 4)), seed)
+            col = RColouring.from_edge_map(g, 3, {e: rnd.randrange(3) for e in g.edges()})
             assert tp_exact(g, col).value == naive_tp(g, col)
 
     def test_no_singleton_agreement_and_infeasibility(self):

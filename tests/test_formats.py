@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
+from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring, Vertex,
                       sample_bipartite, sample_colouring)
 from bipcover.adversary import colour_blowup_pair
 from bipcover.errors import FormatError
@@ -393,3 +393,46 @@ def test_parse_partition_rejects_a_vertex_write_partition_never_writes(text, mes
     with pytest.raises(FormatError) as exc:
         parse_partition(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_cover, "cover 2 2\ntree R\nvertices 1:0 1:0\nend\nuncovered 1:1 2:0 2:1 2:1\n",
+     "line 3: vertex 1:0 repeated"),
+    (parse_cover, "cover 2 2\ntree R\nvertices 1:0 2:0\nvertices 2:0\nend\nuncovered\n",
+     "line 4: vertex 2:0 repeated"),
+    (parse_cover, "cover 2 2\ntree R\nvertices 1:0\nend\nuncovered 1:1 2:0 2:1 2:1\n",
+     "line 5: vertex 2:1 repeated"),
+    (parse_partition, "partition 1 1\npart R 1:0 1:0 2:0\n", "line 2: vertex 1:0 repeated"),
+    (parse_partition, "partition 2 2\npart R 1:0 2:0\npart B 1:1 2:1 1:1\n",
+     "line 3: vertex 1:1 repeated"),
+], ids=("tree-line", "tree-block", "uncovered", "part", "second-part"))
+def test_a_repeated_vertex_is_rejected(parse, text, message):
+    # These used to read as one vertex: a one-vertex tree, three uncovered
+    # vertices, a two-vertex part.
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_cover, "cover 2 2\ntree R\nvertices 1:0 1:0\nend\nleaves\n",
+     "line 5: unknown directive 'leaves'"),
+    (parse_cover, "cover 2 2\nuncovered 1:0 1:0 2:9\n",
+     "line 2: vertex 2:9 outside the header's parts"),
+    (parse_cover, "cover 2 2\ntree R\nvertices 1:0 1:0\nend\n", "missing 'uncovered' line"),
+    (parse_partition, "partition 2 2\npart R 1:0 1:0\npart B 1:5\n",
+     "line 3: vertex 1:5 outside the header's parts"),
+], ids=("line-error", "stray", "missing-uncovered", "partition-stray"))
+def test_a_repeated_vertex_is_reported_after_every_other_error(parse, text, message):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_a_vertex_in_two_trees_or_parts_is_left_to_the_validators():
+    cover = parse_cover("cover 1 1\ntree R\nvertices 1:0\nend\ntree B\nvertices 1:0\nend\n"
+                        "uncovered 2:0\n")
+    assert [tree.vertices for tree in cover.trees] == [frozenset([Vertex(1, 0)])] * 2
+    partition = parse_partition("partition 1 1\npart R 1:0 2:0\npart B 2:0\n")
+    assert [part for _, part in partition.parts] == [frozenset([Vertex(1, 0), Vertex(2, 0)]),
+                                                     frozenset([Vertex(2, 0)])]

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from bipcover.errors import ConstructionInfeasibleError
 from bipcover.graph import (components_from_rows, rows_from_edges, rows_from_matrix,
                             rows_to_matrix, transpose_rows)
 from bipcover.models import ModelParams, sample_mindeg_subgraph
-from bipcover.formats import parse_graph
+from bipcover.formats import parse_graph, write_graph
 from conftest import (graph_from_coloured_edges, matching_graph, naive_colour_of,
                       naive_components, naive_matrix, naive_rows_from_edges,
                       naive_transpose, naive_validate_cover,
@@ -208,6 +209,14 @@ class TestValidators:
         cover = TreeCover((bad,), frozenset(set(g.vertices()) - {v1(1), v2(1)}))
         assert not validate_cover(g, col, cover).ok
 
+    def test_missing_edge_detected(self):
+        g, col = matching_graph()
+        bad = MonoTree(RED, frozenset([v1(0), v2(1)]), ((v1(0), v2(1)),))
+        cover = TreeCover((bad,), frozenset(set(g.vertices()) - {v1(0), v2(1)}))
+        report = validate_cover(g, col, cover)
+        assert report.violations == reference_validate_cover(g, col, cover)
+        assert "tree 0: edge 1:0-2:1 not present in the graph" in report.violations
+
     def test_coverage_gap_detected(self):
         g, col = matching_graph()
         t = MonoTree(RED, frozenset([v1(0), v2(0)]), ((v1(0), v2(0)),))
@@ -237,6 +246,15 @@ class TestValidators:
         ))
         report = validate_partition(g, col, part)
         assert any("components" in v for v in report.violations)
+
+    def test_partition_overlap_detected(self):
+        g, col = matching_graph()
+        parts = MonoPartition(((RED, frozenset([v1(0), v2(0)])), (RED, frozenset([v2(0)])),
+                               (BLUE, frozenset([v1(1), v2(1)])),
+                               (BLUE, frozenset([v1(2), v2(2)]))))
+        report = validate_partition(g, col, parts)
+        assert report.violations == reference_validate_partition(g, col, parts) == [
+            "part 1 overlaps an earlier part at 2:0"]
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2 ** 32))
@@ -506,6 +524,40 @@ class TestColouringLayers:
         assert col.num_colours == 14400 and col.used_colours == (0, 14399)
         for i, j in g.edges():
             assert col.colour_of(i, j) == naive_colour_of(col, i, j) == (14399 if i % 2 else 0)
+
+    def test_edge_map_cost_follows_colours_in_use(self):
+        # Colour indices 0 and n1*n2 - 1 only: 14,400 layers, two built.
+        g = BipartiteGraph.complete(120, 120)
+        colours = {(i, j): 14399 if (i + j) % 2 else 0 for i, j in g.edges()}
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            col = RColouring.from_edge_map(g, 14400, colours)
+            seconds.append(time.perf_counter() - start)
+        assert (g, col) == parse_graph(write_graph(g, col))
+        assert col.used_colours == (0, 14399)
+        assert min(seconds) < 0.1
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_edge_map_layers_match_a_per_edge_build(self, data):
+        n1 = data.draw(st.integers(1, 6))
+        n2 = data.draw(st.integers(3 if n1 == 1 else 2 if n1 == 2 else 1, 6))
+        cells = data.draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))
+        edges = [divmod(k, n2) for k, on in enumerate(cells) if on] or [(0, 0)]
+        # A few sparse indices below n1*n2, the largest at least 2.
+        top = data.draw(st.integers(2, n1 * n2 - 1))
+        palette = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3)) + [top]
+        picks = [top] + data.draw(st.lists(st.sampled_from(palette), min_size=len(edges) - 1,
+                                           max_size=len(edges) - 1))
+        colours = dict(zip(data.draw(st.permutations(edges)), picks))
+        r = max(colours.values()) + 1
+        g = BipartiteGraph.from_edges(n1, n2, edges)
+        col = RColouring.from_edge_map(g, r, colours)
+        assert r >= 3 and parse_graph(write_graph(g, col)) == (g, col)
+        assert [col.layer_rows(c) for c in range(r)] == [
+            naive_rows_from_edges(n1, n2, [e for e, k in colours.items() if k == c])
+            for c in range(r)]
 
     def test_two_colouring_differs_from_r_colouring_with_its_layers(self):
         g, col = matching_graph()
