@@ -16,8 +16,8 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex, lowest,
-                    rows_from_matrix, select, select_flags)
+from .graph import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex, edges_between,
+                    lowest, rows_from_matrix, select, select_flags)
 from .rng import RandomStream, threshold_u64
 
 T = TypeVar("T")
@@ -73,6 +73,15 @@ def pick_roots(heavy: dict[Colour, tuple[int, int]]) -> tuple[Vertex, Vertex] | 
     if hr2 and hb1:
         return Vertex(2, lowest(hr2)), Vertex(1, lowest(hb1))
     return None
+
+
+def majority_colour(colouring: TwoColouring, part: int, mask_x: int,
+                    mask_y: int) -> tuple[Colour, int]:
+    """(the colour with more edges between ``mask_x`` in ``part`` and the
+    opposite-part ``mask_y``, red on a tie; the edge count of both colours)."""
+    e_red, e_blue = (edges_between(colouring.layer_rows(c)[part - 1].__getitem__, mask_x, mask_y)
+                     for c in (RED, BLUE))
+    return RED if e_red >= e_blue else BLUE, e_red + e_blue
 
 
 def orient(majority: Colour, red: T, blue: T) -> tuple[T, T]:

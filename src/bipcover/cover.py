@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .construct import AuditReport, ConstructionRun, heavy_masks, orient, pick_roots
+from .construct import (AuditReport, ConstructionRun, heavy_masks, majority_colour, orient,
+                        pick_roots)
 from .errors import InvalidArgumentError, PropertyFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoTree, TreeCover,
                     TwoColouring, Vertex, components_from_rows, edges_between,
@@ -199,12 +200,9 @@ class _Pipeline(ConstructionRun):
         crow = self.col.coloured_row
         nr = crow(root_red.part, root_red.index, RED)
         nb = crow(root_blue.part, root_blue.index, BLUE)
-        e_red = edges_between(lambda i: crow(root_red.part, i, RED), nb, nr)
-        e_blue = edges_between(lambda i: crow(root_red.part, i, BLUE), nb, nr)
-
         state.root_red, state.root_blue = root_red, root_blue
         state.parts_swapped = root_red.part == 2
-        state.majority = RED if e_red >= e_blue else BLUE
+        state.majority = majority_colour(self.col, root_red.part, nb, nr)[0]
         return self._construct(state), state
 
     def _construct(self, state: CoverState) -> TreeCover:

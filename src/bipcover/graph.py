@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -222,8 +223,7 @@ class BipartiteGraph:
         raise InvalidArgumentError(f"part must be 1 or 2, got {part}")
 
     def check_vertex(self, v: Vertex) -> None:
-        if v.part not in (1, 2) or not (0 <= v.index < self.part_size(v.part)):
-            raise InvalidArgumentError(f"vertex {v!r} not in this graph")
+        vertex_masks(self, (v,))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self._rows1[i] >> j & 1)
@@ -267,6 +267,11 @@ class RColouring:
     """Edge colouring with colour indices 0..r-1, stored as one layer per
     colour: the layer's adjacency rows for part 1 and for part 2.
 
+    The part-1 layer rows must partition E(G), every edge in exactly one
+    layer and no non-edge in any, or the constructor raises (this is how
+    ``from_edge_map`` rejects a map that misses an edge).  Each layer's
+    part-2 rows must be the transpose of its part-1 rows; only their
+    count is checked.
     ``used_colours`` lists, ascending, the layers that have an edge.  Two
     colourings are equal when they have the same type, graph and layers.
     """
@@ -275,10 +280,28 @@ class RColouring:
 
     def __init__(self, graph: BipartiteGraph,
                  layers: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]):
+        self._adopt(graph, tuple(layers))
+        self._check_layers()
+
+    def _adopt(self, graph: BipartiteGraph, layers: tuple) -> None:
         self.graph = graph
-        self._layers = tuple(layers)
-        self.num_colours = len(self._layers)
-        self.used_colours = tuple(c for c, (rows1, _) in enumerate(self._layers) if any(rows1))
+        self._layers = layers
+        self.num_colours = len(layers)
+        self.used_colours = tuple(c for c, (rows1, _) in enumerate(layers) if any(rows1))
+
+    def _check_layers(self) -> None:
+        n1, n2 = self.graph.n1, self.graph.n2
+        for c, (rows1, rows2) in enumerate(self._layers):
+            if len(rows1) != n1 or len(rows2) != n2:
+                raise InvalidArgumentError(f"layer {c} needs {n1} part-1 and {n2} part-2 rows")
+        # A layer without a part-1 bit breaks no partition: the cost follows the colours in use.
+        used = (self._layers[c][0] for c in self.used_colours)
+        for i, (row, *cells) in enumerate(zip(self.graph._rows1, *used)):
+            union = reduce(operator.or_, cells, 0)
+            if union & ~row:
+                raise InvalidArgumentError(f"a layer row of 1:{i} marks a non-edge")
+            if union != row or sum(cell.bit_count() for cell in cells) != row.bit_count():
+                raise InvalidArgumentError("colouring must cover every edge exactly once")
 
     @classmethod
     def from_edge_map(cls, graph: BipartiteGraph, r: int,
@@ -301,8 +324,6 @@ class RColouring:
             raise InvalidArgumentError(f"colour {values[off]} out of range 0..{r - 1}")
         if stop < len(keys):
             raise InvalidArgumentError("({},{}) is not an edge".format(*keys[stop]))
-        if len(keys) != graph.edge_count:
-            raise InvalidArgumentError("colouring must cover every edge exactly once")
         return cls(graph, colour_layers(graph.n1, graph.n2, i, j, c, r))
 
     def label(self, c: int) -> int:
@@ -353,7 +374,8 @@ class TwoColouring(RColouring):
         _check_red_rows(2, red2, graph._rows2)
         blue1 = tuple(row & ~red for row, red in zip(graph._rows1, red1))
         blue2 = tuple(row & ~red for row, red in zip(graph._rows2, red2))
-        super().__init__(graph, ((red1, red2), (blue1, blue2)))
+        # The red-row checks imply that the two layers partition E(G).
+        self._adopt(graph, ((red1, red2), (blue1, blue2)))
 
     @classmethod
     def from_red_rows(cls, graph: BipartiteGraph, red1: Iterable[int],
@@ -393,16 +415,31 @@ class TwoColouring(RColouring):
 # Queries
 
 
+def split_vertices(g: BipartiteGraph, vertices: Iterable[Vertex]) -> tuple[int, int, list]:
+    """(part-1 mask, part-2 mask, the vertices outside ``g`` in iteration order)."""
+    m1 = m2 = 0
+    foreign = []
+    for v in vertices:
+        if v.part == 1 and 0 <= v.index < g.n1:
+            m1 |= 1 << v.index
+        elif v.part == 2 and 0 <= v.index < g.n2:
+            m2 |= 1 << v.index
+        else:
+            foreign.append(v)
+    return m1, m2, foreign
+
+
 def vertex_masks(g: BipartiteGraph, vertices: Iterable[Vertex]) -> tuple[int, int]:
     """Split a vertex set into (part-1 mask, part-2 mask), validating ids."""
-    m1 = m2 = 0
-    for v in vertices:
-        g.check_vertex(v)
-        if v.part == 1:
-            m1 |= 1 << v.index
-        else:
-            m2 |= 1 << v.index
+    m1, m2, foreign = split_vertices(g, vertices)
+    if foreign:
+        raise InvalidArgumentError(f"vertex {foreign[0]!r} not in this graph")
     return m1, m2
+
+
+def min_vertex(m1: int, m2: int) -> Vertex:
+    """The least vertex (part 1 first) of a nonempty mask pair."""
+    return Vertex(1, lowest(m1)) if m1 else Vertex(2, lowest(m2))
 
 
 def part_vertices(part: int, mask: int) -> list[Vertex]:
@@ -423,11 +460,10 @@ def degree(g: BipartiteGraph, v: Vertex, *, within: Iterable[Vertex] | None = No
     row = colouring.coloured_row(v.part, v.index, colour) if colouring else g.row(v.part, v.index)
     if within is None:
         return row.bit_count()
-    m1, m2 = vertex_masks(g, within)
-    opposite = m2 if v.part == 1 else m1
-    if (m1 if v.part == 1 else m2):
+    masks = vertex_masks(g, within)
+    if masks[v.part - 1]:
         raise InvalidArgumentError("'within' must lie in the part opposite to v")
-    return (row & opposite).bit_count()
+    return (row & masks[2 - v.part]).bit_count()
 
 
 def edge_count_between(g: BipartiteGraph, a: Iterable[Vertex], b: Iterable[Vertex], *,
@@ -445,9 +481,8 @@ def edge_count_between(g: BipartiteGraph, a: Iterable[Vertex], b: Iterable[Verte
     if (a1 and b1) or (a2 and b2):
         raise InvalidArgumentError("sets must lie in opposite parts")
     left, right = (a1, b2) if a1 else (b1, a2)
-    if colouring:
-        return edges_between(lambda i: colouring.coloured_row(1, i, colour), left, right)
-    return edges_between(lambda i: g.row(1, i), left, right)
+    rows1 = colouring.layer_rows(colour)[0] if colouring else g._rows1
+    return edges_between(rows1.__getitem__, left, right)
 
 
 def components_from_rows(n1: int, n2: int, rows1: Sequence[int], rows2: Sequence[int],
@@ -538,17 +573,13 @@ class ValidationReport:
         self.violations.append(message)
 
 
-def _check_tree(g: BipartiteGraph, colouring: TwoColouring, tree: MonoTree,
-                label: str, report: ValidationReport) -> None:
+def _check_tree(g: BipartiteGraph, colouring: TwoColouring, tree: MonoTree, label: str,
+                report: ValidationReport, m1: int, m2: int, foreign: list) -> None:
     if not tree.vertices:
         report.add(f"{label}: empty vertex set")
         return
-    try:
-        m1, m2 = vertex_masks(g, tree.vertices)
-    except InvalidArgumentError:
-        inside = set(g.vertices())
-        stray = next(v for v in tree.vertices if v not in inside)
-        report.add(f"{label}: vertex {stray} not in graph")
+    if foreign:
+        report.add(f"{label}: vertex {foreign[0]} not in graph")
         return
     if len(tree.edges) != len(tree.vertices) - 1:
         report.add(f"{label}: {len(tree.edges)} edges for {len(tree.vertices)} vertices")
@@ -572,6 +603,13 @@ def _check_tree(g: BipartiteGraph, colouring: TwoColouring, tree: MonoTree,
         report.add(f"{label}: edges do not connect all vertices")
 
 
+def _report_gap(g: BipartiteGraph, m1: int, m2: int, what: str, report: ValidationReport) -> None:
+    gap1, gap2 = (1 << g.n1) - 1 & ~m1, (1 << g.n2) - 1 & ~m2
+    if gap1 or gap2:
+        count = gap1.bit_count() + gap2.bit_count()
+        report.add(f"coverage: {count} vertices {what}, e.g. {min_vertex(gap1, gap2)}")
+
+
 def validate_cover(g: BipartiteGraph, colouring: TwoColouring,
                    cover: TreeCover) -> ValidationReport:
     """Re-derive every TreeCover invariant from raw adjacency.
@@ -580,25 +618,20 @@ def validate_cover(g: BipartiteGraph, colouring: TwoColouring,
     the cover is valid.
     """
     report = ValidationReport()
-    for t, tree in enumerate(cover.trees):
-        _check_tree(g, colouring, tree, f"tree {t}", report)
     groups = [tree.vertices for tree in cover.trees] + [cover.uncovered]
+    m1s, m2s, outs = zip(*(split_vertices(g, grp) for grp in groups))
+    for t, tree in enumerate(cover.trees):
+        _check_tree(g, colouring, tree, f"tree {t}", report, m1s[t], m2s[t], outs[t])
     names = [f"tree {t}" for t in range(len(cover.trees))] + ["uncovered"]
     for a in range(len(groups)):
         for b in range(a + 1, len(groups)):
             shared = groups[a] & groups[b]
             if shared:
-                report.add(f"{names[a]} and {names[b]} share {sorted(shared)[0]}")
-    covered: set[Vertex] = set()
-    for grp in groups:
-        covered |= grp
-    everything = set(g.vertices())
-    missing = everything - covered
-    extra = covered - everything
-    if missing:
-        report.add(f"coverage: {len(missing)} vertices unaccounted, e.g. {sorted(missing)[0]}")
-    if extra:
-        report.add(f"coverage: {len(extra)} foreign vertices, e.g. {sorted(extra)[0]}")
+                report.add(f"{names[a]} and {names[b]} share {min(shared)}")
+    _report_gap(g, reduce(operator.or_, m1s), reduce(operator.or_, m2s), "unaccounted", report)
+    foreign = set().union(*outs)
+    if foreign:
+        report.add(f"coverage: {len(foreign)} foreign vertices, e.g. {min(foreign)}")
     return report
 
 
@@ -606,28 +639,22 @@ def validate_partition(g: BipartiteGraph, colouring: TwoColouring,
                        partition: MonoPartition) -> ValidationReport:
     """Check disjointness, exact coverage, and per-part colour connectivity."""
     report = ValidationReport()
-    seen: set[Vertex] = set()
+    seen1 = seen2 = 0
     for k, (colour, part) in enumerate(partition.parts):
         if not part:
             report.add(f"part {k}: empty")
             continue
-        for v in part:
-            try:
-                g.check_vertex(v)
-            except InvalidArgumentError:
-                report.add(f"part {k}: vertex {v} not in graph")
-                return report
-        overlap = seen & part
-        if overlap:
-            report.add(f"part {k} overlaps an earlier part at {sorted(overlap)[0]}")
-        seen |= part
-        inside = components_from_rows(g.n1, g.n2, *colouring.layer_rows(colour),
-                                      *vertex_masks(g, part))
+        m1, m2, foreign = split_vertices(g, part)
+        if foreign:
+            report.add(f"part {k}: vertex {foreign[0]} not in graph")
+            return report
+        if m1 & seen1 or m2 & seen2:
+            report.add(f"part {k} overlaps an earlier part at {min_vertex(m1 & seen1, m2 & seen2)}")
+        seen1, seen2 = seen1 | m1, seen2 | m2
+        inside = components_from_rows(g.n1, g.n2, *colouring.layer_rows(colour), m1, m2)
         if len(inside) != 1:
             report.add(f"part {k}: {len(inside)} {colour.token}-components, expected 1")
-    missing = set(g.vertices()) - seen
-    if missing:
-        report.add(f"coverage: {len(missing)} vertices missing, e.g. {sorted(missing)[0]}")
+    _report_gap(g, seen1, seen2, "missing", report)
     return report
 
 
@@ -637,29 +664,23 @@ def spanning_tree_of(g: BipartiteGraph, colouring: TwoColouring, colour: Colour,
     vset = frozenset(vertices)
     if not vset:
         raise InvalidArgumentError("cannot build a tree on no vertices")
-    m1, m2 = vertex_masks(g, vset)
-    root = min(vset)
-    reached1, reached2 = (1 << root.index, 0) if root.part == 1 else (0, 1 << root.index)
-    frontier = [root]
+    masks = vertex_masks(g, vset)
+    root = min_vertex(*masks)
+    rows = colouring.layer_rows(colour)
+    side, frontier = root.part - 1, [root.index]
+    reached = [(side == 0) << root.index, (side == 1) << root.index]
     edges: list[tuple[Vertex, Vertex]] = []
     while frontier:
-        nxt: list[Vertex] = []
-        for v in frontier:
-            inside = m2 if v.part == 1 else m1
-            seen = reached2 if v.part == 1 else reached1
-            fresh = colouring.coloured_row(v.part, v.index, colour) & inside & ~seen
-            for idx in iter_bits(fresh):
-                w = Vertex(2 if v.part == 1 else 1, idx)
-                if v.part == 1:
-                    reached2 |= 1 << idx
-                    edges.append((v, w))
-                else:
-                    reached1 |= 1 << idx
-                    edges.append((w, v))
-                nxt.append(w)
-        frontier = nxt
-    if (reached1, reached2) != (m1, m2):
-        raise NotConnectedError(
-            f"vertex set is not connected in {colour.token}: "
-            f"{(m1 & ~reached1).bit_count() + (m2 & ~reached2).bit_count()} unreachable")
+        nxt: list[int] = []
+        for x in frontier:
+            fresh = rows[side][x] & masks[1 - side] & ~reached[1 - side]
+            reached[1 - side] |= fresh
+            for y in iter_bits(fresh):
+                ends = (Vertex(side + 1, x), Vertex(2 - side, y))
+                edges.append(ends if side == 0 else ends[::-1])
+                nxt.append(y)
+        side, frontier = 1 - side, nxt
+    if tuple(reached) != masks:
+        gap = sum((m & ~r).bit_count() for m, r in zip(masks, reached))
+        raise NotConnectedError(f"vertex set is not connected in {colour.token}: {gap} unreachable")
     return MonoTree(colour, vset, tuple(edges))

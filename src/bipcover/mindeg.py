@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .construct import (AuditReport, ConstructionRun, bernoulli_subset, heavy_masks,
-                        orient, pick_roots, retry_draw)
+                        majority_colour, orient, pick_roots, retry_draw)
 from .errors import InvalidArgumentError, PartitionFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
                     TwoColouring, Vertex, components_from_rows, edges_between,
@@ -156,16 +156,12 @@ class _Run(ConstructionRun):
         state.base_red = frozenset(part_vertices(root_blue.part, base_red_mask))
         state.base_blue = frozenset(part_vertices(root_red.part, base_blue_mask))
 
-        e_red = edges_between(lambda i: crow(root_red.part, i, RED),
-                              base_blue_mask, base_red_mask)
-        e_blue = edges_between(lambda i: crow(root_red.part, i, BLUE),
-                               base_blue_mask, base_red_mask)
+        maj, e_bases = majority_colour(self.col, root_red.part, base_blue_mask, base_red_mask)
         total_bound = (Fraction(3, 8) + delta) * n * base_size
-        if e_red + e_blue < total_bound:
+        if e_bases < total_bound:
             raise PartitionFailureError(
-                "base-edges", f"e(bases)={e_red + e_blue} below {float(total_bound):.1f}")
+                "base-edges", f"e(bases)={e_bases} below {float(total_bound):.1f}")
         # The majority colour has at least half the base-edges bound.
-        maj = RED if e_red >= e_blue else BLUE
         state.majority = maj
         minr = maj.other
 

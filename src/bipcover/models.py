@@ -44,6 +44,7 @@ class ModelParams:
     p: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "p", as_fraction(self.p))
         if self.n1 < 1 or self.n2 < 1:
             raise InvalidArgumentError("part sizes must be at least 1")
         if not 0 <= self.p <= 1:

@@ -13,8 +13,9 @@ from bipcover import (BLUE, RED, BipartiteGraph, CoverParams, ModelParams, Parti
                       TwoColouring, almost_cover, colour_lower3, partition3, sample_bipartite,
                       sample_colouring)
 from bipcover.construct import (AuditReport, ConstructionRun, bernoulli_subset, coin_split,
-                                heavy_masks, pick_roots, retry_draw)
-from bipcover.errors import InvalidArgumentError
+                                heavy_masks, majority_colour, pick_roots, retry_draw)
+from bipcover.errors import (InvalidArgumentError, PartitionFailureError, PropertyFailureError,
+                             StepFailureError)
 from bipcover.graph import iter_bits, select, select_flags
 from bipcover.rng import RandomStream
 from conftest import (graph_from_coloured_edges, naive_bernoulli_subset, naive_coin_split,
@@ -255,3 +256,30 @@ def test_cover_heavy_sets_of_both_colours_give_opposite_roots(n1, n2, data):
     assume(heavy[RED] != (0, 0) and heavy[BLUE] != (0, 0))
     roots = pick_roots(heavy)
     assert roots is not None and roots[0].part != roots[1].part
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32), st.sampled_from((1, 2)),
+       st.data())
+def test_majority_colour_counts_both_colours_and_breaks_ties_red(n1, n2, seed, part, data):
+    rnd = random.Random(seed)
+    coloured = [(i, j, rnd.choice((RED, BLUE))) for i in range(n1) for j in range(n2)
+                if rnd.random() < 0.7]
+    g, col = graph_from_coloured_edges(n1, n2, coloured)
+    sizes = (n1, n2) if part == 1 else (n2, n1)
+    mask_x = data.draw(st.integers(0, (1 << sizes[0]) - 1))
+    mask_y = data.draw(st.integers(0, (1 << sizes[1]) - 1))
+    counts = {RED: 0, BLUE: 0}
+    for i, j, c in coloured:
+        x, y = (i, j) if part == 1 else (j, i)
+        if mask_x >> x & 1 and mask_y >> y & 1:
+            counts[c] += 1
+    majority = RED if counts[RED] >= counts[BLUE] else BLUE
+    assert majority_colour(col, part, mask_x, mask_y) == (majority, counts[RED] + counts[BLUE])
+
+
+def test_step_failures_share_one_base():
+    for cls in (PropertyFailureError, PartitionFailureError):
+        err = cls("base-edges", "e(bases)=3 below 4.0")
+        assert isinstance(err, StepFailureError)
+        assert (err.step, str(err)) == ("base-edges", "base-edges: e(bases)=3 below 4.0")

@@ -311,6 +311,89 @@ class TestSpanningTree:
             spanning_tree_of(g, col, BLUE, [v1(0), v2(0)])
 
 
+class TestValidatorPins:
+    """Branches of the mask referees that hypothesis draws reach only by
+    chance, each pinned against the frozen reference validators."""
+
+    @pytest.mark.parametrize("foreign", (Vertex(1, -1), Vertex(3, 0)))
+    def test_foreign_vertex_in_a_tree_and_in_uncovered(self, foreign):
+        # 1:-1 sorts before every vertex of the graph, 3:0 after all of them.
+        g, col = matching_graph()
+        tree = MonoTree(RED, frozenset([v1(0), v2(0), foreign]), ((v1(0), v2(0)),))
+        rest = frozenset(g.vertices()) - {v2(0)}
+        cover = TreeCover((tree,), rest | {foreign})
+        report = validate_cover(g, col, cover)
+        assert report.violations == reference_validate_cover(g, col, cover) == [
+            f"tree 0: vertex {foreign} not in graph",
+            f"tree 0 and uncovered share {min(foreign, v1(0))}",
+            f"coverage: 1 foreign vertices, e.g. {foreign}"]
+
+    def test_two_foreign_vertices_counted_once_each(self):
+        g, col = matching_graph()
+        tree = MonoTree(RED, frozenset([v1(0), v2(0)]), ((v1(0), v2(0)),))
+        cover = TreeCover((tree,), frozenset(g.vertices()) - {v1(0), v2(0)}
+                          | {Vertex(3, 0), Vertex(1, -1), Vertex(2, 3)})
+        report = validate_cover(g, col, cover)
+        assert report.violations == reference_validate_cover(g, col, cover) == [
+            "coverage: 3 foreign vertices, e.g. 1:-1"]
+
+    @pytest.mark.parametrize("foreign", (Vertex(1, -1), Vertex(3, 0)))
+    def test_foreign_vertex_in_a_part(self, foreign):
+        g, col = matching_graph()
+        parts = MonoPartition(((RED, frozenset([v1(0), v2(0)])),
+                               (BLUE, frozenset([v1(1), v2(1), foreign]))))
+        report = validate_partition(g, col, parts)
+        assert report.violations == reference_validate_partition(g, col, parts) == [
+            f"part 1: vertex {foreign} not in graph"]
+
+    def test_cover_missing_only_part_2_vertices(self):
+        g, col = matching_graph()
+        tree = MonoTree(RED, frozenset([v1(0), v2(0)]), ((v1(0), v2(0)),))
+        cover = TreeCover((tree,), frozenset([v1(1), v1(2)]))
+        report = validate_cover(g, col, cover)
+        assert report.violations == reference_validate_cover(g, col, cover) == [
+            "coverage: 2 vertices unaccounted, e.g. 2:1"]
+
+    def test_partition_missing_only_part_2_vertices(self):
+        g, col = matching_graph()
+        parts = MonoPartition(((RED, frozenset([v1(0), v2(0)])),
+                               (BLUE, frozenset([v1(1), v2(1)])), (BLUE, frozenset([v1(2)]))))
+        report = validate_partition(g, col, parts)
+        assert report.violations == reference_validate_partition(g, col, parts) == [
+            "coverage: 1 vertices missing, e.g. 2:2"]
+
+    def test_partition_overlap_at_part_2_vertices(self):
+        g = BipartiteGraph.complete(3, 3)
+        col = TwoColouring.monochromatic(g, BLUE)
+        parts = MonoPartition(((BLUE, frozenset([v1(0), v2(1), v2(2)])),
+                               (BLUE, frozenset([v1(1), v2(2), v2(1)])),
+                               (BLUE, frozenset([v1(1), v1(2), v2(0), v2(1)]))))
+        report = validate_partition(g, col, parts)
+        assert report.violations == reference_validate_partition(g, col, parts) == [
+            "part 1 overlaps an earlier part at 2:1",
+            "part 2 overlaps an earlier part at 1:1"]
+
+    @pytest.mark.parametrize("colour, vertices, message", [
+        (RED, [v1(0), v2(0), v1(1), v2(1)], "vertex set is not connected in R: 2 unreachable"),
+        (BLUE, [v2(2), v1(1), v2(1)], "vertex set is not connected in B: 1 unreachable"),
+        (BLUE, [v2(1), v2(2)], "vertex set is not connected in B: 1 unreachable"),
+    ])
+    def test_not_connected_message(self, colour, vertices, message):
+        g, col = matching_graph()
+        with pytest.raises(NotConnectedError) as exc:
+            spanning_tree_of(g, col, colour, vertices)
+        assert str(exc.value) == message
+
+    def test_tree_edges_level_by_level(self):
+        # Levels alternate parts; every edge is still written (part 1, part 2).
+        g = BipartiteGraph.complete(2, 3)
+        col = TwoColouring.monochromatic(g, BLUE)
+        tree = spanning_tree_of(g, col, BLUE, [v2(2), v1(1), v2(0), v1(0)])
+        assert tree.edges == ((v1(0), v2(0)), (v1(0), v2(2)), (v1(1), v2(0)))
+        tree = spanning_tree_of(g, col, BLUE, [v2(1)])
+        assert (tree.vertices, tree.edges) == (frozenset([v2(1)]), ())
+
+
 def test_broken_covers_agree_with_naive():
     # mutate a valid cover three ways; both validators must reject each
     g = BipartiteGraph.complete(3, 3)
@@ -607,6 +690,48 @@ class TestTwoColouringChecks:
         col = TwoColouring(g, red1, transpose_rows(red1, 4))
         assert col == TwoColouring.from_red_rows(g, red1)
         assert col.swapped().swapped() == col
+
+
+class TestRColouringPartition:
+    """RColouring(graph, layers) takes part-1 layer rows that partition E(G)."""
+
+    @pytest.mark.parametrize("layers", [
+        # (0,1) and (1,0) lie in no layer.
+        [((1, 0), (1, 0)), ((0, 2), (0, 2)), ((0, 0), (0, 0))],
+        # (0,0) lies in both layers.
+        [((3, 3), (3, 3)), ((1, 0), (1, 0))],
+        # No layer at all.
+        [],
+    ])
+    def test_layers_missing_or_repeating_an_edge_rejected(self, layers):
+        with pytest.raises(InvalidArgumentError) as exc:
+            RColouring(BipartiteGraph.complete(2, 2), layers)
+        assert str(exc.value) == "colouring must cover every edge exactly once"
+
+    def test_non_edge_rejected(self):
+        g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+        with pytest.raises(InvalidArgumentError) as exc:
+            RColouring(g, [((1, 0), (1, 0)), ((0, 3), (2, 2))])
+        assert str(exc.value) == "a layer row of 1:1 marks a non-edge"
+
+    @pytest.mark.parametrize("layers", [[((3,), (3, 3))], [((3, 3), (3, 3)), ((0, 0), (0,))]])
+    def test_row_counts_checked(self, layers):
+        with pytest.raises(InvalidArgumentError) as exc:
+            RColouring(BipartiteGraph.complete(2, 2), layers)
+        assert str(exc.value) == f"layer {len(layers) - 1} needs 2 part-1 and 2 part-2 rows"
+
+    def test_edge_map_missing_an_edge_keeps_its_message(self):
+        g = BipartiteGraph.complete(2, 2)
+        with pytest.raises(InvalidArgumentError) as exc:
+            RColouring.from_edge_map(g, 3, {(0, 0): 0, (1, 1): 2, (1, 0): 1})
+        assert str(exc.value) == "colouring must cover every edge exactly once"
+
+    def test_partitioning_layers_accepted(self):
+        g = BipartiteGraph.complete(2, 2)
+        col = RColouring(g, [((1, 0), (1, 0)), ((0, 0), (0, 0)), ((2, 3), (2, 3))])
+        assert col == RColouring.from_edge_map(g, 3, {(0, 0): 0, (0, 1): 2, (1, 0): 2,
+                                                      (1, 1): 2})
+        assert col.used_colours == (0, 2)
 
 
 def test_graph_imports_nothing_of_the_package_but_errors():

@@ -182,6 +182,17 @@ def test_params_validation():
         ModelParams(5, 5, Fraction(3, 2))
 
 
+def test_params_p_normalised_like_cover_params():
+    params = ModelParams(4, 4, 0.5)
+    assert params.p == Fraction(1, 2) and type(params.p) is Fraction
+    assert ModelParams(4, 4, "1/2") == params
+    expected = sample_bipartite(ModelParams(4, 4, Fraction(1, 2)), 9)
+    assert sample_bipartite(params, 9) == expected
+    assert sample_bipartite(ModelParams(4, 4, "1/2"), 9) == expected
+    with pytest.raises(InvalidArgumentError, match="cannot interpret"):
+        ModelParams(4, 4, "abc")
+
+
 def test_as_fraction_rejects_unreadable_values():
     assert as_fraction("0.05") == Fraction(1, 20)
     for bad in ("abc", "1/0", float("nan"), None):
