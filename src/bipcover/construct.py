@@ -4,20 +4,21 @@ Both constructions run one skeleton: heavy vertices, roots of the two
 colours in opposite parts, a majority colour that orients the rest,
 jokers, and seeded preference draws that are retried until a matching
 condition holds.  Each step that both take lives here once, together
-with the audit report shape both return.
+with the audit report shape both return.  ``reaching`` selects vertices
+by their edge count into a mask, and ``tag`` fills the vertex-keyed maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex, edges_between,
-                    lowest, rows_from_matrix, select, select_flags)
+                    iter_bits, lowest, rows_from_matrix, select_flags)
 from .rng import RandomStream, threshold_u64
 
 T = TypeVar("T")
@@ -35,18 +36,42 @@ class ConstructionRun:
         self.g, self.col, self.params, self.n = g, colouring, params, g.n1
         self.rng = RandomStream(params.seed)
 
+    def rows(self, part: int, colour: Colour | None = None) -> tuple[int, ...]:
+        """The rows of ``part``'s vertices: all their edges, or those of ``colour``."""
+        return self.g.rows(part) if colour is None else self.col.layer_rows(colour)[part - 1]
+
     def matched_split(self, part: int, pool: int, first: int, second: int,
                       colour: Colour, floor) -> tuple[int, int, int]:
         """``coin_split`` of ``pool``, redrawn up to ``retry_limit`` times until
         each vertex of ``part`` in ``first`` (``second``) has at least ``floor``
         edges of ``colour`` (``colour.other``) into the first (second) half:
         (first half, second half, the vertices short in the last draw)."""
-        crow = self.col.coloured_row
         (half, other_half), short = retry_draw(
             self.params.retry_limit, lambda: coin_split(self.rng, pool),
-            lambda h: select(first, lambda x: (crow(part, x, colour) & h[0]).bit_count() < floor)
-            | select(second, lambda x: (crow(part, x, colour.other) & h[1]).bit_count() < floor))
+            lambda h: first & ~reaching(self.rows(part, colour), first, h[0], floor)
+            | second & ~reaching(self.rows(part, colour.other), second, h[1], floor))
         return half, other_half, short
+
+
+def reaching(rows: Sequence[int], mask: int, target: int, floor) -> int:
+    """The bits x of ``mask`` with at least ``floor`` bits of ``rows[x]`` in
+    ``target``: on a part's (colour) rows, the vertices of ``mask`` with at
+    least ``floor`` (colour) edges into the opposite-part mask ``target``."""
+    out = 0
+    for x in iter_bits(mask):
+        if (rows[x] & target).bit_count() >= floor:
+            out |= 1 << x
+    return out
+
+
+def tag(into: dict[Vertex, T], *entries: tuple[int, int, T]) -> dict[Vertex, T]:
+    """Set ``into[Vertex(part, x)] = value`` for each (part, mask, value) entry
+    in turn and each bit x of its mask, ascending; return ``into``.  A vertex
+    already in ``into`` keeps its place: a later entry overrides in place."""
+    for part, mask, value in entries:
+        for x in iter_bits(mask):
+            into[Vertex(part, x)] = value
+    return into
 
 
 def heavy_masks(g: BipartiteGraph, colouring: TwoColouring,
@@ -57,7 +82,7 @@ def heavy_masks(g: BipartiteGraph, colouring: TwoColouring,
     and colour on the int arrays of the part's degrees."""
     masks = []
     for part in (1, 2):
-        d = np.array([g.row(part, i).bit_count() for i in range(g.part_size(part))])
+        d = np.array([row.bit_count() for row in g.rows(part)])
         red = np.array([row.bit_count() for row in colouring.layer_rows(RED)[part - 1]])
         # The colouring is total, so every other edge is blue.
         masks.append(rows_from_matrix(np.array([is_heavy(d, red), is_heavy(d, d - red)])))
@@ -79,7 +104,7 @@ def majority_colour(colouring: TwoColouring, part: int, mask_x: int,
                     mask_y: int) -> tuple[Colour, int]:
     """(the colour with more edges between ``mask_x`` in ``part`` and the
     opposite-part ``mask_y``, red on a tie; the edge count of both colours)."""
-    e_red, e_blue = (edges_between(colouring.layer_rows(c)[part - 1].__getitem__, mask_x, mask_y)
+    e_red, e_blue = (edges_between(colouring.layer_rows(c)[part - 1], mask_x, mask_y)
                      for c in (RED, BLUE))
     return RED if e_red >= e_blue else BLUE, e_red + e_blue
 

@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .construct import (AuditReport, ConstructionRun, heavy_masks, majority_colour, orient,
-                        pick_roots)
+                        pick_roots, reaching, tag)
 from .errors import InvalidArgumentError, PropertyFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoTree, TreeCover,
                     TwoColouring, Vertex, components_from_rows, edges_between,
@@ -133,10 +133,10 @@ class _Pipeline(ConstructionRun):
     def __init__(self, g: BipartiteGraph, colouring: TwoColouring, params: CoverParams):
         super().__init__("almost_cover", g, colouring, params)
         n, p = self.n, params.p
-        # Counts are integers: c > x iff c > floor(x), c >= x iff c >= ceil(x).
-        self.thr_joker = math.floor(p * p * n / 25)    # strict >
-        self.thr_attach = math.ceil(p * p * n / 200)   # >=
-        self.thr_pref = math.ceil(p * p * n / 400)     # >=
+        # Counts are integers: c > x iff c >= floor(x) + 1, c >= x iff c >= ceil(x).
+        self.thr_joker = math.floor(p * p * n / 25) + 1  # > p*p*n/25
+        self.thr_attach = math.ceil(p * p * n / 200)     # >= p*p*n/200
+        self.thr_pref = math.ceil(p * p * n / 400)       # >= p*p*n/400
         # tree assembly: tree id -> (colour, root, edges list), in P, S, 3 order
         self.trees: dict[str, tuple[Colour, Vertex, list]] = {}
         self.uncovered: dict[Vertex, str] = {}
@@ -152,9 +152,6 @@ class _Pipeline(ConstructionRun):
             parent = Vertex(3 - part, lowest(self.col.coloured_row(part, x, colour) & parents))
             edges.append((child, parent) if part == 1 else (parent, child))
 
-    def demote(self, part: int, mask: int, reason: str) -> None:
-        self.uncovered.update(dict.fromkeys(part_vertices(part, mask), reason))
-
     def joker_round(self, part: int, rest: int, jokers: int,
                     first: Colour) -> tuple[int, int, int, int, int]:
         """One joker round for the vertices ``rest`` of ``part``: (attachable,
@@ -165,11 +162,8 @@ class _Pipeline(ConstructionRun):
         The jokers go through ``matched_split`` with floor 1: every
         attachable vertex needs an edge of its preferred colour into that
         colour's half, and the vertices still without one are unmatched."""
-        g, crow = self.g, self.col.coloured_row
-        attachable = select(rest, lambda x: (g.row(part, x) & jokers).bit_count()
-                            >= self.thr_attach)
-        pref = select(attachable, lambda x: (crow(part, x, first) & jokers).bit_count()
-                      >= self.thr_pref)
+        attachable = reaching(self.rows(part), rest, jokers, self.thr_attach)
+        pref = reaching(self.rows(part, first), attachable, jokers, self.thr_pref)
         return attachable, pref, *self.matched_split(part, jokers, pref, attachable & ~pref,
                                                      first, 1)
 
@@ -219,11 +213,10 @@ class _Pipeline(ConstructionRun):
 
         # Joker set: minority-root neighbours with many majority-coloured
         # common neighbours with the majority root.  A joker's edge to root_s
-        # is minority-coloured, so its > thr_joker >= 0 majority neighbours
+        # is minority-coloured, so its >= thr_joker >= 1 majority neighbours
         # in np_full all lie in np_assigned: every joker drawn for the
         # majority tree has a parent there.
-        jokers = select(ns_assigned, lambda v: (crow(part_p, v, maj) & np_full).bit_count()
-                        > self.thr_joker)
+        jokers = reaching(self.rows(part_p, maj), ns_assigned, np_full, self.thr_joker)
 
         # Opposite side: vertices that can reach the jokers, with random
         # joker preferences retried until each has a matching joker.
@@ -243,22 +236,18 @@ class _Pipeline(ConstructionRun):
         state.attachable_blue = frozenset(part_vertices(part_s, blue_pref_mask))
         state.demoted = frozenset(part_vertices(part_s, failed))
 
-        prefs: dict[Vertex, Colour] = {root_p: maj, root_s: minr}
-        prefs.update(dict.fromkeys(part_vertices(part_s, np_assigned), maj))
-        prefs.update(dict.fromkeys(part_vertices(part_p, ns_assigned & ~jokers), minr))
-        prefs.update(dict.fromkeys(part_vertices(part_p, jok_p), maj))
-        prefs.update(dict.fromkeys(part_vertices(part_p, jok_s), minr))
-        for z in iter_bits(attachable):
-            prefs[Vertex(part_s, z)] = maj if pref_p >> z & 1 else minr
-        state.preference = prefs
+        state.preference = prefs = tag(
+            {root_p: maj, root_s: minr}, (part_s, np_assigned, maj),
+            (part_p, ns_assigned & ~jokers, minr), (part_p, jok_p, maj), (part_p, jok_s, minr),
+            (part_s, attachable, minr), (part_s, pref_p, maj))
 
         # Assemble the two main trees (third tree handled per case).
         self.trees = {"P": (maj, root_p, []), "S": (minr, root_s, [])}
         self.attach("P", part_s, np_assigned, 1 << root_p.index)
         self.attach("S", part_p, (ns_assigned & ~jokers) | jok_s, 1 << root_s.index)
         self.attach("P", part_p, jok_p, np_assigned)
-        self.demote(part_s, failed, "retry-exhausted")
-        self.demote(part_s, stranded, "isolated-from-jokers")
+        tag(self.uncovered, (part_s, failed, "retry-exhausted"),
+            (part_s, stranded, "isolated-from-jokers"))
 
         # Case split over the still-unassigned part of the majority root's side.
         w1, pivot = _pivot_scan(g, self.col, state, att_p, att_s)
@@ -270,17 +259,14 @@ class _Pipeline(ConstructionRun):
             state.case = CoverCase.LEAF_ATTACH
             for tid in "PS":
                 self.attach(tid, part_s, live[tid], halves[tid])
-
-            def seen(v: int, colour: Colour, mask: int) -> int:
-                return (crow(part_p, v, colour) & mask).bit_count()
-
-            to_p = select(w1, lambda v: seen(v, maj, att_p) >= max(seen(v, minr, att_s), 1))
-            to_s = select(w1 & ~to_p, lambda v: seen(v, minr, att_s))
+            maj_rows, min_rows = self.rows(part_p, maj), self.rows(part_p, minr)
+            to_p = select(w1, lambda v: (maj_rows[v] & att_p).bit_count()
+                          >= max((min_rows[v] & att_s).bit_count(), 1))
+            to_s = reaching(min_rows, w1 & ~to_p, att_s, 1)
             self.attach("P", part_p, to_p, att_p)
             self.attach("S", part_p, to_s, att_s)
-            for v in iter_bits(to_p | to_s):
-                prefs[Vertex(part_p, v)] = maj if to_p >> v & 1 else minr
-            self.demote(part_p, w1 & ~to_p & ~to_s, "no-attachment")
+            tag(prefs, (part_p, to_p | to_s, minr), (part_p, to_p, maj))
+            tag(self.uncovered, (part_p, w1 & ~to_p & ~to_s, "no-attachment"))
 
         state.uncovered_reasons = dict(self.uncovered)
         trees = tuple(MonoTree(colour, frozenset({root}.union(*edges)), tuple(edges))
@@ -309,18 +295,15 @@ class _Pipeline(ConstructionRun):
             self.attach(tid, part_s, live[tid] & ~j2, halves[tid])
         self.attach(donor_tid, part_p, pref2_donor & ~failed2, j2_donor)
         self.attach("3", part_p, pref2_c3 & ~failed2, j2_c3)
-        self.demote(part_p, failed2, "retry-exhausted")
-        self.demote(part_p, k1, "isolated-from-second-jokers")
+        tag(self.uncovered, (part_p, failed2, "retry-exhausted"),
+            (part_p, k1, "isolated-from-second-jokers"))
 
         state.third_root = pivot_v
         state.jokers2 = frozenset(part_vertices(part_s, j2))
         state.attachable2 = frozenset(part_vertices(part_p, z1))
         state.stranded2 = frozenset(part_vertices(part_p, k1))
-        prefs2: dict[Vertex, Colour] = dict.fromkeys(part_vertices(part_s, j2_donor), donor)
-        prefs2.update(dict.fromkeys(part_vertices(part_s, j2_c3), c3))
-        prefs2.update(dict.fromkeys(part_vertices(part_p, pref2_donor), donor))
-        prefs2.update(dict.fromkeys(part_vertices(part_p, pref2_c3), c3))
-        state.preference2 = prefs2
+        state.preference2 = tag({}, (part_s, j2_donor, donor), (part_s, j2_c3, c3),
+                                (part_p, pref2_donor, donor), (part_p, pref2_c3, c3))
         state.demoted = state.demoted | frozenset(part_vertices(part_p, failed2))
 
 
@@ -367,8 +350,7 @@ def audit_state(g: BipartiteGraph, colouring: TwoColouring,
         np_full = colouring.coloured_row(root_p.part, root_p.index, maj)
         ns_full = colouring.coloured_row(root_s.part, root_s.index, maj.other)
         # ns_full sits on root_p's side: iterate it there.
-        e_maj = edges_between(lambda i: colouring.coloured_row(root_p.part, i, maj),
-                              ns_full, np_full)
+        e_maj = edges_between(colouring.layer_rows(maj)[root_p.part - 1], ns_full, np_full)
         report.check("majority-edge-density", e_maj,
                      p * np_full.bit_count() * ns_full.bit_count() / 4)
     else:
@@ -381,7 +363,6 @@ def audit_state(g: BipartiteGraph, colouring: TwoColouring,
     eps = state.epsilon
     # Degrees are integers, so the exact band is the integer one.
     lo, hi = math.ceil((1 - eps) * p * n), math.floor((1 + eps) * p * n)
-    in_band = sum(1 for part in (1, 2) for i in range(g.part_size(part))
-                  if lo <= g.row(part, i).bit_count() <= hi)
+    in_band = sum(1 for part in (1, 2) for row in g.rows(part) if lo <= row.bit_count() <= hi)
     report.add("degree-band-fraction", in_band / g.vertex_count, None, None)
     return report

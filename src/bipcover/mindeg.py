@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .construct import (AuditReport, ConstructionRun, bernoulli_subset, heavy_masks,
-                        majority_colour, orient, pick_roots, retry_draw)
+                        majority_colour, orient, pick_roots, reaching, retry_draw, tag)
 from .errors import InvalidArgumentError, PartitionFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
                     TwoColouring, Vertex, components_from_rows, edges_between,
@@ -139,8 +139,7 @@ class _Run(ConstructionRun):
         # exceeds n/4 everywhere, which caps the component count at 3.
         comps = components_from_rows(self.g.n1, self.g.n2, *self.col.layer_rows(colour))
         parts = tuple((colour, vertex_set(m1, m2)) for m1, m2 in comps)
-        for colour_, part in parts:
-            state.preference.update(dict.fromkeys(part, colour_))
+        state.preference = {v: colour for _, part in parts for v in part}
         return MonoPartition(parts)
 
     def _deep(self, state: PartitionState, root_red: Vertex,
@@ -174,8 +173,8 @@ class _Run(ConstructionRun):
 
         joker_thr = delta * n / 100
         # Over 3n/16 jokers: a joker sends <= base_size majority edges, others < joker_thr.
-        jokers = select(base_s, lambda v: (crow(side_s_base, v, maj) & base_p).bit_count()
-                        >= joker_thr)
+        maj_rows = self.rows(side_s_base, maj)
+        jokers = reaching(maj_rows, base_s, base_p, joker_thr)
         state.jokers = frozenset(part_vertices(side_s_base, jokers))
 
         # Thin the majority base to a small random sample that every joker
@@ -185,9 +184,8 @@ class _Run(ConstructionRun):
         match_thr = delta * sp * n / 200
         sample, failed = retry_draw(
             retry, lambda: bernoulli_subset(self.rng, base_p, sp),
-            lambda s: not lo <= s.bit_count() <= hi or any(
-                (crow(side_s_base, y, maj) & s).bit_count() < match_thr
-                for y in iter_bits(jokers)))
+            lambda s: not lo <= s.bit_count() <= hi
+            or reaching(maj_rows, jokers, s, match_thr) != jokers)
         if failed:
             raise PartitionFailureError(
                 "sample-retry", f"no draw in {retry} tries hit size "
@@ -234,18 +232,15 @@ class _Run(ConstructionRun):
         state.rest = frozenset(part_vertices(side_s_base, rest))
 
         # preference assembly (absolute colours)
-        state.preference = prefs = {root_p: maj, root_s: minr}
-        prefs.update(dict.fromkeys(part_vertices(side_p_base, sample), maj))
-        prefs.update(dict.fromkeys(part_vertices(side_s_base, base_s & ~jokers), minr))
-        prefs.update(dict.fromkeys(part_vertices(side_s_base, jok_p), maj))
-        prefs.update(dict.fromkeys(part_vertices(side_s_base, jok_s), minr))
-        for w in iter_bits(bulk):
-            prefs[Vertex(side_p_base, w)] = maj if bulk_p >> w & 1 else minr
+        state.preference = prefs = tag(
+            {root_p: maj, root_s: minr}, (side_p_base, sample, maj),
+            (side_s_base, base_s & ~jokers, minr), (side_s_base, jok_p, maj),
+            (side_s_base, jok_s, minr), (side_p_base, bulk, minr), (side_p_base, bulk_p, maj))
         # note: base_p minus the sample is part of the bulk, already chosen
 
-        stuck = select(rest, lambda u: not crow(side_s_base, u, big_colour) & big_mask)
+        stuck = rest & ~reaching(self.rows(side_s_base, big_colour), rest, big_mask, 1)
         if not stuck:
-            prefs.update(dict.fromkeys(part_vertices(side_s_base, rest), big_colour))
+            tag(prefs, (side_s_base, rest, big_colour))
             state.branch = "two-parts"
             return self._assemble(prefs), state
 
@@ -260,7 +255,7 @@ class _Run(ConstructionRun):
         relink = _lowest_k(relink_pool, relink_size)
         state.relink = frozenset(part_vertices(side_p_base, relink))
 
-        few = select(rest, lambda u: (g.row(side_s_base, u) & relink).bit_count() < 2 * delta * n)
+        few = rest & ~reaching(self.rows(side_s_base), rest, relink, 2 * delta * n)
         if few:
             raise PartitionFailureError(
                 "relink-degree", f"vertex {side_s_base}:{lowest(few)} sees only "
@@ -277,10 +272,8 @@ class _Run(ConstructionRun):
                 "relink-retry", f"some leftover vertex kept fewer than "
                 f"{float(half_floor):.1f} matching relink vertices in {retry} draws")
 
-        prefs.update(dict.fromkeys(part_vertices(side_p_base, relink_other), other_colour))
-        prefs.update(dict.fromkeys(part_vertices(side_p_base, relink_big), big_colour))
-        for u in iter_bits(rest):
-            prefs[Vertex(side_s_base, u)] = other_colour if rest_other >> u & 1 else big_colour
+        tag(prefs, (side_p_base, relink_other, other_colour), (side_p_base, relink_big, big_colour),
+            (side_s_base, rest, big_colour), (side_s_base, rest_other, other_colour))
         return self._assemble(prefs), state
 
     def _assemble(self, prefs: dict[Vertex, Colour]) -> MonoPartition:
@@ -320,9 +313,8 @@ def audit_partition_state(g: BipartiteGraph, colouring: TwoColouring,
         side = state.root_red.part  # base_blue's side; base_red is opposite
         blue_base_mask = vertex_masks(g, state.base_blue)[side - 1]
         red_base_mask = vertex_masks(g, state.base_red)[2 - side]
-        e_total = edges_between(lambda i: g.row(side, i), blue_base_mask, red_base_mask)
-        e_maj = edges_between(lambda i: colouring.coloured_row(side, i, maj),
-                              blue_base_mask, red_base_mask)
+        e_total = edges_between(g.rows(side), blue_base_mask, red_base_mask)
+        e_maj = edges_between(colouring.layer_rows(maj)[side - 1], blue_base_mask, red_base_mask)
         size = len(state.base_red)
         report.check("base-edges", e_total, (Fraction(3, 8) + delta) * n * size)
         report.check("majority-base-edges", e_maj, (Fraction(3, 16) + delta / 2) * n * size)

@@ -127,7 +127,7 @@ def check_expansion(g: BipartiteGraph, p, u_set: Iterable[Vertex],
         report.applicable = False
         report.stats["reason"] = "set sizes below the check's scale"
         return report
-    edges = edges_between(lambda i: g.row(side_u, i), mask_u, mask_w)
+    edges = edges_between(g.rows(side_u), mask_u, mask_w)
     bound = p * cu * cw / 2
     report.checked_instances = 1
     report.satisfied = Fraction(edges) >= bound

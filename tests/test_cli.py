@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -239,6 +241,17 @@ def test_missing_input_file_fails_cleanly(tmp_path, capsys, command, flags):
     missing = tmp_path / "missing.txt"
     err = _fails_cleanly(capsys, command, *flags, str(missing))
     assert err == f"bipcover: {missing}: No such file or directory\n"
+
+
+def test_module_entry_point_exits_with_the_status_of_main(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing.txt"
+    monkeypatch.setattr(sys, "argv", ["bipcover", "summarise", str(missing)])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        # runpy warns that bipcover.cli is already imported; it runs it afresh.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("bipcover.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"bipcover: {missing}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("command, flags", (("summarise", []), ("sweep", ["--config"]),

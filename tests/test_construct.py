@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, CoverParams, ModelParams, PartitionParams,
-                      TwoColouring, almost_cover, colour_lower3, partition3, sample_bipartite,
-                      sample_colouring)
+                      TwoColouring, Vertex, almost_cover, colour_lower3, partition3,
+                      sample_bipartite, sample_colouring)
 from bipcover.construct import (AuditReport, ConstructionRun, bernoulli_subset, coin_split,
-                                heavy_masks, majority_colour, pick_roots, retry_draw)
+                                heavy_masks, majority_colour, pick_roots, reaching, retry_draw,
+                                tag)
 from bipcover.errors import (InvalidArgumentError, PartitionFailureError, PropertyFailureError,
                              StepFailureError)
 from bipcover.graph import iter_bits, select, select_flags
@@ -232,6 +233,36 @@ def test_coin_splits_stay_in_construct():
                           if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "coin_split" not in imported["cover"] | imported["mindeg"]
     assert "retry_draw" not in imported["cover"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=12), st.data())
+def test_reaching_matches_a_per_vertex_count(rows, data):
+    mask = data.draw(st.integers(0, (1 << len(rows)) - 1))
+    target = data.draw(st.integers(0, (1 << 12) - 1))
+    floor = data.draw(st.one_of(st.integers(-1, 13),
+                                st.fractions(0, 13, max_denominator=6)))
+    counts = [sum(1 for y in range(12) if row >> y & 1 and target >> y & 1) for row in rows]
+    expected = sum(1 << x for x, c in enumerate(counts) if mask >> x & 1 and c >= floor)
+    assert reaching(rows, mask, target, floor) == expected
+
+
+def test_tag_overrides_an_existing_key_in_place():
+    # The preference digests rest on this: a vertex keeps its first place.
+    prefs = {Vertex(2, 5): RED, Vertex(1, 3): BLUE}
+    assert tag(prefs, (1, 0b1010, RED), (2, 0b100001, BLUE), (1, 0b10, BLUE)) is prefs
+    assert list(prefs.items()) == [(Vertex(2, 5), BLUE), (Vertex(1, 3), RED),
+                                   (Vertex(1, 1), BLUE), (Vertex(2, 0), BLUE)]
+
+
+def test_maps_are_tagged_in_construct():
+    # cover and mindeg fill their preference and uncovered maps with construct.tag.
+    src = Path(__file__).parent.parent / "src" / "bipcover"
+    for name in ("cover", "mindeg"):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "dict.fromkeys" not in calls and "demote" not in defined, name
 
 
 def test_audit_report_entry_names_a_missing_entry():

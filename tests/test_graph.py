@@ -939,3 +939,75 @@ def test_validate_cover_flags_a_tree_without_vertices():
     g, col = _matching_colouring()
     cover = TreeCover((MonoTree(RED, frozenset(), ()),), frozenset(g.vertices()))
     assert validate_cover(g, col, cover).violations == ["tree 0: empty vertex set"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BipartiteGraph.from_edges(2, 2, [(0.5, 1)]), "edge (0.5,1) out of range"),
+    (lambda: BipartiteGraph.from_edges(2, 2, [(0, 1), ("a", 1)]), "edge (a,1) out of range"),
+    (lambda: RColouring.from_edge_map(BipartiteGraph.complete(2, 2), 2, {(0.5, 1): 0}),
+     "(0.5,1) is not an edge"),
+    (lambda: RColouring.from_edge_map(BipartiteGraph.complete(2, 2), 2, {(1, 1.0): 0}),
+     "(1,1.0) is not an edge"),
+], ids=("float-endpoint", "string-endpoint", "float-key", "float-key-on-an-edge"))
+def test_non_integer_endpoints_rejected(call, message):
+    # These used to be truncated to an edge or to fail with a bare ValueError.
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_numpy_integer_endpoints_accepted():
+    i, j = np.int64(1), np.int64(0)
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (i, j)])
+    assert g == BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0)])
+    assert RColouring.from_edge_map(g, 3, {(0, 0): 2, (i, j): np.int64(1)}) == \
+        RColouring.from_edge_map(g, 3, {(0, 0): 2, (1, 0): 1})
+
+
+@pytest.mark.parametrize("colours, message", [
+    # Type before range, both before the first non-edge key.
+    ({(0, 0): 7, (1, 1): "R", (0, 1): 0}, "colour 'R' is not an integer"),
+    # A bad type after the first non-edge key is never looked at.
+    ({(0, 0): 7, (0, 1): 0, (1, 1): "R"}, "colour 7 out of range 0..1"),
+    ({(1, 1): 1, (1, 0): 7, (0, 0): "R"}, "(1,0) is not an edge"),
+], ids=("type-first", "range-before-non-edge", "non-edge-last"))
+def test_edge_map_errors_keep_their_order(colours, message):
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+    with pytest.raises(InvalidArgumentError) as exc:
+        RColouring.from_edge_map(g, 2, colours)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edges, layers, bad", [
+    # K_{2,2} in one layer with empty part-2 rows: tc_exact answered 2, tc is 1.
+    ([(0, 0), (0, 1), (1, 0), (1, 1)], [((3, 3), (0, 0))], 0),
+    ([(0, 0), (1, 1)], [((1, 2), (2, 1))], 0),
+    ([(0, 0), (1, 1)], [((1, 2), (1, 2)), ((0, 0), (1, 0))], 1),
+], ids=("empty-part-2", "swapped-part-2", "unused-layer-with-a-bit"))
+def test_r_colouring_part2_rows_must_be_the_transpose(edges, layers, bad):
+    with pytest.raises(InvalidArgumentError) as exc:
+        RColouring(BipartiteGraph.from_edges(2, 2, edges), layers)
+    assert str(exc.value) == f"layer {bad} part-2 rows are not its part-1 transpose"
+
+
+ODD = Vertex(1, 0.5)
+
+
+def test_validators_report_a_non_integer_index_as_foreign():
+    g, col = _matching_colouring()
+    tree = MonoTree(RED, frozenset({v1(0), v2(0)}), ((v1(0), v2(0)),))
+    covers = {
+        "tree": TreeCover((MonoTree(RED, tree.vertices | {ODD}, tree.edges),),
+                          frozenset({v1(1), v2(1)})),
+        "uncovered": TreeCover((tree,), frozenset({v1(1), v2(1), ODD})),
+    }
+    expected = {"tree": ["tree 0: vertex 1:0.5 not in graph",
+                         "coverage: 1 foreign vertices, e.g. 1:0.5"],
+                "uncovered": ["coverage: 1 foreign vertices, e.g. 1:0.5"]}
+    for where, cover in covers.items():
+        assert validate_cover(g, col, cover).violations == expected[where] == \
+            reference_validate_cover(g, col, cover)
+    partition = MonoPartition(((RED, frozenset({v1(0), v2(0), ODD})),
+                               (RED, frozenset({v1(1), v2(1)}))))
+    assert validate_partition(g, col, partition).violations == \
+        ["part 0: vertex 1:0.5 not in graph"] == reference_validate_partition(g, col, partition)
