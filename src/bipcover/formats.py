@@ -19,7 +19,6 @@ are ``i-j``.
 
 from __future__ import annotations
 
-import io
 from itertools import repeat
 from typing import Iterable, Iterator, TextIO
 
@@ -171,6 +170,11 @@ def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]
     return graph, RColouring(graph, colour_layers(n1, n2, i, j, codes, r))
 
 
+def _head(directive: str, g: BipartiteGraph, comments: Iterable[str]) -> list[str]:
+    """The '# comment' lines and the '<directive> <n1> <n2>' header of a file."""
+    return [*(f"# {c}\n" for c in comments), f"{directive} {g.n1} {g.n2}\n"]
+
+
 def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,
                 comments: Iterable[str] = ()) -> str:
     i, j = np.nonzero(rows_to_matrix([g.row(1, a) for a in range(g.n1)], g.n2))
@@ -188,8 +192,7 @@ def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,
     heads = np.array([f"{a} " for a in range(g.n1)], dtype=object)
     tails = np.array([[f"{b}{t}\n" for b in range(g.n2)] for t in tokens], dtype=object)
     lines = heads[i] + tails[colour, j]
-    return "".join([*(f"# {c}\n" for c in comments), f"bipartite {g.n1} {g.n2}\n",
-                    *lines.tolist()])
+    return "".join([*_head("bipartite", g, comments), *lines.tolist()])
 
 
 def _parse_vertex(token: str, lineno: int) -> Vertex:
@@ -200,58 +203,72 @@ def _parse_vertex(token: str, lineno: int) -> Vertex:
         raise FormatError(f"line {lineno}: bad vertex token {token!r}") from None
 
 
-def _outside(sizes: dict[int, int], lineno: int, vertices: Iterable[Vertex]) -> str | None:
-    """The error for the first of ``vertices`` outside the header's parts, if any."""
-    for v in vertices:
-        if not 0 <= v.index < sizes.get(v.part, 0):
-            return f"line {lineno}: vertex {v} outside the header's parts"
-    return None
+class _VertexLines:
+    """The content lines after a cover or partition file's '<directive>
+    <n1> <n2>' header, as (line number, fields), and the two errors held
+    back until every other check of the file has passed: the first vertex
+    outside the header's parts, then the first repeated within a group."""
 
+    def __init__(self, source: str | TextIO, directive: str):
+        self._lines = content_lines(source)
+        lineno, line = next(self._lines, (0, ""))
+        if not line:
+            raise FormatError(f"missing '{directive} <n1> <n2>' header")
+        self._sizes = dict(zip((1, 2), _parse_header(line.split(), lineno, directive)))
+        self._stray: str | None = None
+        self._repeat: str | None = None
 
-def _repeated(lineno: int, vertices: list[Vertex]) -> str | None:
-    """The error for the first of ``vertices`` that repeats an earlier one, if any."""
-    seen: set[Vertex] = set()
-    for v in vertices:
-        if v in seen:
-            return f"line {lineno}: vertex {v} repeated"
-        seen.add(v)
-    return None
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        return ((lineno, line.split()) for lineno, line in self._lines)
+
+    def check_parts(self, lineno: int, vertices: Iterable[Vertex]) -> None:
+        """Hold back the first of ``vertices`` outside the header's parts."""
+        for v in vertices:
+            if self._stray is None and not 0 <= v.index < self._sizes.get(v.part, 0):
+                self._stray = f"line {lineno}: vertex {v} outside the header's parts"
+
+    def vertices(self, lineno: int, tokens: list[str], group: Iterable[Vertex] = ()
+                 ) -> list[Vertex]:
+        """The vertices of ``tokens``, parts checked, holding back the first
+        that repeats one of them or of ``group``."""
+        found = [_parse_vertex(t, lineno) for t in tokens]
+        seen: set[Vertex] = set()
+        for v in [*group, *found]:
+            if self._repeat is None and v in seen:
+                self._repeat = f"line {lineno}: vertex {v} repeated"
+            seen.add(v)
+        self.check_parts(lineno, found)
+        return found
+
+    def close(self, missing: str | None = None) -> None:
+        """Raise the held-back errors: a stray vertex, then ``missing``, then a repeat."""
+        for error in (self._stray, missing, self._repeat):
+            if error:
+                raise FormatError(error)
 
 
 def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for c in comments:
-        out.write(f"# {c}\n")
-    out.write(f"cover {g.n1} {g.n2}\n")
+    out = _head("cover", g, comments)
     for tree in cover.trees:
-        out.write(f"tree {tree.colour.token}\n")
-        out.write("vertices " + " ".join(map(str, sorted(tree.vertices))) + "\n")
+        out.append(f"tree {tree.colour.token}\n")
+        out.append("vertices " + " ".join(map(str, sorted(tree.vertices))) + "\n")
         if tree.edges:
             ends = [(a, b) if a.part == 1 else (b, a) for a, b in tree.edges]
-            out.write("edges " + " ".join(f"{u.index}-{w.index}" for u, w in ends) + "\n")
-        out.write("end\n")
-    out.write("uncovered")
-    for v in sorted(cover.uncovered):
-        out.write(f" {v}")
-    out.write("\n")
-    return out.getvalue()
+            out.append("edges " + " ".join(f"{u.index}-{w.index}" for u, w in ends) + "\n")
+        out.append("end\n")
+    out.append(" ".join(["uncovered", *map(str, sorted(cover.uncovered))]) + "\n")
+    return "".join(out)
 
 
 def parse_cover(source: str | TextIO) -> TreeCover:
+    lines = _VertexLines(source, "cover")
     trees: list[MonoTree] = []
     uncovered: frozenset[Vertex] | None = None
     colour: Colour | None = None
     vertices: list[Vertex] = []
     edges: list[tuple[Vertex, Vertex]] = []
-    sizes: dict[int, int] | None = None
-    stray = None  # the first vertex outside the header's parts, reported after all else
-    repeat = None  # the first vertex repeated in a tree block or line, reported last
-    for lineno, line in content_lines(source):
-        fields = line.split()
+    for lineno, fields in lines:
         kind = fields[0]
-        if sizes is None:
-            sizes = dict(zip((1, 2), _parse_header(fields, lineno, "cover")))
-            continue
         if kind in ("vertices", "edges", "end") and colour is None:
             raise FormatError(f"line {lineno}: '{kind}' outside a tree block")
         if kind == "tree":
@@ -262,10 +279,7 @@ def parse_cover(source: str | TextIO) -> TreeCover:
             colour = _RB[fields[1]]
             vertices, edges = [], []
         elif kind == "vertices":
-            found = [_parse_vertex(t, lineno) for t in fields[1:]]
-            repeat = repeat or _repeated(lineno, vertices + found)
-            vertices.extend(found)
-            stray = stray or _outside(sizes, lineno, found)
+            vertices += lines.vertices(lineno, fields[1:], vertices)
         elif kind == "edges":
             for token in fields[1:]:
                 try:
@@ -273,7 +287,7 @@ def parse_cover(source: str | TextIO) -> TreeCover:
                     edges.append((Vertex(1, int(i)), Vertex(2, int(j))))
                 except ValueError:
                     raise FormatError(f"line {lineno}: bad edge token {token!r}") from None
-                stray = stray or _outside(sizes, lineno, edges[-1])
+                lines.check_parts(lineno, edges[-1])
         elif kind == "end":
             trees.append(MonoTree(colour, frozenset(vertices), tuple(edges)))
             colour = None
@@ -282,54 +296,29 @@ def parse_cover(source: str | TextIO) -> TreeCover:
                 raise FormatError(f"line {lineno}: 'uncovered' inside a tree block")
             if uncovered is not None:
                 raise FormatError(f"line {lineno}: second 'uncovered' line")
-            found = [_parse_vertex(t, lineno) for t in fields[1:]]
-            repeat = repeat or _repeated(lineno, found)
-            uncovered = frozenset(found)
-            stray = stray or _outside(sizes, lineno, found)
+            uncovered = frozenset(lines.vertices(lineno, fields[1:]))
         else:
             raise FormatError(f"line {lineno}: unknown directive {kind!r}")
     if colour is not None:
         raise FormatError("unterminated tree block")
-    if sizes is None:
-        raise FormatError("missing 'cover <n1> <n2>' header")
-    if stray:
-        raise FormatError(stray)
-    if uncovered is None:
-        raise FormatError("missing 'uncovered' line")
-    if repeat:
-        raise FormatError(repeat)
+    lines.close("missing 'uncovered' line" if uncovered is None else None)
     return TreeCover(tuple(trees), uncovered)
 
 
 def write_partition(partition: MonoPartition, g: BipartiteGraph,
                     comments: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for c in comments:
-        out.write(f"# {c}\n")
-    out.write(f"partition {g.n1} {g.n2}\n")
+    out = _head("partition", g, comments)
     for colour, part in partition.parts:
-        out.write(f"part {colour.token} "
-                  + " ".join(map(str, sorted(part))) + "\n")
-    return out.getvalue()
+        out.append(f"part {colour.token} " + " ".join(map(str, sorted(part))) + "\n")
+    return "".join(out)
 
 
 def parse_partition(source: str | TextIO) -> MonoPartition:
+    lines = _VertexLines(source, "partition")
     parts: list[tuple[Colour, frozenset[Vertex]]] = []
-    sizes: dict[int, int] | None = None
-    stray = repeat = None  # as in parse_cover
-    for lineno, line in content_lines(source):
-        fields = line.split()
-        if sizes is None:
-            sizes = dict(zip((1, 2), _parse_header(fields, lineno, "partition")))
-            continue
+    for lineno, fields in lines:
         if fields[0] != "part" or len(fields) < 2 or fields[1] not in _RB:
             raise FormatError(f"line {lineno}: expected 'part <R|B> <vertices...>'")
-        found = [_parse_vertex(t, lineno) for t in fields[2:]]
-        repeat = repeat or _repeated(lineno, found)
-        parts.append((_RB[fields[1]], frozenset(found)))
-        stray = stray or _outside(sizes, lineno, found)
-    if sizes is None:
-        raise FormatError("missing 'partition <n1> <n2>' header")
-    if stray or repeat:
-        raise FormatError(stray or repeat)
+        parts.append((_RB[fields[1]], frozenset(lines.vertices(lineno, fields[2:]))))
+    lines.close()
     return MonoPartition(tuple(parts))

@@ -152,7 +152,9 @@ class BipartiteGraph:
     """Immutable bipartite graph with bit-set adjacency rows.
 
     ``row(1, i)`` is the neighbour set of part-1 vertex i as a bit mask
-    over part-2 indices, and symmetrically for ``row(2, j)``.
+    over part-2 indices, and symmetrically for ``row(2, j)``.  The
+    constructor takes both parts' rows unchecked; ``from_rows``,
+    ``from_edges`` and ``complete`` check their input and derive them.
     """
 
     __slots__ = ("n1", "n2", "_rows1", "_rows2")
@@ -164,8 +166,8 @@ class BipartiteGraph:
         self._rows2 = rows2
 
     @classmethod
-    def from_rows(cls, n1: int, n2: int, rows1: Iterable[int],
-                  rows2: Iterable[int] | None = None) -> "BipartiteGraph":
+    def from_rows(cls, n1: int, n2: int, rows1: Iterable[int]) -> "BipartiteGraph":
+        """Checked part-1 rows; the part-2 rows are their transpose."""
         _check_part_sizes(n1, n2)
         r1 = tuple(rows1)
         if len(r1) != n1:
@@ -174,10 +176,7 @@ class BipartiteGraph:
         for i, row in enumerate(r1):
             if row & ~full2:
                 raise InvalidArgumentError(f"row of vertex 1:{i} has bits outside part 2")
-        r2 = tuple(rows2) if rows2 is not None else transpose_rows(r1, n2)
-        if len(r2) != n2:
-            raise InvalidArgumentError(f"expected {n2} part-2 rows, got {len(r2)}")
-        return cls(n1, n2, r1, r2)
+        return cls(n1, n2, r1, transpose_rows(r1, n2))
 
     @classmethod
     def from_edges(cls, n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
@@ -191,10 +190,8 @@ class BipartiteGraph:
 
     @classmethod
     def complete(cls, n1: int, n2: int) -> "BipartiteGraph":
-        _check_part_sizes(n1, n2)
-        full2 = (1 << n2) - 1
-        full1 = (1 << n1) - 1
-        return cls(n1, n2, tuple([full2] * n1), tuple([full1] * n2))
+        _check_part_sizes(n1, n2)  # before the shift, which rejects a negative n2
+        return cls.from_rows(n1, n2, [(1 << n2) - 1] * n1)
 
     def part_size(self, part: int) -> int:
         return len(self.rows(part))
@@ -355,10 +352,11 @@ class TwoColouring(RColouring):
     """Red/blue label per edge: the r = 2 case of RColouring.
 
     Red rows must mark edges of the graph only, and red2 must be red1's
-    transpose.  That is not checked: the check is one ``transpose_rows``,
-    about 2.7 ms per n = 1000 colouring on a 2-vCPU host, on every sweep
-    trial.  The blue layer is the adjacency rows minus the red rows, so
-    the colouring is total on E(G) by construction.
+    transpose.  Only the first is checked: the in-package builders pack both
+    sides from one matrix, and the second check is one ``transpose_rows``,
+    about 1.6 ms per n = 1000 colouring on a 2-vCPU host, on every sweep
+    trial; ``from_red_rows`` derives red2.  The blue layer is the adjacency
+    rows minus the red rows, so the colouring is total on E(G) by construction.
     """
 
     __slots__ = ()
@@ -372,13 +370,11 @@ class TwoColouring(RColouring):
         self._adopt(graph, ((red1, red2), (blue1, blue2)))
 
     @classmethod
-    def from_red_rows(cls, graph: BipartiteGraph, red1: Iterable[int],
-                      red2: Iterable[int] | None = None) -> "TwoColouring":
+    def from_red_rows(cls, graph: BipartiteGraph, red1: Iterable[int]) -> "TwoColouring":
+        """Checked part-1 red rows; the part-2 red rows are their transpose."""
         r1 = tuple(red1)
-        if red2 is None:
-            _check_red_rows(1, r1, graph._rows1)  # bits outside part 2 overflow the transpose
-            red2 = transpose_rows(r1, graph.n2)
-        return cls(graph, r1, tuple(red2))
+        _check_red_rows(1, r1, graph._rows1)  # bits outside part 2 overflow the transpose
+        return cls(graph, r1, transpose_rows(r1, graph.n2))
 
     @classmethod
     def from_edge_map(cls, graph: BipartiteGraph,
@@ -388,9 +384,7 @@ class TwoColouring(RColouring):
 
     @classmethod
     def monochromatic(cls, graph: BipartiteGraph, colour: Colour) -> "TwoColouring":
-        if colour is Colour.RED:
-            return cls(graph, graph._rows1, graph._rows2)
-        return cls(graph, tuple([0] * graph.n1), tuple([0] * graph.n2))
+        return cls.from_red_rows(graph, graph._rows1 if colour is Colour.RED else [0] * graph.n1)
 
     def label(self, c: int) -> Colour:
         return _COLOURS[c]

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand."""
 
+import ast
 import json
 import os
 import re
@@ -375,6 +376,46 @@ def test_cover_stdout_same_under_python_O(tmp_path):
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.startswith(b"# case ")
+
+
+def test_pipeline_files_unchanged_under_python_O(tmp_path):
+    # sample, colour, cover --audit, sweep and summarise, run by a plain
+    # and by an -O interpreter: every file the same but for runtime_ms.
+    src = str(Path(bipcover.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("BIPCOVER_OUTDIR", None)
+    steps = [["sample", "--n1", "60", "--n2", "60", "--p", "1/2", "--seed", "1", "--out", "g.txt"],
+             ["colour", "g.txt", "--seed", "2", "--out", "gc.txt"],
+             ["cover", "gc.txt", "--p", "1/2", "--seed", "3", "--out", "cover.txt",
+              "--audit", "audit.jsonl"],
+             ["sweep", "--n-values", "60", "--p-values", "1/2", "--trials", "4",
+              "--source", "lower3", "--base-seed", "5", "--out", "records.csv"],
+             ["summarise", "records.csv", "--out", "summary.csv"]]
+    results = []
+    for flags in ([], ["-O"]):
+        outdir = tmp_path / ("optimised" if flags else "plain")
+        outdir.mkdir()
+        for argv in steps:
+            proc = subprocess.run([sys.executable, *flags, "-m", "bipcover.cli", *argv],
+                                  cwd=outdir, env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+        files = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        records = files["records.csv"].splitlines()
+        assert records[0].endswith(b",runtime_ms")
+        files["records.csv"] = [row.rsplit(b",", 1)[0] for row in records]
+        results.append(files)
+    assert sorted(results[0]) == ["audit.jsonl", "cover.txt", "g.txt", "gc.txt", "records.csv",
+                                  "summary.csv"]
+    assert results[0] == results[1]
+
+
+def test_package_holds_no_assert():
+    # python -O strips asserts, so none may carry a check of the package.
+    package = Path(bipcover.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -8,11 +8,12 @@ import pytest
 
 from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring, Vertex,
                       sample_bipartite, sample_colouring)
+from bipcover import CoverParams, PartitionParams, almost_cover, partition3
 from bipcover.adversary import colour_blowup_pair
 from bipcover.errors import FormatError
 from bipcover.formats import (parse_cover, parse_graph, parse_partition,
                               write_cover, write_graph, write_partition)
-from bipcover.models import ModelParams
+from bipcover.models import ModelParams, sample_mindeg_subgraph
 from conftest import matching_graph
 
 
@@ -436,3 +437,24 @@ def test_a_vertex_in_two_trees_or_parts_is_left_to_the_validators():
     partition = parse_partition("partition 1 1\npart R 1:0 2:0\npart B 2:0\n")
     assert [part for _, part in partition.parts] == [frozenset([Vertex(1, 0), Vertex(2, 0)]),
                                                      frozenset([Vertex(2, 0)])]
+
+
+def _noisy(text: str) -> str:
+    """``text`` with CRLF line ends, a trailing comment on every line, and a
+    blank line and a comment-only line before each."""
+    return "".join(f"\r\n  # note\r\n{line}  # trailing\r\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cover_and_partition_files_survive_line_ends_comments_and_blanks(seed):
+    g = sample_bipartite(ModelParams(40, 40, Fraction(1, 2)), seed)
+    col = sample_colouring(g, Fraction(1, 2), seed)
+    cover, _ = almost_cover(g, col, CoverParams(p=Fraction(1, 2), seed=seed))
+    h = sample_mindeg_subgraph(64, Fraction(13, 16) + Fraction(1, 20), seed)
+    partition, _ = partition3(h, sample_colouring(h, Fraction(1, 2), seed),
+                              PartitionParams(delta=Fraction(1, 20), seed=seed))
+    comments = [f"seed {seed}", "a second comment"]
+    for write, parse, made, host in ((write_cover, parse_cover, cover, g),
+                                     (write_partition, parse_partition, partition, h)):
+        text = write(made, host, comments)
+        assert write(parse(_noisy(text)), host, comments) == text

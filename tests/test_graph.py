@@ -18,7 +18,7 @@ from bipcover import (BLUE, RED, BipartiteGraph, MonoPartition, MonoTree,
                       validate_cover, validate_partition)
 from bipcover import CoverParams, PartitionParams, almost_cover, colour_lower3, partition3
 from bipcover.errors import InvalidArgumentError, NotConnectedError, PartitionFailureError
-from bipcover.errors import ConstructionInfeasibleError
+from bipcover.errors import ConstructionInfeasibleError, PropertyFailureError
 from bipcover.graph import (components_from_rows, rows_from_edges, rows_from_matrix,
                             rows_to_matrix, transpose_rows)
 from bipcover.models import ModelParams, sample_mindeg_subgraph
@@ -668,8 +668,6 @@ class TestTwoColouringChecks:
         g = k44_minus_00()
         with pytest.raises(InvalidArgumentError, match="red row of 2:0 marks a non-edge"):
             TwoColouring(g, (0, 0, 0, 0), (1, 0, 0, 0))
-        with pytest.raises(InvalidArgumentError, match="red row of 2:0 marks a non-edge"):
-            TwoColouring.from_red_rows(g, (0, 0, 0, 0), (1, 0, 0, 0))
 
     def test_missing_rows_rejected(self):
         g = k44_minus_00()
@@ -690,6 +688,47 @@ class TestTwoColouringChecks:
         col = TwoColouring(g, red1, transpose_rows(red1, 4))
         assert col == TwoColouring.from_red_rows(g, red1)
         assert col.swapped().swapped() == col
+
+
+class TestDerivedPart2Rows:
+    """``from_rows``, ``complete``, ``from_red_rows`` and ``monochromatic``
+    derive the part-2 rows; only the plain constructors take them."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 70), st.integers(1, 70), st.data())
+    def test_from_rows_transposes_part_1(self, n1, n2, data):
+        rows1 = data.draw(st.lists(st.integers(0, (1 << n2) - 1), min_size=n1, max_size=n1))
+        g = BipartiteGraph.from_rows(n1, n2, rows1)
+        assert g.rows(2) == transpose_rows(tuple(rows1), n2)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 5), (4, 3), (9, 17), (70, 8)])
+    def test_complete_has_every_pair(self, n1, n2):
+        g = BipartiteGraph.complete(n1, n2)
+        every = BipartiteGraph.from_edges(n1, n2, [(i, j) for i in range(n1) for j in range(n2)])
+        assert g == every
+        assert g.rows(2) == every.rows(2)
+
+    @pytest.mark.parametrize("n1, n2", [(2, -1), (-1, 2), (0, 0)])
+    def test_complete_checks_sizes_before_building_rows(self, n1, n2):
+        with pytest.raises(InvalidArgumentError, match="both parts must be nonempty"):
+            BipartiteGraph.complete(n1, n2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_monochromatic_has_the_explicit_red_rows(self, seed):
+        g = sample_bipartite(ModelParams(9, 13, Fraction(1, 2)), seed)
+        explicit = {RED: (g.rows(1), g.rows(2)), BLUE: ((0,) * 9, (0,) * 13)}
+        for colour, red in explicit.items():
+            col, expected = TwoColouring.monochromatic(g, colour), TwoColouring(g, *red)
+            assert [col.layer_rows(c) for c in (RED, BLUE)] == \
+                [expected.layer_rows(c) for c in (RED, BLUE)]
+
+    def test_no_part_2_rows_argument(self):
+        # A second rows argument was taken unchecked: from_rows(2, 2, [1, 0],
+        # [3, 3]) equalled from_rows(2, 2, [1, 0]) with other part-2 rows.
+        with pytest.raises(TypeError):
+            BipartiteGraph.from_rows(2, 2, [1, 0], [3, 3])
+        with pytest.raises(TypeError):
+            TwoColouring.from_red_rows(BipartiteGraph.complete(2, 2), (1, 0), (3, 3))
 
 
 class TestRColouringPartition:
@@ -819,13 +858,27 @@ class TestValidatorOracle:
                 col, _ = colour_lower3(g)
             except ConstructionInfeasibleError:
                 pass
-        cover, _ = almost_cover(g, col, CoverParams(p=p, seed=seed))
+        try:
+            cover, _ = almost_cover(g, col, CoverParams(p=p, seed=seed))
+        except PropertyFailureError as exc:
+            assert exc.step == "heavy-sets"
+            return
         assert validate_cover(g, col, cover).violations == []
         assert reference_validate_cover(g, col, cover) == []
         for _ in range(data.draw(st.integers(1, 3))):
             cover = mutated(data, g, cover)
             assert validate_cover(g, col, cover).violations == \
                 reference_validate_cover(g, col, cover)
+
+
+def test_cover_oracle_input_without_heavy_sets():
+    # Drawn once by the oracle above: under lower3 one colour has no heavy
+    # vertex and neither colour spans the host.
+    g = sample_bipartite(ModelParams(6, 6, Fraction(1, 3)), 1054)
+    col, _ = colour_lower3(g)
+    with pytest.raises(PropertyFailureError) as exc:
+        almost_cover(g, col, CoverParams(p=Fraction(1, 3), seed=1054))
+    assert exc.value.step == "heavy-sets"
 
 
 PARTITION_MUTATIONS = ("drop-vertex", "move-vertex", "duplicate-vertex", "flip-colour",
@@ -904,8 +957,6 @@ GRAPH_INPUT_ERRORS = [
     ("complete-empty-part", lambda: BipartiteGraph.complete(0, 3), "both parts must be nonempty"),
     ("part-1-row-count", lambda: BipartiteGraph.from_rows(2, 2, [1]),
      "expected 2 part-1 rows, got 1"),
-    ("part-2-row-count", lambda: BipartiteGraph.from_rows(2, 2, [1, 2], [1, 2, 0]),
-     "expected 2 part-2 rows, got 3"),
     ("part-size-of-part-3", lambda: BipartiteGraph.complete(2, 2).part_size(3),
      "part must be 1 or 2, got 3"),
     ("row-of-part-0", lambda: BipartiteGraph.complete(2, 2).row(0, 0),
