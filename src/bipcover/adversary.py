@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConstructionInfeasibleError, InvalidArgumentError
 from .graph import (BipartiteGraph, Colour, RColouring, TwoColouring, Vertex,
-                    colour_layers, iter_bits, rows_from_edges, vertex_set)
+                    bit_indices, colour_layers, iter_bits, rows_from_edges, vertex_set)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def _lower3_colouring(g: BipartiteGraph, r_idx: int, b_idx: int,
 
 
 def _first_disjoint_pair(rows: tuple[int, ...], allowed: int) -> tuple[int, int] | None:
-    idxs = list(iter_bits(allowed))
+    idxs = bit_indices(allowed)
     for a in range(len(idxs)):
         for b in range(a + 1, len(idxs)):
             if rows[idxs[a]] & rows[idxs[b]] == 0:
@@ -103,8 +103,7 @@ def colour_lower4(g: BipartiteGraph) -> tuple[TwoColouring, Lower4Witness]:
     declared infeasible (expected at densities above the threshold
     regime).
     """
-    rows1 = tuple(g.row(1, i) for i in range(g.n1))
-    rows2 = tuple(g.row(2, j) for j in range(g.n2))
+    rows1, rows2 = g.rows(1), g.rows(2)
     pair1 = _first_disjoint_pair(rows1, (1 << g.n1) - 1)
     if pair1 is None:
         raise ConstructionInfeasibleError("no part-1 pair with disjoint neighbourhoods")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex, edges_between,
-                    iter_bits, lowest, rows_from_matrix, select_flags)
+                    lowest, part_vertices, rows_from_matrix, select, select_flags)
 from .rng import RandomStream, threshold_u64
 
 T = TypeVar("T")
@@ -57,11 +57,7 @@ def reaching(rows: Sequence[int], mask: int, target: int, floor) -> int:
     """The bits x of ``mask`` with at least ``floor`` bits of ``rows[x]`` in
     ``target``: on a part's (colour) rows, the vertices of ``mask`` with at
     least ``floor`` (colour) edges into the opposite-part mask ``target``."""
-    out = 0
-    for x in iter_bits(mask):
-        if (rows[x] & target).bit_count() >= floor:
-            out |= 1 << x
-    return out
+    return select(mask, lambda x: (rows[x] & target).bit_count() >= floor)
 
 
 def tag(into: dict[Vertex, T], *entries: tuple[int, int, T]) -> dict[Vertex, T]:
@@ -69,8 +65,7 @@ def tag(into: dict[Vertex, T], *entries: tuple[int, int, T]) -> dict[Vertex, T]:
     in turn and each bit x of its mask, ascending; return ``into``.  A vertex
     already in ``into`` keeps its place: a later entry overrides in place."""
     for part, mask, value in entries:
-        for x in iter_bits(mask):
-            into[Vertex(part, x)] = value
+        into.update(dict.fromkeys(part_vertices(part, mask), value))
     return into
 
 

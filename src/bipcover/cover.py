@@ -38,9 +38,9 @@ from .construct import (AuditReport, ConstructionRun, heavy_masks, majority_colo
                         pick_roots, reaching, tag)
 from .errors import InvalidArgumentError, PropertyFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoTree, TreeCover,
-                    TwoColouring, Vertex, components_from_rows, edges_between,
+                    TwoColouring, Vertex, bit_indices, components_from_rows, edges_between,
                     iter_bits, lowest, part_vertices, select, spanning_tree_of,
-                    vertex_masks, vertex_set)
+                    vertex_masks, vertex_set, vertex_table)
 from .models import as_fraction
 
 
@@ -147,9 +147,10 @@ class _Pipeline(ConstructionRun):
         """Attach the vertices of ``part`` in ``mask``, ascending, each under
         its lowest neighbour in ``parents`` by an edge of the tree's colour."""
         colour, _, edges = self.trees[tid]
-        for x in iter_bits(mask):
-            child = Vertex(part, x)
-            parent = Vertex(3 - part, lowest(self.col.coloured_row(part, x, colour) & parents))
+        rows = self.rows(part, colour)
+        kids, others = vertex_table(part, self.n), vertex_table(3 - part, self.n)
+        for x in bit_indices(mask):
+            child, parent = kids[x], others[lowest(rows[x] & parents)]
             edges.append((child, parent) if part == 1 else (parent, child))
 
     def joker_round(self, part: int, rest: int, jokers: int,

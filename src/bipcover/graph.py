@@ -51,11 +51,34 @@ _COLOURS = (RED, BLUE)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
+    """Indices of set bits, ascending, lazily: for loops that may stop early."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of set bits, ascending.  Past about 32 set bits one numpy
+    expansion beats the ``iter_bits`` loop, whose cost follows the set bits."""
+    if mask.bit_count() <= 32:
+        return list(iter_bits(mask))
+    buf = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(buf, bitorder="little")).tolist()
+
+
+_VERTEX_TABLES = {1: (), 2: ()}
+
+
+def vertex_table(part: int, size: int) -> tuple[Vertex, ...]:
+    """The shared ``Vertex(part, i)`` objects for i < ``size`` (or more).  A
+    table grows by replacing its tuple, never in place, so readers in other
+    threads keep a complete, unchanging table."""
+    table = _VERTEX_TABLES[part]
+    if len(table) < size:
+        table = table + tuple(Vertex(part, i) for i in range(len(table), size))
+        _VERTEX_TABLES[part] = table
+    return table
 
 
 def lowest(mask: int) -> int:
@@ -65,17 +88,13 @@ def lowest(mask: int) -> int:
 
 def select(mask: int, keep: Callable[[int], object]) -> int:
     """The bits i of ``mask`` for which ``keep(i)`` is truthy, tested ascending."""
-    out = 0
-    for i in iter_bits(mask):
-        if keep(i):
-            out |= 1 << i
-    return out
+    return sum(1 << i for i in bit_indices(mask) if keep(i))
 
 
 def edges_between(rows: Sequence[int], mask_x: int, mask_y: int) -> int:
     """Sum over i in ``mask_x`` of |rows[i] & mask_y|: the edges between
     two opposite-part masks, ``rows`` being the rows on mask_x's side."""
-    return sum((rows[i] & mask_y).bit_count() for i in iter_bits(mask_x))
+    return sum((rows[i] & mask_y).bit_count() for i in bit_indices(mask_x))
 
 
 def rows_to_matrix(rows: Sequence[int], width: int) -> np.ndarray:
@@ -214,7 +233,7 @@ class BipartiteGraph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (part-1 index, part-2 index), row-major order."""
         for i, row in enumerate(self._rows1):
-            for j in iter_bits(row):
+            for j in bit_indices(row):
                 yield i, j
 
     @property
@@ -222,10 +241,8 @@ class BipartiteGraph:
         return sum(row.bit_count() for row in self._rows1)
 
     def vertices(self) -> Iterator[Vertex]:
-        for i in range(self.n1):
-            yield Vertex(1, i)
-        for j in range(self.n2):
-            yield Vertex(2, j)
+        yield from vertex_table(1, self.n1)[:self.n1]
+        yield from vertex_table(2, self.n2)[:self.n2]
 
     @property
     def vertex_count(self) -> int:
@@ -432,8 +449,9 @@ def min_vertex(m1: int, m2: int) -> Vertex:
 
 
 def part_vertices(part: int, mask: int) -> list[Vertex]:
-    """The vertices of one part that ``mask`` names, ascending."""
-    return [Vertex(part, i) for i in iter_bits(mask)]
+    """The vertices of one part that ``mask`` names, ascending: shared objects."""
+    table = vertex_table(part, mask.bit_length())
+    return [table[i] for i in bit_indices(mask)]
 
 
 def vertex_set(mask1: int, mask2: int) -> frozenset[Vertex]:
@@ -573,16 +591,17 @@ def _check_tree(g: BipartiteGraph, colouring: TwoColouring, tree: MonoTree, labe
     if len(tree.edges) != len(tree.vertices) - 1:
         report.add(f"{label}: {len(tree.edges)} edges for {len(tree.vertices)} vertices")
     rows1, rows2 = [0] * g.n1, [0] * g.n2
+    tree_rows = colouring.layer_rows(tree.colour)[0]
     for a, b in tree.edges:
         u, w = (a, b) if a.part == 1 else (b, a)
         if u.part != 1 or w.part != 2:
             report.add(f"{label}: edge {a}-{b} does not join the two parts")
         elif u not in tree.vertices or w not in tree.vertices:
             report.add(f"{label}: edge {a}-{b} leaves the tree's vertex set")
-        elif not g.has_edge(u.index, w.index):
-            report.add(f"{label}: edge {a}-{b} not present in the graph")
-        elif colouring.colour_of(u.index, w.index) is not tree.colour:
-            report.add(f"{label}: edge {a}-{b} is not {tree.colour.token}")
+        elif not tree_rows[u.index] >> w.index & 1:  # has_edge only names the fault
+            fault = (f"is not {tree.colour.token}" if g.has_edge(u.index, w.index)
+                     else "not present in the graph")
+            report.add(f"{label}: edge {a}-{b} {fault}")
         else:
             rows1[u.index] |= 1 << w.index
             rows2[w.index] |= 1 << u.index
@@ -656,20 +675,23 @@ def spanning_tree_of(g: BipartiteGraph, colouring: TwoColouring, colour: Colour,
     masks = vertex_masks(g, vset)
     root = min_vertex(*masks)
     rows = colouring.layer_rows(colour)
+    tables = vertex_table(1, g.n1), vertex_table(2, g.n2)
     side, frontier = root.part - 1, [root.index]
-    reached = [(side == 0) << root.index, (side == 1) << root.index]
+    unreached = list(masks)
+    unreached[side] ^= 1 << root.index
     edges: list[tuple[Vertex, Vertex]] = []
     while frontier:
         nxt: list[int] = []
+        near, far, side_rows = tables[side], tables[1 - side], rows[side]
         for x in frontier:
-            fresh = rows[side][x] & masks[1 - side] & ~reached[1 - side]
-            reached[1 - side] |= fresh
-            for y in iter_bits(fresh):
-                ends = (Vertex(side + 1, x), Vertex(2 - side, y))
-                edges.append(ends if side == 0 else ends[::-1])
-                nxt.append(y)
+            fresh = side_rows[x] & unreached[1 - side]
+            if fresh:
+                unreached[1 - side] ^= fresh
+                ys = bit_indices(fresh)
+                edges.extend((near[x], far[y]) if side == 0 else (far[y], near[x]) for y in ys)
+                nxt += ys
         side, frontier = 1 - side, nxt
-    if tuple(reached) != masks:
-        gap = sum((m & ~r).bit_count() for m, r in zip(masks, reached))
+    if any(unreached):
+        gap = sum(m.bit_count() for m in unreached)
         raise NotConnectedError(f"vertex set is not connected in {colour.token}: {gap} unreachable")
     return MonoTree(colour, vset, tuple(edges))

@@ -42,7 +42,7 @@ from .construct import (AuditReport, ConstructionRun, bernoulli_subset, heavy_ma
 from .errors import InvalidArgumentError, PartitionFailureError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
                     TwoColouring, Vertex, components_from_rows, edges_between,
-                    iter_bits, lowest, part_vertices, select, vertex_masks, vertex_set)
+                    bit_indices, lowest, part_vertices, select, vertex_masks, vertex_set)
 from .models import as_fraction
 
 SUBSAMPLE_CAP = Fraction(1, 25)  # keeps the sampled side mostly intact
@@ -213,7 +213,7 @@ class _Run(ConstructionRun):
         state.min_bulk_matches = min(
             [(crow(side_p_base, w, c) & half).bit_count()
              for mask, c, half in ((bulk_p, maj, jok_p), (bulk_s, minr, jok_s))
-             for w in iter_bits(mask)])
+             for w in bit_indices(mask)])
 
         bulk_red, bulk_blue = orient(maj, bulk_p, bulk_s)
         state.bulk = frozenset(part_vertices(side_p_base, bulk))

@@ -84,8 +84,8 @@ def sample_colouring(g: BipartiteGraph, red_probability, seed: int) -> TwoColour
     if not 0 <= q <= 1:
         raise InvalidArgumentError("red probability must be in [0, 1]")
     red_slots = _slot_matrix(combine(seed, TAG_COLOURING), g.n1, g.n2, q)
-    red1 = tuple(g.row(1, i) & mask for i, mask in enumerate(rows_from_matrix(red_slots)))
-    red2 = tuple(g.row(2, j) & mask for j, mask in enumerate(rows_from_matrix(red_slots.T)))
+    red1 = tuple(row & mask for row, mask in zip(g.rows(1), rows_from_matrix(red_slots)))
+    red2 = tuple(row & mask for row, mask in zip(g.rows(2), rows_from_matrix(red_slots.T)))
     return TwoColouring(g, red1, red2)
 
 

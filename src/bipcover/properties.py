@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import (BipartiteGraph, Vertex, components_from_rows, edges_between,
-                    iter_bits, select, transpose_rows, vertex_masks, vertex_set)
+from .graph import (BipartiteGraph, Vertex, bit_indices, components_from_rows, edges_between,
+                    select, transpose_rows, vertex_masks, vertex_set, vertex_table)
 from .models import as_fraction
 
 
@@ -174,19 +174,14 @@ def check_min_degree_connectivity(
     eps = as_fraction(epsilon)
     report = PropertyReport("min-degree-connectivity")
     m1, m2 = vertex_masks(g, h_vertices)
-    rows1 = []
-    for i in range(g.n1):
-        if not m1 >> i & 1:
-            rows1.append(0)
-            continue
-        row = g.row(1, i) & m2
-        if h_edge_filter is not None:
-            row = select(row, lambda j: h_edge_filter(Vertex(1, i), Vertex(2, j)))
-        rows1.append(row)
-    rows1 = tuple(rows1)
+    rows1 = tuple(row & m2 if m1 >> i & 1 else 0 for i, row in enumerate(g.rows(1)))
+    if h_edge_filter is not None:
+        ends1, ends2 = vertex_table(1, g.n1), vertex_table(2, g.n2)
+        rows1 = tuple(select(row, lambda j: h_edge_filter(ends1[i], ends2[j]))
+                      for i, row in enumerate(rows1))
     rows2 = transpose_rows(rows1, g.n2)
-    degrees = [rows1[i].bit_count() for i in iter_bits(m1)]
-    degrees += [rows2[j].bit_count() for j in iter_bits(m2)]
+    degrees = [rows1[i].bit_count() for i in bit_indices(m1)]
+    degrees += [rows2[j].bit_count() for j in bit_indices(m2)]
     floor = (Fraction(1, 2) + eps) * p * n
     if not degrees or min(degrees) < floor:
         report.applicable = False

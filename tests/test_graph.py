@@ -2,13 +2,15 @@
 
 import ast
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, MonoPartition, MonoTree,
@@ -19,8 +21,10 @@ from bipcover import (BLUE, RED, BipartiteGraph, MonoPartition, MonoTree,
 from bipcover import CoverParams, PartitionParams, almost_cover, colour_lower3, partition3
 from bipcover.errors import InvalidArgumentError, NotConnectedError, PartitionFailureError
 from bipcover.errors import ConstructionInfeasibleError, PropertyFailureError
-from bipcover.graph import (components_from_rows, rows_from_edges, rows_from_matrix,
-                            rows_to_matrix, transpose_rows)
+from bipcover import graph
+from bipcover.graph import (bit_indices, components_from_rows, iter_bits, part_vertices,
+                            rows_from_edges, rows_from_matrix, rows_to_matrix, transpose_rows,
+                            vertex_set, vertex_table)
 from bipcover.models import ModelParams, sample_mindeg_subgraph
 from bipcover.formats import parse_graph, write_graph
 from conftest import (graph_from_coloured_edges, matching_graph, naive_colour_of,
@@ -216,6 +220,19 @@ class TestValidators:
         report = validate_cover(g, col, cover)
         assert report.violations == reference_validate_cover(g, col, cover)
         assert "tree 0: edge 1:0-2:1 not present in the graph" in report.violations
+
+    def test_wrong_colour_edge_then_non_edge_in_edge_order(self):
+        # One colour-layer lookup per edge; has_edge only tells the two faults apart.
+        g, col = matching_graph()
+        tree = MonoTree(RED, frozenset([v1(0), v1(1), v2(0), v2(1)]),
+                        ((v1(1), v2(1)), (v2(1), v1(0)), (v1(0), v2(0))))
+        cover = TreeCover((tree,), frozenset([v1(2), v2(2)]))
+        report = validate_cover(g, col, cover)
+        assert report.violations == [
+            "tree 0: edge 1:1-2:1 is not R",
+            "tree 0: edge 2:1-1:0 not present in the graph",
+            "tree 0: edges do not connect all vertices",
+        ] == reference_validate_cover(g, col, cover)
 
     def test_coverage_gap_detected(self):
         g, col = matching_graph()
@@ -439,6 +456,65 @@ def bit_rows(count: int, width: int, fill: str, seed: int = 0) -> tuple[int, ...
         return (full,) * count
     rng = random.Random(seed * 10007 + width * 31 + count)
     return tuple(rng.getrandbits(width) for _ in range(count))
+
+
+masks_to_300_bits = st.integers(0, 300).flatmap(lambda w: st.integers(0, (1 << w) - 1))
+
+
+class TestSharedVertices:
+    @settings(max_examples=200, deadline=None)
+    @given(masks_to_300_bits)
+    @example(0)
+    @example((1 << 300) - 1)  # past the numpy switch
+    def test_bit_indices_match_iter_bits(self, mask):
+        got = bit_indices(mask)
+        assert got == list(iter_bits(mask))
+        assert all(type(i) is int for i in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((1, 2)), masks_to_300_bits, masks_to_300_bits)
+    def test_part_vertices_and_vertex_set_match_naive(self, part, mask, other):
+        naive = [Vertex(part, i) for i in iter_bits(mask)]
+        got = part_vertices(part, mask)
+        assert got == naive and list(map(hash, got)) == list(map(hash, naive))
+        assert all(type(v) is Vertex and type(v.index) is int for v in got)
+        naive_set = set(naive) | {Vertex(3 - part, i) for i in iter_bits(other)}
+        masks = (mask, other) if part == 1 else (other, mask)
+        assert sorted(vertex_set(*masks)) == sorted(naive_set)
+        assert {hash(v) for v in vertex_set(*masks)} == set(map(hash, naive_set))
+
+    def test_a_grown_table_gives_back_the_same_objects(self, monkeypatch):
+        monkeypatch.setattr(graph, "_VERTEX_TABLES", {1: (), 2: ()})
+        small = vertex_table(2, 4)
+        big = vertex_table(2, 1000)
+        assert (len(small), len(big)) == (4, 1000)
+        assert all(a is b for a, b in zip(small, big))
+        assert vertex_table(2, 10) is big and part_vertices(2, 0b1001)[1] is big[3]
+        assert next(BipartiteGraph.complete(3, 2).vertices()) is vertex_table(1, 1)[0]
+
+    def test_threads_growing_the_tables_read_complete_ones(self, monkeypatch):
+        # Four threads grow both tables width by width while reading them.
+        monkeypatch.setattr(graph, "_VERTEX_TABLES", {1: (), 2: ()})
+
+        def wrong_widths(start):
+            wrong = []
+            for width in range(start, 1200, 4):
+                for part in (1, 2):
+                    mask = (1 << width) - 1 ^ (1 << width // 2)
+                    if part_vertices(part, mask) != [Vertex(part, i) for i in iter_bits(mask)]:
+                        wrong.append((part, width))
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(wrong_widths, k) for k in range(1, 5)]
+                assert [f.result(timeout=120) for f in futures] == [[]] * 4
+        finally:
+            sys.setswitchinterval(interval)
+        for part in (1, 2):
+            assert vertex_table(part, 1199)[:1199] == tuple(Vertex(part, i) for i in range(1199))
 
 
 class TestBitMatrix:
