@@ -97,25 +97,49 @@ def edges_between(rows: Sequence[int], mask_x: int, mask_y: int) -> int:
     return sum((rows[i] & mask_y).bit_count() for i in bit_indices(mask_x))
 
 
-def rows_to_matrix(rows: Sequence[int], width: int) -> np.ndarray:
-    """0/1 uint8 matrix with one row per bit row; column j is bit j.
-
-    Every row must fit in ``width`` bits.
-    """
+def pack_rows(rows: Sequence[int], width: int) -> np.ndarray:
+    """One row of ``ceil(width / 8)`` bytes, little bit order, per row of ``width`` bits."""
     nbytes = (width + 7) // 8
     buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+
+
+def _packed_rows(packed: np.ndarray) -> tuple[int, ...]:
+    """The bit rows of packed bytes, little bit order (``pack_rows`` inverted)."""
+    buf, step = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(buf[i * step:(i + 1) * step], "little") for i in range(len(packed)))
+
+
+def rows_to_matrix(rows: Sequence[int], width: int) -> np.ndarray:
+    """0/1 uint8 matrix with one row per bit row; column j is bit j."""
+    return np.unpackbits(pack_rows(rows, width), axis=1, count=width, bitorder="little")
 
 
 def rows_from_matrix(matrix: np.ndarray) -> tuple[int, ...]:
     """Bit rows of a 2-D 0/1 (or boolean) matrix: bit j of row i is matrix[i, j]."""
-    # packbits on a transposed view is ~3x slower than copy-then-pack.
-    packed = np.packbits(np.ascontiguousarray(matrix), axis=1, bitorder="little")
-    step = packed.shape[1]
-    buf = packed.tobytes()
-    return tuple(int.from_bytes(buf[i * step:(i + 1) * step], "little")
-                 for i in range(packed.shape[0]))
+    return _packed_rows(np.packbits(matrix, axis=1, bitorder="little"))
+
+
+def _transpose_packed(packed: np.ndarray, width: int) -> tuple[int, ...]:
+    """Rows of the transpose of a ``width``-column bit matrix's packed rows, zero-padded
+    to a multiple of 8: one word per 8x8 bit block, transposed in place."""
+    r, nbytes = packed.shape
+    padded = np.zeros((-(-r // 8) * 8, nbytes), dtype=np.uint8)
+    padded[:r] = packed
+    # Byte k of words[a, c] is packed[8a + k, c]: bit 8k + b is entry (8a + k, 8c + b).
+    blocks = padded.reshape(len(padded) // 8, 8, nbytes).transpose(0, 2, 1)
+    words = blocks.copy().view("<u8")[..., 0]
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0)):
+        t = (words ^ (words >> np.uint64(shift))) & np.uint64(mask)  # Hacker's Delight
+        words ^= t ^ (t << np.uint64(shift))
+    # Byte b of words[a, c] is now byte a of transposed row 8c + b.
+    return _packed_rows(words.view(np.uint8).T[:width])
+
+
+def rows_and_transpose(matrix: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(rows of a 0/1 or boolean matrix, rows of its transpose), packed once."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return _packed_rows(packed), _transpose_packed(packed, matrix.shape[1])
 
 
 def select_flags(mask: int, keep: np.ndarray) -> int:
@@ -128,7 +152,7 @@ def select_flags(mask: int, keep: np.ndarray) -> int:
 
 def transpose_rows(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     """Rows of the transposed bit matrix: bit i of out[j] is bit j of rows[i]."""
-    return rows_from_matrix(rows_to_matrix(rows, width).T)
+    return _transpose_packed(pack_rows(rows, width), width)
 
 
 def rows_from_edges(n1: int, n2: int, i: np.ndarray,
@@ -137,7 +161,7 @@ def rows_from_edges(n1: int, n2: int, i: np.ndarray,
     edges (i[k], j[k]); every index must be in range, repeats are harmless."""
     matrix = np.zeros((n1, n2), dtype=np.uint8)
     matrix[i, j] = 1
-    return rows_from_matrix(matrix), rows_from_matrix(matrix.T)
+    return rows_and_transpose(matrix)
 
 
 def colour_layers(n1: int, n2: int, i: np.ndarray, j: np.ndarray, codes: np.ndarray,
@@ -369,11 +393,11 @@ class TwoColouring(RColouring):
     """Red/blue label per edge: the r = 2 case of RColouring.
 
     Red rows must mark edges of the graph only, and red2 must be red1's
-    transpose.  Only the first is checked: the in-package builders pack both
-    sides from one matrix, and the second check is one ``transpose_rows``,
-    about 1.6 ms per n = 1000 colouring on a 2-vCPU host, on every sweep
-    trial; ``from_red_rows`` derives red2.  The blue layer is the adjacency
-    rows minus the red rows, so the colouring is total on E(G) by construction.
+    transpose.  Only the first is checked: the in-package builders derive both
+    sides from one matrix (``rows_and_transpose``), and the second check is one
+    ``transpose_rows``, about 0.5 ms per n = 1000 colouring on a 2-vCPU host,
+    on every sweep trial; ``from_red_rows`` derives red2.  The blue layer is the
+    adjacency rows minus the red rows, so the colouring is total on E(G).
     """
 
     __slots__ = ()
@@ -504,6 +528,8 @@ def components_from_rows(n1: int, n2: int, rows1: Sequence[int], rows2: Sequence
     unseen1 = (1 << n1) - 1 if m1 is None else m1
     unseen2 = (1 << n2) - 1 if m2 is None else m2
     comps: list[tuple[int, int]] = []
+    # Hosts past 64 vertices a side expand frontiers with bit_indices; empty ones are skipped.
+    expand = bit_indices if n1 > 64 or n2 > 64 else iter_bits
     while unseen1 or unseen2:
         # Seed at the smallest unseen vertex, part 1 first.
         if unseen1:
@@ -515,10 +541,10 @@ def components_from_rows(n1: int, n2: int, rows1: Sequence[int], rows2: Sequence
         frontier1, frontier2 = c1, c2
         while frontier1 or frontier2:
             grow2 = 0
-            for i in iter_bits(frontier1):
+            for i in expand(frontier1) if frontier1 else ():
                 grow2 |= rows1[i]
             grow1 = 0
-            for j in iter_bits(frontier2):
+            for j in expand(frontier2) if frontier2 else ():
                 grow1 |= rows2[j]
             frontier1 = grow1 & unseen1
             frontier2 = grow2 & unseen2

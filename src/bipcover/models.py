@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import BipartiteGraph, TwoColouring, rows_from_matrix
-from .rng import (TAG_COLOURING, TAG_GRAPH, TAG_MINDEG, combine, hash_block,
+from .graph import BipartiteGraph, TwoColouring, rows_and_transpose
+from .rng import (LANE, TAG_COLOURING, TAG_GRAPH, TAG_MINDEG, combine, hash_block,
                   threshold_u64)
 
 
@@ -51,7 +51,7 @@ class ModelParams:
             raise InvalidArgumentError("edge probability must be in [0, 1]")
 
 
-_CHUNK_SLOTS = 1 << 15  # slots hashed per block: 256 KB of words stays in L2 cache
+_CHUNK_SLOTS = LANE  # slots hashed and thresholded per block, in L2 cache
 _ORDER_CHUNK = 4096  # slots per bulk step of the min-degree sampler
 
 
@@ -59,23 +59,17 @@ def _slot_matrix(seed: int, n1: int, n2: int, probability: Fraction) -> np.ndarr
     """Boolean (n1, n2) matrix: slot included iff its hash clears the threshold
     (a Python int, so probability 1's 2^64 compares too), one block at a time."""
     thr = threshold_u64(probability)
-    total = n1 * n2
-    out = np.empty(total, dtype=bool)
-    for start in range(0, total, _CHUNK_SLOTS):
-        count = min(_CHUNK_SLOTS, total - start)
-        np.less(hash_block(seed, start, count), thr, out=out[start:start + count])
-    return out.reshape(n1, n2)
-
-
-def _graph_from_matrix(present: np.ndarray) -> BipartiteGraph:
-    """The graph whose edges are the True entries of an (n1, n2) matrix."""
-    return BipartiteGraph(*present.shape, rows_from_matrix(present), rows_from_matrix(present.T))
+    out = np.empty((n1, n2), dtype=bool)
+    for start in range(0, n1 * n2, _CHUNK_SLOTS):
+        block = out.reshape(-1)[start:start + _CHUNK_SLOTS]
+        np.less(hash_block(seed, start, len(block)), thr, out=block)
+    return out
 
 
 def sample_bipartite(params: ModelParams, seed: int) -> BipartiteGraph:
     """Each of the n1*n2 possible edges appears independently with probability p."""
-    return _graph_from_matrix(_slot_matrix(combine(seed, TAG_GRAPH), params.n1, params.n2,
-                                           params.p))
+    present = _slot_matrix(combine(seed, TAG_GRAPH), params.n1, params.n2, params.p)
+    return BipartiteGraph(params.n1, params.n2, *rows_and_transpose(present))
 
 
 def sample_colouring(g: BipartiteGraph, red_probability, seed: int) -> TwoColouring:
@@ -83,9 +77,9 @@ def sample_colouring(g: BipartiteGraph, red_probability, seed: int) -> TwoColour
     q = as_fraction(red_probability)
     if not 0 <= q <= 1:
         raise InvalidArgumentError("red probability must be in [0, 1]")
-    red_slots = _slot_matrix(combine(seed, TAG_COLOURING), g.n1, g.n2, q)
-    red1 = tuple(row & mask for row, mask in zip(g.rows(1), rows_from_matrix(red_slots)))
-    red2 = tuple(row & mask for row, mask in zip(g.rows(2), rows_from_matrix(red_slots.T)))
+    masks1, masks2 = rows_and_transpose(_slot_matrix(combine(seed, TAG_COLOURING), g.n1, g.n2, q))
+    red1 = tuple(row & mask for row, mask in zip(g.rows(1), masks1))
+    red2 = tuple(row & mask for row, mask in zip(g.rows(2), masks2))
     return TwoColouring(g, red1, red2)
 
 
@@ -129,4 +123,4 @@ def sample_mindeg_subgraph(n: int, min_degree_fraction, seed: int) -> BipartiteG
             present[slots[drop]] = False
             deg1 -= np.bincount(i[drop], minlength=n)
             deg2 -= np.bincount(j[drop], minlength=n)
-    return _graph_from_matrix(present.reshape(n, n))
+    return BipartiteGraph(n, n, *rows_and_transpose(present.reshape(n, n)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import (BipartiteGraph, Vertex, bit_indices, components_from_rows, edges_between,
-                    select, transpose_rows, vertex_masks, vertex_set, vertex_table)
+                    pack_rows, select, transpose_rows, vertex_masks, vertex_set, vertex_table)
 from .models import as_fraction
 
 
@@ -60,9 +60,7 @@ def _codegree_tails(rows: Sequence[int], width: int) -> Iterator[np.ndarray]:
     popcount: exact at any width, and no BLAS call, so no thread pool is
     left spinning after the check.
     """
-    nbytes = (width + 63) // 64 * 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    words = np.frombuffer(buf, dtype=np.uint64).reshape(len(rows), nbytes // 8)
+    words = pack_rows(rows, (width + 63) // 64 * 64).view(np.uint64)
     for i in range(len(rows) - 1):
         yield np.bitwise_count(words[i + 1:] & words[i]).sum(axis=1, dtype=np.int64)
 

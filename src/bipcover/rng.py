@@ -13,12 +13,17 @@ Two entry points:
   where the counter is the row-major edge slot index.
 * ``RandomStream`` - a sequential stream over the same primitive, used
   for algorithm-internal draws (preference coin flips, subsampling).
-  ``block(k)`` draws k words at once, the same words as k scalar draws;
-  large counter ranges are hashed in cache-sized blocks likewise.
+  ``block(k)`` draws k words at once, the same words as k scalar draws.
+
+``hash_block`` runs in lanes of ``LANE`` counters (256 KB of words, in L2):
+one add of ``(lane start * GOLDEN + seed) mod 2^64`` to a step table of
+``(k + 1) * GOLDEN``, built on first use, then an in-place mix that reuses
+one scratch buffer.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +32,7 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D49BF24592E92D
+LANE = 1 << 15
 
 # Domain separation constants: distinct sampling purposes fed the same
 # user seed must not share a hash stream.
@@ -49,17 +55,24 @@ def hash_at(seed: int, counter: int) -> int:
     return mix64((seed + (counter + 1) * _GOLDEN) & MASK64)
 
 
+@functools.cache
+def _step_table() -> np.ndarray:  # shared: read only
+    steps = np.arange(1, LANE + 1, dtype=np.uint64)
+    steps *= np.uint64(_GOLDEN)
+    return steps
+
+
 def hash_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorised ``hash_at(seed, start + k)`` for k in range(count), in place."""
-    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    t = np.empty_like(x)
-    x *= np.uint64(_GOLDEN)
-    x += np.uint64(seed & MASK64)
-    for shift, mul in ((30, _MIX1), (27, _MIX2)):
-        x ^= np.right_shift(x, np.uint64(shift), out=t)
-        x *= np.uint64(mul)
-    x ^= np.right_shift(x, np.uint64(31), out=t)
-    return x
+    """Vectorised ``hash_at(seed, start + k)`` for k in range(count), one lane at a time."""
+    out, t = np.empty(count, dtype=np.uint64), np.empty(min(count, LANE), dtype=np.uint64)
+    for lo in range(0, count, LANE):
+        x, tx = out[lo:lo + LANE], t[:count - lo]
+        np.add(_step_table()[:len(x)], np.uint64(((start + lo) * _GOLDEN + seed) & MASK64), out=x)
+        for shift, mul in ((30, _MIX1), (27, _MIX2)):
+            x ^= np.right_shift(x, np.uint64(shift), out=tx)
+            x *= np.uint64(mul)
+        x ^= np.right_shift(x, np.uint64(31), out=tx)
+    return out
 
 
 def combine(*parts: int) -> int:

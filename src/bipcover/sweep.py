@@ -88,6 +88,10 @@ class SweepConfig:
             for c, p in zip(self.c_values or (), self.p_grid(n)):
                 if not 0 < p <= 1:
                     raise BipcoverError(f"c value {c} at n = {n} gives p = {p}, outside (0, 1]")
+        if self.algorithm == "almost_cover":  # what every trial's params would reject
+            CoverParams(p=1, epsilon=self.epsilon)
+        elif self.algorithm == "partition3":
+            PartitionParams(delta=self.delta)
 
     def p_grid(self, n: int) -> list[Fraction]:
         if self.p_values is not None:
@@ -345,4 +349,6 @@ def config_from_mapping(mapping: dict) -> SweepConfig:
             raise BipcoverError(f"sweep setting {key}: cannot read {value!r}") from exc
     if "n_values" not in kwargs:
         raise BipcoverError("sweep setting n_values is required")
+    if kwargs.get("retry_limit", 1) < 1:  # SweepConfig allows 0: every trial then errs
+        raise BipcoverError("retry limit must be at least 1")
     return SweepConfig(**kwargs)

@@ -279,6 +279,33 @@ def test_sweep_grid_out_of_range_fails_cleanly(tmp_path, capsys, grid, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", (
+    (["--epsilon", "1"], "epsilon must be in (0, 1)"),
+    (["--algorithm", "partition3", "--delta", "3/16"], "delta must be in (0, 3/16)"),
+    (["--retry-limit", "0"], "retry limit must be at least 1"),
+), ids=("epsilon", "delta", "retry-limit"))
+def test_sweep_construction_settings_out_of_range_fail_cleanly(tmp_path, capsys, flags, message):
+    out = tmp_path / "records.csv"
+    err = _fails_cleanly(capsys, "sweep", "--n-values", "12", "--p-values", "1/2", *flags,
+                         "--out", str(out))
+    assert err == f"bipcover: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm, unused", (("almost_cover", ["--delta", "1"]),
+                                               ("partition3", ["--epsilon", "2"])))
+def test_sweep_ignores_a_setting_its_algorithm_does_not_use(tmp_path, capsys, algorithm,
+                                                             unused):
+    texts = []
+    for flags in ([], unused):
+        out = tmp_path / "records.csv"
+        code, _, _ = run(capsys, "sweep", "--n-values", "40", "--p-values", "1/2",
+                         "--algorithm", algorithm, *flags, "--out", str(out))
+        assert code == 0
+        texts.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    assert texts[0] == texts[1]
+
+
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BIPCOVER_OUTDIR", str(tmp_path / "outputs"))
     code, _, _ = run(capsys, "sample", "--n1", "4", "--n2", "4", "--p", "0.5",

@@ -23,8 +23,8 @@ from bipcover.errors import InvalidArgumentError, NotConnectedError, PartitionFa
 from bipcover.errors import ConstructionInfeasibleError, PropertyFailureError
 from bipcover import graph
 from bipcover.graph import (bit_indices, components_from_rows, iter_bits, part_vertices,
-                            rows_from_edges, rows_from_matrix, rows_to_matrix, transpose_rows,
-                            vertex_set, vertex_table)
+                            rows_and_transpose, rows_from_edges, rows_from_matrix, rows_to_matrix,
+                            transpose_rows, vertex_set, vertex_table)
 from bipcover.models import ModelParams, sample_mindeg_subgraph
 from bipcover.formats import parse_graph, write_graph
 from conftest import (graph_from_coloured_edges, matching_graph, naive_colour_of,
@@ -548,6 +548,23 @@ class TestBitMatrix:
         assert transpose_rows((0, 0), 0) == ()
         assert rows_to_matrix((), 9).shape == (0, 9)
 
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+    @example(1, 1, 0, 1.0)  # one cell
+    @example(1, 70, 3, 0.5)  # one row
+    @example(70, 1, 3, 0.5)  # one column
+    @example(13, 61, 5, 0.5)  # neither side a multiple of 8: both sides padded
+    @example(64, 64, 5, 1.0)  # whole 8x8 blocks only
+    def test_both_sides_match_packing_each_side(self, n1, n2, seed, density):
+        matrix = (np.random.default_rng(seed).random((n1, n2)) < density).astype(np.uint8)
+        rows, cols = rows_and_transpose(matrix)
+        assert rows == rows_from_matrix(matrix)
+        assert cols == rows_from_matrix(matrix.T)
+        assert rows_and_transpose(matrix.astype(bool)) == (rows, cols)
+        assert transpose_rows(rows, n2) == cols
+        assert transpose_rows(cols, n1) == rows
+
     def test_unbalanced_graph_rows_agree(self):
         g = sample_bipartite(ModelParams(13, 70, Fraction(1, 3)), 4)
         rows1 = tuple(g.row(1, i) for i in range(13))
@@ -588,7 +605,7 @@ class TestRowsFromEdges:
         assert edge_rows(n1, n2, edges + edges[:5]) == expected
 
 
-MASKED_WIDTHS = (1, 7, 64, 65)
+MASKED_WIDTHS = (1, 7, 64, 65, 300)  # 65 and 300: frontiers expand through bit_indices
 
 
 class TestMaskedComponents:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bipcover.models import _CHUNK_SLOTS
-from bipcover.rng import (RandomStream, combine, hash_at, hash_block, mix64,
+from bipcover.rng import (LANE, RandomStream, combine, hash_at, hash_block, mix64,
                           threshold_u64)
 from conftest import naive_hash_block
 
@@ -82,4 +82,22 @@ def test_stream_block_is_k_scalar_draws(k):
     block = stream.block(k)
     assert block.dtype == np.uint64
     assert block.tolist() == [ref.next_u64() for _ in range(k)]
+    assert stream.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("count", [0, 1, LANE - 1, LANE, LANE + 1, 3 * LANE + 5])
+@pytest.mark.parametrize("start", [0, LANE - 2, 2 * LANE - 1])
+def test_lanes_match_scalar_hashes(count, start):
+    for seed in ((1 << 63) + 0x5EED, 12345):
+        block = hash_block(seed, start, count)
+        assert block.dtype == np.uint64 and block.shape == (count,)
+        assert block.tolist() == [hash_at(seed, start + k) for k in range(count)]
+
+
+def test_stream_block_across_a_lane_boundary_is_scalar_draws():
+    stream, ref = RandomStream(2024), RandomStream(2024)
+    stream.block(LANE - 3)
+    for _ in range(LANE - 3):
+        ref.next_u64()
+    assert stream.block(LANE + 7).tolist() == [ref.next_u64() for _ in range(LANE + 7)]
     assert stream.next_u64() == ref.next_u64()
