@@ -10,7 +10,7 @@ Library layout:
 * :mod:`bipcover.cover` - the almost-cover algorithm (at most 3 trees).
 * :mod:`bipcover.mindeg` - the minimum-degree 3-partition algorithm.
 * :mod:`bipcover.exact` - exact brute-force cover/partition solvers.
-* :mod:`bipcover.properties` - pseudo-randomness property checks.
+* :mod:`bipcover.properties` - degree/codegree bands for ``bipcover check``.
 * :mod:`bipcover.sweep` - threshold sweep experiment harness.
 * :mod:`bipcover.cli` - the ``bipcover`` command line front end.
 """
@@ -26,22 +26,20 @@ from .cover import (AuditReport, CoverCase, CoverParams, CoverState,
 from .exact import ExactResult, KnnReport, exhaustive_knn_check, tc_exact, tp_exact
 from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition, MonoTree,
                     RColouring, TreeCover, TwoColouring, Vertex,
-                    degree, edge_count_between, monochromatic_components,
-                    spanning_tree_of, validate_cover, validate_partition)
+                    monochromatic_components, spanning_tree_of, validate_cover,
+                    validate_partition)
 from .mindeg import (PartitionParams, PartitionState, audit_partition_state,
                      partition3)
 from .models import (ModelParams, as_fraction, sample_bipartite,
                      sample_colouring, sample_mindeg_subgraph)
-from .properties import (PropertyReport, check_degrees, check_domination,
-                         check_expansion, check_min_degree_connectivity,
-                         count_no_common_neighbour_pairs)
+from .properties import PropertyReport, check_degrees, count_no_common_neighbour_pairs
 from .sweep import SweepConfig, SweepRecord, records_to_csv, run_sweep, summarise
 
 __all__ = [
     "BLUE", "RED", "BipartiteGraph", "Colour", "MonoPartition", "MonoTree",
     "RColouring", "TreeCover", "TwoColouring", "Vertex",
-    "degree", "edge_count_between", "monochromatic_components",
-    "spanning_tree_of", "validate_cover", "validate_partition",
+    "monochromatic_components", "spanning_tree_of", "validate_cover",
+    "validate_partition",
     "ModelParams", "as_fraction", "sample_bipartite", "sample_colouring",
     "sample_mindeg_subgraph",
     "Lower3Witness", "Lower4Witness", "colour_blowup_pair", "colour_lower3",
@@ -50,8 +48,7 @@ __all__ = [
     "audit_state", "classify_case",
     "PartitionParams", "PartitionState", "audit_partition_state", "partition3",
     "ExactResult", "KnnReport", "exhaustive_knn_check", "tc_exact", "tp_exact",
-    "PropertyReport", "check_degrees", "check_domination", "check_expansion",
-    "check_min_degree_connectivity", "count_no_common_neighbour_pairs",
+    "PropertyReport", "check_degrees", "count_no_common_neighbour_pairs",
     "SweepConfig", "SweepRecord", "records_to_csv", "run_sweep", "summarise",
     "BipcoverError", "ConstructionInfeasibleError", "FormatError",
     "InvalidArgumentError", "NotConnectedError", "PartitionFailureError",

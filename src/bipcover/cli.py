@@ -219,8 +219,7 @@ def _cmd_check(args) -> int:
     out = {"reports": reports,
            "no_common_neighbour_pairs": {"part1": pairs[0], "part2": pairs[1]}}
     sys.stdout.write(json.dumps(out, sort_keys=True) + "\n")
-    violated = any(r["applicable"] and r["satisfied"] is False for r in reports)
-    return 1 if violated else 0
+    return 0 if deg_rep.satisfied and codeg_rep.satisfied else 1
 
 
 def _cmd_sweep(args) -> int:

@@ -482,40 +482,6 @@ def vertex_set(mask1: int, mask2: int) -> frozenset[Vertex]:
     return frozenset(part_vertices(1, mask1) + part_vertices(2, mask2))
 
 
-def degree(g: BipartiteGraph, v: Vertex, *, within: Iterable[Vertex] | None = None,
-           colouring: TwoColouring | None = None, colour: Colour | None = None) -> int:
-    """|N(v)| restricted to ``within`` and, if given, to one colour's edges."""
-    g.check_vertex(v)
-    if (colouring is None) != (colour is None):
-        raise InvalidArgumentError("colouring and colour must be given together")
-    row = colouring.coloured_row(v.part, v.index, colour) if colouring else g.row(v.part, v.index)
-    if within is None:
-        return row.bit_count()
-    masks = vertex_masks(g, within)
-    if masks[v.part - 1]:
-        raise InvalidArgumentError("'within' must lie in the part opposite to v")
-    return (row & masks[2 - v.part]).bit_count()
-
-
-def edge_count_between(g: BipartiteGraph, a: Iterable[Vertex], b: Iterable[Vertex], *,
-                       colouring: TwoColouring | None = None,
-                       colour: Colour | None = None) -> int:
-    """Number of (optionally colour-restricted) edges with one end in each set."""
-    if (colouring is None) != (colour is None):
-        raise InvalidArgumentError("colouring and colour must be given together")
-    a1, a2 = vertex_masks(g, a)
-    b1, b2 = vertex_masks(g, b)
-    if (a1 and a2) or (b1 and b2):
-        raise InvalidArgumentError("each set must lie within a single part")
-    if (a1 or a2) == 0 or (b1 or b2) == 0:
-        return 0
-    if (a1 and b1) or (a2 and b2):
-        raise InvalidArgumentError("sets must lie in opposite parts")
-    left, right = (a1, b2) if a1 else (b1, a2)
-    rows1 = colouring.layer_rows(colour)[0] if colouring else g._rows1
-    return edges_between(rows1, left, right)
-
-
 def components_from_rows(n1: int, n2: int, rows1: Sequence[int], rows2: Sequence[int],
                          m1: int | None = None, m2: int | None = None) -> list[tuple[int, int]]:
     """Connected components of a bipartite subgraph given by bit rows.

@@ -14,10 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipcover import (BLUE, RED, BipartiteGraph, MonoPartition, MonoTree,
-                      RColouring, TreeCover, TwoColouring, Vertex, degree,
-                      edge_count_between, monochromatic_components,
-                      sample_bipartite, sample_colouring, spanning_tree_of,
-                      validate_cover, validate_partition)
+                      RColouring, TreeCover, TwoColouring, Vertex,
+                      monochromatic_components, sample_bipartite, sample_colouring,
+                      spanning_tree_of, validate_cover, validate_partition)
 from bipcover import CoverParams, PartitionParams, almost_cover, colour_lower3, partition3
 from bipcover.errors import InvalidArgumentError, NotConnectedError, PartitionFailureError
 from bipcover.errors import ConstructionInfeasibleError, PropertyFailureError
@@ -77,71 +76,6 @@ class TestConstruction:
                 TwoColouring.from_edge_map(g, {**named, (0, 1): bad})
             with pytest.raises(InvalidArgumentError, match=message):
                 RColouring.from_edge_map(g, 2, {**named, (0, 1): bad})
-
-
-class TestDegree:
-    def test_complete_graph_degree(self):
-        g = BipartiteGraph.complete(2, 2)
-        assert degree(g, v1(0)) == 2
-
-    def test_empty_graph_degree(self):
-        g = BipartiteGraph.from_edges(3, 3, [])
-        assert degree(g, v1(1)) == 0
-        assert degree(g, v2(2)) == 0
-
-    def test_matching_restricted_degree(self):
-        g, _ = matching_graph()
-        assert degree(g, v1(0), within=[v2(1), v2(2)]) == 0
-
-    def test_coloured_degree(self):
-        g, col = matching_graph()
-        assert degree(g, v2(0), colouring=col, colour=RED) == 1
-        assert degree(g, v2(0), colouring=col, colour=BLUE) == 0
-
-    def test_within_same_part_rejected(self):
-        g, _ = matching_graph()
-        with pytest.raises(InvalidArgumentError):
-            degree(g, v1(0), within=[v1(1)])
-
-    def test_colour_without_colouring_rejected(self):
-        g, _ = matching_graph()
-        with pytest.raises(InvalidArgumentError):
-            degree(g, v1(0), colour=RED)
-
-
-class TestEdgeCount:
-    def test_complete(self):
-        g = BipartiteGraph.complete(3, 3)
-        assert edge_count_between(g, [v1(i) for i in range(3)],
-                                  [v2(j) for j in range(3)]) == 9
-
-    def test_empty_set(self):
-        g = BipartiteGraph.complete(3, 3)
-        assert edge_count_between(g, [], [v2(0)]) == 0
-
-    def test_matching_pairs(self):
-        g, _ = matching_graph()
-        assert edge_count_between(g, [v1(0), v1(1)], [v2(0), v2(1)]) == 2
-
-    def test_same_side_rejected(self):
-        g, _ = matching_graph()
-        with pytest.raises(InvalidArgumentError):
-            edge_count_between(g, [v1(0)], [v1(1)])
-
-    def test_mixed_set_rejected(self):
-        g, _ = matching_graph()
-        with pytest.raises(InvalidArgumentError):
-            edge_count_between(g, [v1(0), v2(1)], [v2(0)])
-
-    def test_uncoloured_equals_colour_sum(self):
-        g = sample_bipartite(ModelParams(6, 6, Fraction(1, 2)), 11)
-        col = sample_colouring(g, Fraction(1, 3), 11)
-        a = [v1(i) for i in (0, 2, 4)]
-        b = [v2(j) for j in (1, 3, 5)]
-        total = edge_count_between(g, a, b)
-        red = edge_count_between(g, a, b, colouring=col, colour=RED)
-        blue = edge_count_between(g, a, b, colouring=col, colour=BLUE)
-        assert total == red + blue
 
 
 class TestComponents:
@@ -1059,9 +993,6 @@ GRAPH_INPUT_ERRORS = [
     ("non-edge-key", lambda: RColouring.from_edge_map(_matching_colouring()[0], 2,
                                                       {(0, 0): 0, (0, 1): 1}),
      "(0,1) is not an edge"),
-    ("colour-without-colouring", lambda: edge_count_between(
-        BipartiteGraph.complete(2, 2), [Vertex(1, 0)], [Vertex(2, 0)], colour=RED),
-     "colouring and colour must be given together"),
     ("tree-on-no-vertices", lambda: spanning_tree_of(*_matching_colouring(), RED, []),
      "cannot build a tree on no vertices"),
 ]

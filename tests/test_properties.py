@@ -6,12 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from bipcover import (BLUE, RED, BipartiteGraph, Vertex, almost_cover,
-                      check_degrees, check_domination, check_expansion,
-                      check_min_degree_connectivity,
-                      count_no_common_neighbour_pairs, sample_bipartite,
-                      sample_colouring)
-from bipcover.cover import CoverParams
+from bipcover import (BipartiteGraph, check_degrees, count_no_common_neighbour_pairs,
+                      sample_bipartite)
 from bipcover.errors import InvalidArgumentError
 from bipcover.models import ModelParams
 from bipcover.properties import _codegree_tails
@@ -103,121 +99,6 @@ class TestCodegreeKernel:
             assert count_no_common_neighbour_pairs(g) == _naive_pair_counts(g)
 
 
-class TestExpansion:
-    # applicability needs |W| >= 100/p, so p=1 keeps instances small
-
-    def test_complete_graph_satisfied(self):
-        g = BipartiteGraph.complete(120, 120)
-        u = [Vertex(1, i) for i in range(20)]
-        w = [Vertex(2, j) for j in range(110)]
-        report = check_expansion(g, Fraction(1), u, w)
-        assert report.applicable and report.satisfied
-
-    def test_empty_graph_violated(self):
-        g = BipartiteGraph.from_edges(120, 120, [])
-        u = [Vertex(1, i) for i in range(20)]
-        w = [Vertex(2, j) for j in range(110)]
-        report = check_expansion(g, Fraction(1), u, w)
-        assert report.applicable and not report.satisfied
-        assert report.violations
-
-    def test_small_sets_not_applicable(self):
-        g = BipartiteGraph.complete(20, 20)
-        report = check_expansion(g, Fraction(1, 2), [Vertex(1, 0)], [Vertex(2, 0)])
-        assert not report.applicable
-
-    def test_same_side_rejected(self):
-        g = BipartiteGraph.complete(20, 20)
-        with pytest.raises(InvalidArgumentError):
-            check_expansion(g, Fraction(1, 2),
-                            [Vertex(1, i) for i in range(10)],
-                            [Vertex(1, j) for j in range(10, 20)])
-
-    def test_cover_run_sets_satisfy_expansion(self):
-        from bipcover import colour_lower3
-        n = 200
-        p = Fraction(5 * math.sqrt(math.log(n) / n)).limit_denominator(10 ** 9)
-        g = sample_bipartite(ModelParams(n, n, p), 17)
-        col, _ = colour_lower3(g)  # never spans, so the roots exist
-        _, state = almost_cover(g, col, CoverParams(p=p, seed=17))
-        assert state.root_red is not None
-        u = [Vertex(2, j) for j in
-             _bits(col.coloured_row(state.root_red.part, state.root_red.index, RED))]
-        w = [Vertex(1, i) for i in
-             _bits(col.coloured_row(state.root_blue.part, state.root_blue.index, BLUE))]
-        report = check_expansion(g, p, w, u)
-        if report.applicable:
-            assert report.satisfied
-
-
-def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
-class TestDomination:
-    def test_complete_graph_no_starved_vertices(self):
-        g = BipartiteGraph.complete(16, 16)
-        report = check_domination(g, Fraction(1, 2), [Vertex(1, i) for i in range(8)])
-        assert report.satisfied
-        assert report.stats["starved_count"] == 0
-
-    def test_empty_graph_violated(self):
-        # needs n > 100/p starved vertices to cross the allowance
-        g = BipartiteGraph.from_edges(150, 150, [])
-        report = check_domination(g, Fraction(1), [Vertex(1, i) for i in range(8)])
-        assert report.applicable and not report.satisfied
-        assert report.stats["starved_count"] == 150
-
-    def test_neighbourhood_domination_random(self):
-        n = 300
-        p = Fraction(2, 5)
-        good = 0
-        for seed in range(10):
-            g = sample_bipartite(ModelParams(n, n, p), seed)
-            u = [Vertex(2, j) for j in _bits(g.row(1, 0))]
-            report = check_domination(g, p, u)
-            if report.applicable and report.satisfied:
-                good += 1
-        assert good >= 9
-
-
-class TestConnectivity:
-    def test_complete_graph_connected(self):
-        g = BipartiteGraph.complete(12, 12)
-        report = check_min_degree_connectivity(
-            g, Fraction(1), Fraction(1, 10), g.vertices())
-        assert report.applicable and report.satisfied
-
-    def test_two_blocks_not_applicable(self):
-        # two disjoint complete halves: min degree n/2 misses the
-        # (1/2 + eps) * n bar, showing the eps matters
-        n = 8
-        rows = [(0b1111 if i < 4 else 0b11110000) for i in range(8)]
-        g = BipartiteGraph.from_rows(8, 8, rows)
-        report = check_min_degree_connectivity(
-            g, Fraction(1), Fraction(1, 10), g.vertices())
-        assert not report.applicable
-
-    def test_edge_filter_restricts_subgraph(self):
-        g = BipartiteGraph.complete(10, 10)
-        col = sample_colouring(g, Fraction(1, 2), 3)
-        report = check_min_degree_connectivity(
-            g, Fraction(1, 2), Fraction(1, 20), g.vertices(),
-            h_edge_filter=lambda a, b: col.colour_of(a.index, b.index) is BLUE)
-        # the blue subgraph of a uniform colouring of K_{10,10} usually
-        # has min degree near 5 > (1/2 + eps) * 5; if applicable it must
-        # be connected or report a witness
-        if report.applicable:
-            assert report.satisfied is not None
-
-
 class TestNoCommonNeighbourPairs:
     def test_complete_graph_zero(self):
         assert count_no_common_neighbour_pairs(BipartiteGraph.complete(9, 9)) == (0, 0)
@@ -267,44 +148,18 @@ def _naive_pair_counts(g):
     return tuple(counts)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: check_expansion(BipartiteGraph.complete(2, 3), Fraction(1, 2), [], []),
-     "property checks expect a balanced graph"),
-    (lambda: check_domination(BipartiteGraph.complete(2, 2), Fraction(1, 2),
-                              [Vertex(1, 0), Vertex(2, 0)]),
-     "vertex set spans both parts"),
-], ids=("unbalanced", "set-spans-both-parts"))
-def test_property_input_checks(call, message):
+@pytest.mark.parametrize("n2, p, epsilon, message", [
+    (3, Fraction(1, 2), Fraction(1, 10), "property checks expect a balanced graph"),
+    (2, Fraction(0), Fraction(1, 10), "p must be in (0, 1]"),
+    (2, Fraction(-1), Fraction(1, 10), "p must be in (0, 1]"),
+    (2, Fraction(2), Fraction(1, 10), "p must be in (0, 1]"),
+    (2, Fraction(1, 2), Fraction(0), "epsilon must be in (0, 1)"),
+    (2, Fraction(1, 2), Fraction(1), "epsilon must be in (0, 1)"),
+    (2, Fraction(1, 2), Fraction(3), "epsilon must be in (0, 1)"),
+    (2, Fraction(1, 2), Fraction(-1), "epsilon must be in (0, 1)"),
+], ids=("unbalanced", "p-zero", "p-negative", "p-above-one", "epsilon-zero", "epsilon-one",
+        "epsilon-above-one", "epsilon-negative"))
+def test_property_input_checks(n2, p, epsilon, message):
     with pytest.raises(InvalidArgumentError) as exc:
-        call()
+        check_degrees(BipartiteGraph.complete(2, n2), p, epsilon)
     assert str(exc.value) == message
-
-
-def test_domination_not_applicable_below_its_scale():
-    # |U| = 2 < p * n / 100 = 3
-    g = BipartiteGraph.complete(300, 300)
-    report = check_domination(g, Fraction(1), [Vertex(1, 0), Vertex(1, 1)])
-    assert not report.applicable
-    assert report.stats == {"reason": "U below the check's scale"}
-
-
-def test_connectivity_violation_on_two_disjoint_halves():
-    # Each half has degree 4 >= (1/2 + 1/10) * (1/2) * 8 = 2.4, yet H has two components.
-    rows = [(0b1111 if i < 4 else 0b11110000) for i in range(8)]
-    g = BipartiteGraph.from_rows(8, 8, rows)
-    report = check_min_degree_connectivity(g, Fraction(1, 2), Fraction(1, 10), g.vertices())
-    assert report.applicable and report.satisfied is False
-    assert report.violations == [("components", [Vertex(1, 0), Vertex(1, 4)], 2, 1)]
-
-
-def test_connectivity_on_a_partial_vertex_set():
-    # H leaves out 1:0 and 2:5; the rows of the vertices outside H are empty.
-    g = BipartiteGraph.complete(6, 6)
-    h = [v for v in g.vertices() if v not in (Vertex(1, 0), Vertex(2, 5))]
-    report = check_min_degree_connectivity(g, Fraction(1), Fraction(1, 10), h)
-    assert report.applicable and report.satisfied
-    assert report.stats == {"components": 1, "vertices": 10}
-    blue_only = check_min_degree_connectivity(g, Fraction(1), Fraction(1, 10), h,
-                                              h_edge_filter=lambda a, b: a.index != 1)
-    assert not blue_only.applicable
-    assert blue_only.stats["reason"] == "min degree 0 below 3.60"
