@@ -13,34 +13,26 @@ or 1), or absent, in which case the file holds a bare graph.  A file
 must be uniformly coloured or uniformly bare; duplicate edges and
 out-of-range indices are rejected.
 
-Vertex tokens elsewhere are ``part:index`` (e.g. ``2:5``) and edge tokens
-are ``i-j``.
+Cover and partition files are written only, each after its validator ran.
+A cover file holds ``tree <R|B>`` / ``vertices`` / ``edges`` / ``end``
+blocks and an ``uncovered`` line, a partition file ``part <R|B>`` lines.
+Vertex tokens are ``part:index`` (e.g. ``2:5``) and edge tokens ``i-j``.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
 from .errors import FormatError
-from .graph import (BipartiteGraph, Colour, MonoPartition, MonoTree, RColouring,
-                    TreeCover, TwoColouring, Vertex, colour_layers, first_hit,
-                    rows_from_edges, rows_to_matrix)
+from .graph import (BipartiteGraph, Colour, MonoPartition, RColouring, TreeCover,
+                    TwoColouring, colour_layers, first_hit, rows_from_edges,
+                    rows_to_matrix)
 
 Colouring = TwoColouring | RColouring
 _RB = {"R": Colour.RED, "B": Colour.BLUE}
-
-
-def content_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each line that is not blank once its
-    ``#`` comment is stripped."""
-    text = source if isinstance(source, str) else source.read()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def _read_ints(tokens: np.ndarray, table: dict[str, int], lo: int,
@@ -68,10 +60,10 @@ def _read_ints(tokens: np.ndarray, table: dict[str, int], lo: int,
     return values, len(tokens)
 
 
-def _parse_header(fields: list[str], lineno: int, directive: str) -> tuple[int, int]:
-    """The part sizes of a '<directive> <n1> <n2>' header line."""
-    if fields[0] != directive or len(fields) != 3:
-        raise FormatError(f"line {lineno}: expected '{directive} <n1> <n2>'")
+def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
+    """The part sizes of a 'bipartite <n1> <n2>' header line."""
+    if fields[0] != "bipartite" or len(fields) != 3:
+        raise FormatError(f"line {lineno}: expected 'bipartite <n1> <n2>'")
     try:
         n1, n2 = int(fields[1]), int(fields[2])
     except ValueError:
@@ -158,7 +150,7 @@ def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]
         raise FormatError("missing 'bipartite <n1> <n2>' header")
     counts = counts[content]
     starts = np.cumsum(counts) - counts
-    n1, n2 = _parse_header(tokens[:counts[0]].tolist(), content[0] + 1, "bipartite")
+    n1, n2 = _parse_header(tokens[:counts[0]].tolist(), content[0] + 1)
     i, j, codes = _parse_edge_lines(tokens, starts[1:], counts[1:], content[1:] + 1, n1, n2)
     graph = BipartiteGraph(n1, n2, *rows_from_edges(n1, n2, i, j))
     if codes is None:
@@ -195,58 +187,6 @@ def write_graph(g: BipartiteGraph, colouring: Colouring | None = None,
     return "".join([*_head("bipartite", g, comments), *lines.tolist()])
 
 
-def _parse_vertex(token: str, lineno: int) -> Vertex:
-    try:
-        part, index = token.split(":")
-        return Vertex(int(part), int(index))
-    except ValueError:
-        raise FormatError(f"line {lineno}: bad vertex token {token!r}") from None
-
-
-class _VertexLines:
-    """The content lines after a cover or partition file's '<directive>
-    <n1> <n2>' header, as (line number, fields), and the two errors held
-    back until every other check of the file has passed: the first vertex
-    outside the header's parts, then the first repeated within a group."""
-
-    def __init__(self, source: str | TextIO, directive: str):
-        self._lines = content_lines(source)
-        lineno, line = next(self._lines, (0, ""))
-        if not line:
-            raise FormatError(f"missing '{directive} <n1> <n2>' header")
-        self._sizes = dict(zip((1, 2), _parse_header(line.split(), lineno, directive)))
-        self._stray: str | None = None
-        self._repeat: str | None = None
-
-    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
-        return ((lineno, line.split()) for lineno, line in self._lines)
-
-    def check_parts(self, lineno: int, vertices: Iterable[Vertex]) -> None:
-        """Hold back the first of ``vertices`` outside the header's parts."""
-        for v in vertices:
-            if self._stray is None and not 0 <= v.index < self._sizes.get(v.part, 0):
-                self._stray = f"line {lineno}: vertex {v} outside the header's parts"
-
-    def vertices(self, lineno: int, tokens: list[str], group: Iterable[Vertex] = ()
-                 ) -> list[Vertex]:
-        """The vertices of ``tokens``, parts checked, holding back the first
-        that repeats one of them or of ``group``."""
-        found = [_parse_vertex(t, lineno) for t in tokens]
-        seen: set[Vertex] = set()
-        for v in [*group, *found]:
-            if self._repeat is None and v in seen:
-                self._repeat = f"line {lineno}: vertex {v} repeated"
-            seen.add(v)
-        self.check_parts(lineno, found)
-        return found
-
-    def close(self, missing: str | None = None) -> None:
-        """Raise the held-back errors: a stray vertex, then ``missing``, then a repeat."""
-        for error in (self._stray, missing, self._repeat):
-            if error:
-                raise FormatError(error)
-
-
 def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
     out = _head("cover", g, comments)
     for tree in cover.trees:
@@ -260,65 +200,9 @@ def write_cover(cover: TreeCover, g: BipartiteGraph, comments: Iterable[str] = (
     return "".join(out)
 
 
-def parse_cover(source: str | TextIO) -> TreeCover:
-    lines = _VertexLines(source, "cover")
-    trees: list[MonoTree] = []
-    uncovered: frozenset[Vertex] | None = None
-    colour: Colour | None = None
-    vertices: list[Vertex] = []
-    edges: list[tuple[Vertex, Vertex]] = []
-    for lineno, fields in lines:
-        kind = fields[0]
-        if kind in ("vertices", "edges", "end") and colour is None:
-            raise FormatError(f"line {lineno}: '{kind}' outside a tree block")
-        if kind == "tree":
-            if colour is not None:
-                raise FormatError(f"line {lineno}: previous tree not ended")
-            if len(fields) != 2 or fields[1] not in _RB:
-                raise FormatError(f"line {lineno}: expected 'tree <R|B>'")
-            colour = _RB[fields[1]]
-            vertices, edges = [], []
-        elif kind == "vertices":
-            vertices += lines.vertices(lineno, fields[1:], vertices)
-        elif kind == "edges":
-            for token in fields[1:]:
-                try:
-                    i, j = token.split("-")
-                    edges.append((Vertex(1, int(i)), Vertex(2, int(j))))
-                except ValueError:
-                    raise FormatError(f"line {lineno}: bad edge token {token!r}") from None
-                lines.check_parts(lineno, edges[-1])
-        elif kind == "end":
-            trees.append(MonoTree(colour, frozenset(vertices), tuple(edges)))
-            colour = None
-        elif kind == "uncovered":
-            if colour is not None:
-                raise FormatError(f"line {lineno}: 'uncovered' inside a tree block")
-            if uncovered is not None:
-                raise FormatError(f"line {lineno}: second 'uncovered' line")
-            uncovered = frozenset(lines.vertices(lineno, fields[1:]))
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {kind!r}")
-    if colour is not None:
-        raise FormatError("unterminated tree block")
-    lines.close("missing 'uncovered' line" if uncovered is None else None)
-    return TreeCover(tuple(trees), uncovered)
-
-
 def write_partition(partition: MonoPartition, g: BipartiteGraph,
                     comments: Iterable[str] = ()) -> str:
     out = _head("partition", g, comments)
     for colour, part in partition.parts:
         out.append(f"part {colour.token} " + " ".join(map(str, sorted(part))) + "\n")
     return "".join(out)
-
-
-def parse_partition(source: str | TextIO) -> MonoPartition:
-    lines = _VertexLines(source, "partition")
-    parts: list[tuple[Colour, frozenset[Vertex]]] = []
-    for lineno, fields in lines:
-        if fields[0] != "part" or len(fields) < 2 or fields[1] not in _RB:
-            raise FormatError(f"line {lineno}: expected 'part <R|B> <vertices...>'")
-        parts.append((_RB[fields[1]], frozenset(lines.vertices(lineno, fields[2:]))))
-    lines.close()
-    return MonoPartition(tuple(parts))

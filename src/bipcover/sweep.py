@@ -28,14 +28,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .adversary import colour_lower3, colour_lower4
 from .construct import AuditReport
 from .cover import CoverCase, CoverParams, almost_cover, audit_state
 from .errors import BipcoverError
 from .exact import ExactResult, tc_exact
-from .formats import content_lines
 from .graph import (BipartiteGraph, MonoPartition, TreeCover, TwoColouring,
                     ValidationReport, monochromatic_components, validate_cover,
                     validate_partition)
@@ -73,6 +72,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise BipcoverError("trials must be at least 1")
+        if self.threads < 1:
+            raise BipcoverError("threads must be at least 1")
         if self.source not in SOURCES:
             raise BipcoverError(f"unknown source {self.source!r}")
         if self.algorithm not in ALGORITHMS:
@@ -224,9 +225,18 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line that is not blank once its
+    ``#`` comment is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_records(text: str) -> list[SweepRecord]:
     """The records of a CSV that ``records_to_csv`` wrote."""
-    lines = list(content_lines(text))
+    lines = list(_content_lines(text))
     if not lines or lines[0][1] != RECORD_HEADER:
         raise BipcoverError("not a sweep records CSV")
     records = []
@@ -305,7 +315,7 @@ plot '{summary_path}' using ($2/$3):7 with linespoints title 'valid rate', \\
 def parse_config_file(text: str) -> dict:
     """Flat ``key = value`` config format mirroring the CLI flags."""
     out: dict = {}
-    for lineno, line in content_lines(text):
+    for lineno, line in _content_lines(text):
         if "=" not in line:
             raise BipcoverError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))

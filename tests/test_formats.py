@@ -1,4 +1,4 @@
-"""Text formats: round trips and rejection of malformed input."""
+"""Graph files: round trips and rejection of malformed input."""
 
 import io
 import tracemalloc
@@ -6,14 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring, Vertex,
+from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
                       sample_bipartite, sample_colouring)
-from bipcover import CoverParams, PartitionParams, almost_cover, partition3
 from bipcover.adversary import colour_blowup_pair
 from bipcover.errors import FormatError
-from bipcover.formats import (parse_cover, parse_graph, parse_partition,
-                              write_cover, write_graph, write_partition)
-from bipcover.models import ModelParams, sample_mindeg_subgraph
+from bipcover.formats import parse_graph, write_graph
+from bipcover.models import ModelParams
 from conftest import matching_graph
 
 
@@ -250,48 +248,6 @@ def test_parse_graph_error_messages(text, message):
     assert str(exc.value) == message
 
 
-def test_cover_round_trip():
-    from bipcover import TreeCover, spanning_tree_of, Vertex
-    g, col = matching_graph()
-    tree = spanning_tree_of(g, col, RED, [Vertex(1, 0), Vertex(2, 0)])
-    cover = TreeCover((tree,), frozenset(set(g.vertices()) - tree.vertices))
-    text = write_cover(cover, g)
-    back = parse_cover(text)
-    assert back.uncovered == cover.uncovered
-    assert len(back.trees) == 1
-    assert back.trees[0].vertices == tree.vertices
-    assert back.trees[0].colour is RED
-
-
-def test_partition_round_trip():
-    from bipcover import MonoPartition, Vertex
-    g, col = matching_graph()
-    partition = MonoPartition((
-        (RED, frozenset([Vertex(1, 0), Vertex(2, 0)])),
-        (BLUE, frozenset([Vertex(1, 1), Vertex(2, 1)])),
-        (BLUE, frozenset([Vertex(1, 2), Vertex(2, 2)])),
-    ))
-    back = parse_partition(write_partition(partition, g))
-    assert set(back.parts) == set(partition.parts)
-
-
-def test_cover_rejects_unterminated_tree():
-    with pytest.raises(FormatError, match="unterminated|not ended"):
-        parse_cover("cover 2 2\ntree R\nvertices 1:0\n")
-
-
-@pytest.mark.parametrize("line", ["tree", "tree Q", "tree r", "tree 0", "tree R B"])
-def test_cover_rejects_bad_tree_line(line):
-    with pytest.raises(FormatError, match="line 2"):
-        parse_cover(f"cover 2 2\n{line}\nvertices 1:0\nend\nuncovered 1:1 2:0 2:1\n")
-
-
-@pytest.mark.parametrize("token", ["Q", "b", "1"])
-def test_partition_rejects_colour_other_than_r_or_b(token):
-    with pytest.raises(FormatError, match="line 2"):
-        parse_partition(f"partition 1 1\npart {token} 1:0 2:0\n")
-
-
 def test_colour_index_below_slot_count_is_accepted():
     g, col = parse_graph("bipartite 2 2\n0 0 3\n1 1 0\n")
     assert isinstance(col, RColouring) and not isinstance(col, TwoColouring)
@@ -329,132 +285,3 @@ def test_write_graph_without_edges_on_many_colours():
     g = BipartiteGraph.from_edges(2, 3, [])
     col = RColouring(g, [((0, 0), (0, 0, 0))] * 3)
     assert write_graph(g, col) == "bipartite 2 3\n"
-
-
-@pytest.mark.parametrize("text, message", [
-    ("cover 2 2\nvertices 1:0\ntree R\nvertices 1:1\nend\nuncovered\n",
-     "line 2: 'vertices' outside a tree block"),
-    ("cover 2 2\ntree R\nvertices 1:0\nend\nedges 0-0\nuncovered\n",
-     "line 5: 'edges' outside a tree block"),
-    ("cover 2 2\nuncovered 1:0\nuncovered 1:1\n", "line 3: second 'uncovered' line"),
-    ("cover 2 2\ntree R\nvertices 1:0\nuncovered 1:1\nend\n",
-     "line 4: 'uncovered' inside a tree block"),
-    ("cover x y\nuncovered\n", "line 1: part sizes must be integers"),
-    ("cover 0 2\nuncovered\n", "line 1: part sizes must be positive"),
-    ("# c\ncover 2\nuncovered\n", "line 2: expected 'cover <n1> <n2>'"),
-    ("cover 2 2\ntree R\nvertices 1:0 x\nend\nuncovered\n", "line 3: bad vertex token 'x'"),
-    ("cover 2 2\ntree R\ntree B\n", "line 3: previous tree not ended"),
-    ("cover 2 2\ntree R\nvertices 1:0 2:0\nedges 0_0\nend\nuncovered\n",
-     "line 4: bad edge token '0_0'"),
-    ("cover 2 2\nend\nuncovered\n", "line 2: 'end' outside a tree block"),
-    ("cover 2 2\nleaves 1:0\n", "line 2: unknown directive 'leaves'"),
-    ("# no header\n", "missing 'cover <n1> <n2>' header"),
-    ("cover 2 2\ntree R\nvertices 1:7\nend\nuncovered\n",
-     "line 3: vertex 1:7 outside the header's parts"),
-    ("cover 2 2\ntree R\nvertices 1:0 2:1\nedges 0-1 0-2\nend\nuncovered\n",
-     "line 4: vertex 2:2 outside the header's parts"),
-    ("cover 2 2\nuncovered 1:1 3:0\n", "line 2: vertex 3:0 outside the header's parts"),
-    ("cover 2 2\ntree R\nvertices 2:-1\nend\nuncovered 1:9\n",
-     "line 3: vertex 2:-1 outside the header's parts"),
-    ("cover 2 2\ntree R\nvertices 1:0\nend\n", "missing 'uncovered' line"),
-    ("cover 2 2\ntree R\nvertices 1:7\nend\nleaves\n", "line 5: unknown directive 'leaves'"),
-    ("cover 2 2\nuncovered 1:7\ntree R\nvertices 1:0\n", "unterminated tree block"),
-], ids=("vertices-outside", "edges-outside", "second-uncovered", "uncovered-inside",
-        "header-not-integers", "header-not-positive", "header-short", "bad-vertex-token",
-        "tree-not-ended", "bad-edge-token", "end-outside", "unknown-directive",
-        "missing-header", "vertex-beyond-part", "endpoint-beyond-part", "no-such-part",
-        "first-stray-named", "missing-uncovered", "stray-after-line-errors",
-        "stray-after-unterminated"))
-def test_parse_cover_rejects_what_write_cover_never_writes(text, message):
-    # Each of these used to drop or overwrite vertices without a word.
-    with pytest.raises(FormatError, match=f"^{message}$"):
-        parse_cover(text)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("partition a b\npart R 1:0 2:0\n", "line 1: part sizes must be integers"),
-    ("partition 1 -1\npart R 1:0 2:0\n", "line 1: part sizes must be positive"),
-    ("partition 1 1 1\npart R 1:0 2:0\n", "line 1: expected 'partition <n1> <n2>'"),
-    ("\n# no header\n", "missing 'partition <n1> <n2>' header"),
-], ids=("not-integers", "not-positive", "long", "missing"))
-def test_parse_partition_rejects_a_header_write_partition_never_writes(text, message):
-    with pytest.raises(FormatError, match=f"^{message}$"):
-        parse_partition(text)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("partition 2 2\npart R 1:0 2:0 1-1\n", "line 2: bad vertex token '1-1'"),
-    ("partition 2 2\npart R 1:9 3:0\n", "line 2: vertex 1:9 outside the header's parts"),
-    ("partition 2 2\npart R 1:0 2:0\npart B 1:1 0:1\n",
-     "line 3: vertex 0:1 outside the header's parts"),
-    ("partition 2 2\npart R 1:9\nparts B 1:1\n",
-     "line 3: expected 'part <R|B> <vertices...>'"),
-], ids=("bad-vertex-token", "beyond-part", "no-such-part", "stray-after-line-errors"))
-def test_parse_partition_rejects_a_vertex_write_partition_never_writes(text, message):
-    with pytest.raises(FormatError) as exc:
-        parse_partition(text)
-    assert str(exc.value) == message
-
-
-@pytest.mark.parametrize("parse, text, message", [
-    (parse_cover, "cover 2 2\ntree R\nvertices 1:0 1:0\nend\nuncovered 1:1 2:0 2:1 2:1\n",
-     "line 3: vertex 1:0 repeated"),
-    (parse_cover, "cover 2 2\ntree R\nvertices 1:0 2:0\nvertices 2:0\nend\nuncovered\n",
-     "line 4: vertex 2:0 repeated"),
-    (parse_cover, "cover 2 2\ntree R\nvertices 1:0\nend\nuncovered 1:1 2:0 2:1 2:1\n",
-     "line 5: vertex 2:1 repeated"),
-    (parse_partition, "partition 1 1\npart R 1:0 1:0 2:0\n", "line 2: vertex 1:0 repeated"),
-    (parse_partition, "partition 2 2\npart R 1:0 2:0\npart B 1:1 2:1 1:1\n",
-     "line 3: vertex 1:1 repeated"),
-], ids=("tree-line", "tree-block", "uncovered", "part", "second-part"))
-def test_a_repeated_vertex_is_rejected(parse, text, message):
-    # These used to read as one vertex: a one-vertex tree, three uncovered
-    # vertices, a two-vertex part.
-    with pytest.raises(FormatError) as exc:
-        parse(text)
-    assert str(exc.value) == message
-
-
-@pytest.mark.parametrize("parse, text, message", [
-    (parse_cover, "cover 2 2\ntree R\nvertices 1:0 1:0\nend\nleaves\n",
-     "line 5: unknown directive 'leaves'"),
-    (parse_cover, "cover 2 2\nuncovered 1:0 1:0 2:9\n",
-     "line 2: vertex 2:9 outside the header's parts"),
-    (parse_cover, "cover 2 2\ntree R\nvertices 1:0 1:0\nend\n", "missing 'uncovered' line"),
-    (parse_partition, "partition 2 2\npart R 1:0 1:0\npart B 1:5\n",
-     "line 3: vertex 1:5 outside the header's parts"),
-], ids=("line-error", "stray", "missing-uncovered", "partition-stray"))
-def test_a_repeated_vertex_is_reported_after_every_other_error(parse, text, message):
-    with pytest.raises(FormatError) as exc:
-        parse(text)
-    assert str(exc.value) == message
-
-
-def test_a_vertex_in_two_trees_or_parts_is_left_to_the_validators():
-    cover = parse_cover("cover 1 1\ntree R\nvertices 1:0\nend\ntree B\nvertices 1:0\nend\n"
-                        "uncovered 2:0\n")
-    assert [tree.vertices for tree in cover.trees] == [frozenset([Vertex(1, 0)])] * 2
-    partition = parse_partition("partition 1 1\npart R 1:0 2:0\npart B 2:0\n")
-    assert [part for _, part in partition.parts] == [frozenset([Vertex(1, 0), Vertex(2, 0)]),
-                                                     frozenset([Vertex(2, 0)])]
-
-
-def _noisy(text: str) -> str:
-    """``text`` with CRLF line ends, a trailing comment on every line, and a
-    blank line and a comment-only line before each."""
-    return "".join(f"\r\n  # note\r\n{line}  # trailing\r\n" for line in text.splitlines())
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_cover_and_partition_files_survive_line_ends_comments_and_blanks(seed):
-    g = sample_bipartite(ModelParams(40, 40, Fraction(1, 2)), seed)
-    col = sample_colouring(g, Fraction(1, 2), seed)
-    cover, _ = almost_cover(g, col, CoverParams(p=Fraction(1, 2), seed=seed))
-    h = sample_mindeg_subgraph(64, Fraction(13, 16) + Fraction(1, 20), seed)
-    partition, _ = partition3(h, sample_colouring(h, Fraction(1, 2), seed),
-                              PartitionParams(delta=Fraction(1, 20), seed=seed))
-    comments = [f"seed {seed}", "a second comment"]
-    for write, parse, made, host in ((write_cover, parse_cover, cover, g),
-                                     (write_partition, parse_partition, partition, h)):
-        text = write(made, host, comments)
-        assert write(parse(_noisy(text)), host, comments) == text

@@ -266,9 +266,10 @@ class TestValidatorPins:
     """Branches of the mask referees that hypothesis draws reach only by
     chance, each pinned against the frozen reference validators."""
 
-    @pytest.mark.parametrize("foreign", (Vertex(1, -1), Vertex(3, 0)))
+    @pytest.mark.parametrize("foreign", (Vertex(1, -1), Vertex(3, 0), Vertex(1, 3)))
     def test_foreign_vertex_in_a_tree_and_in_uncovered(self, foreign):
-        # 1:-1 sorts before every vertex of the graph, 3:0 after all of them.
+        # 1:-1 sorts before every vertex of the graph, 3:0 after all of them;
+        # 1:3 is one past part 1.
         g, col = matching_graph()
         tree = MonoTree(RED, frozenset([v1(0), v2(0), foreign]), ((v1(0), v2(0)),))
         rest = frozenset(g.vertices()) - {v2(0)}
@@ -288,7 +289,7 @@ class TestValidatorPins:
         assert report.violations == reference_validate_cover(g, col, cover) == [
             "coverage: 3 foreign vertices, e.g. 1:-1"]
 
-    @pytest.mark.parametrize("foreign", (Vertex(1, -1), Vertex(3, 0)))
+    @pytest.mark.parametrize("foreign", (Vertex(1, -1), Vertex(3, 0), Vertex(1, 3)))
     def test_foreign_vertex_in_a_part(self, foreign):
         g, col = matching_graph()
         parts = MonoPartition(((RED, frozenset([v1(0), v2(0)])),

@@ -308,8 +308,9 @@ def test_run_construction_reports_a_bad_tc_witness(monkeypatch):
      "delta must be in (0, 3/16)"),
     (lambda: config_from_mapping({"n_values": "12", "p_values": "1/2", "retry_limit": "0"}),
      "retry limit must be at least 1"),
+    (lambda: small_config(threads=-3), "threads must be at least 1"),
 ], ids=("unknown-source", "unknown-algorithm", "config-line-without-equals", "epsilon",
-        "partition3-delta", "mapped-retry-limit"))
+        "partition3-delta", "mapped-retry-limit", "threads-below-one"))
 def test_sweep_input_checks(call, message):
     with pytest.raises(BipcoverError) as exc:
         call()
