@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .graph import BipartiteGraph, TwoColouring, rows_and_transpose
 from .rng import (LANE, TAG_COLOURING, TAG_GRAPH, TAG_MINDEG, combine, hash_block,
-                  threshold_u64)
+                  hash_counters, threshold_u64)
 
 
 def as_fraction(x) -> Fraction:
@@ -53,6 +53,7 @@ class ModelParams:
 
 _CHUNK_SLOTS = LANE  # slots hashed and thresholded per block, in L2 cache
 _ORDER_CHUNK = 4096  # slots per bulk step of the min-degree sampler
+_KEY_RANGE_BITS = 4  # the min-degree sampler sorts its slots in 2^4 key ranges
 
 
 def _slot_matrix(seed: int, n1: int, n2: int, probability: Fraction) -> np.ndarray:
@@ -91,12 +92,16 @@ def sample_mindeg_subgraph(n: int, min_degree_fraction, seed: int) -> BipartiteG
     floor, so most degrees end up at the floor exactly.
 
     Runs in bulk with the same result.  The keys ``hash_at(seed, slot)``
-    are distinct, so every sort gives the same order.  Per chunk of
-    ``_ORDER_CHUNK`` slots, a slot with an endpoint at the floor stays; a
-    vertex whose degree minus its live slots in the chunk is at least the
-    floor passes each of its checks there, so slots joining two such
-    vertices are deleted at once, touching no other vertex, and the rest
-    are checked in order.
+    are distinct, so every sort gives the same order.  The keys' top
+    ``_KEY_RANGE_BITS`` bits split the slots into ascending ranges, taken
+    in turn.  Degrees only fall, so a slot with an endpoint at the floor
+    as its range starts would fail its check: it is dropped, and the rest
+    are sorted by keys hashed again from their slots (no n^2 keys stay
+    alive).  Per chunk of ``_ORDER_CHUNK`` slots, a slot with an endpoint
+    at the floor stays; a vertex whose degree minus its live slots in the
+    chunk is at least the floor passes each of its checks there, so slots
+    joining two such vertices are deleted at once, touching no other
+    vertex, and the rest are checked in order.
     """
     frac = as_fraction(min_degree_fraction)
     if not 0 < frac <= 1:
@@ -104,23 +109,32 @@ def sample_mindeg_subgraph(n: int, min_degree_fraction, seed: int) -> BipartiteG
     floor = math.ceil(frac * n)
     present = np.ones(n * n, dtype=bool)
     if floor < n:
-        order = np.argsort(hash_block(combine(seed, TAG_MINDEG), 0, n * n))
+        key_seed = combine(seed, TAG_MINDEG)
+        top = hash_block(key_seed, 0, n * n)
+        top = np.right_shift(top, np.uint64(64 - _KEY_RANGE_BITS), out=top).astype(np.uint8)
+        by_range = np.argsort(top, kind="stable")
+        ends = np.searchsorted(top[by_range], np.arange(1, 1 << _KEY_RANGE_BITS, dtype=np.uint8))
         deg1, deg2 = np.full(n, n), np.full(n, n)
-        for start in range(0, n * n, _ORDER_CHUNK):
-            slots = order[start:start + _ORDER_CHUNK]
-            i, j = np.divmod(slots, n)
-            live = (deg1[i] > floor) & (deg2[j] > floor)
-            slots, i, j = slots[live], i[live], j[live]
-            drop = ((deg1 - np.bincount(i, minlength=n) >= floor)[i]
-                    & (deg2 - np.bincount(j, minlength=n) >= floor)[j])
-            rest = np.flatnonzero(~drop)
-            d1, d2 = deg1.tolist(), deg2.tolist()
-            for k, a, b in zip(rest.tolist(), i[rest].tolist(), j[rest].tolist()):
-                if d1[a] > floor and d2[b] > floor:
-                    d1[a] -= 1
-                    d2[b] -= 1
-                    drop[k] = True
-            present[slots[drop]] = False
-            deg1 -= np.bincount(i[drop], minlength=n)
-            deg2 -= np.bincount(j[drop], minlength=n)
+        for part in np.split(by_range, ends):
+            i = part // n
+            part = part[(deg1[i] > floor) & (deg2[part - i * n] > floor)]
+            order = part[np.argsort(hash_counters(key_seed, part))]
+            for start in range(0, order.size, _ORDER_CHUNK):
+                slots = order[start:start + _ORDER_CHUNK]
+                i = slots // n  # np.divmod takes ten times as long
+                j = slots - i * n
+                live = (deg1[i] > floor) & (deg2[j] > floor)
+                slots, i, j = slots[live], i[live], j[live]
+                drop = ((deg1 - np.bincount(i, minlength=n) >= floor)[i]
+                        & (deg2 - np.bincount(j, minlength=n) >= floor)[j])
+                rest = np.flatnonzero(~drop)
+                d1, d2 = deg1.tolist(), deg2.tolist()
+                for k, a, b in zip(rest.tolist(), i[rest].tolist(), j[rest].tolist()):
+                    if d1[a] > floor and d2[b] > floor:
+                        d1[a] -= 1
+                        d2[b] -= 1
+                        drop[k] = True
+                present[slots[drop]] = False
+                deg1 -= np.bincount(i[drop], minlength=n)
+                deg2 -= np.bincount(j[drop], minlength=n)
     return BipartiteGraph(n, n, *rows_and_transpose(present.reshape(n, n)))

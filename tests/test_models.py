@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bipcover import (BipartiteGraph, ModelParams, sample_bipartite,
+from bipcover import (BipartiteGraph, ModelParams, models, sample_bipartite,
                       sample_colouring, sample_mindeg_subgraph)
 from bipcover.errors import InvalidArgumentError
 from bipcover.formats import write_graph
@@ -173,6 +175,47 @@ class TestMindegAgainstSlotWalk:
         for seed in range(4):
             keys = hash_block(combine(seed, TAG_MINDEG), 0, n * n)
             assert np.unique(keys).size == n * n
+
+
+class TestMindegKeyRanges:
+    """The split of the slots into key ranges cannot change a graph."""
+
+    @pytest.mark.parametrize("chunk", [1, 64, 4096])
+    @pytest.mark.parametrize("range_bits", [0, 1, 4, 8], ids=["1", "2", "16", "256"])
+    def test_any_range_count(self, monkeypatch, range_bits, chunk):
+        monkeypatch.setattr(models, "_KEY_RANGE_BITS", range_bits)
+        monkeypatch.setattr(models, "_ORDER_CHUNK", chunk)
+        for n in (1, 2, 7, 65, 128):
+            for fraction in MINDEG_FRACTIONS:
+                g = sample_mindeg_subgraph(n, fraction, 5)
+                assert mindeg_rows(g) == naive_mindeg_subgraph(n, fraction, 5)
+
+    def test_ranges_with_no_live_slot(self, monkeypatch):
+        # Once most degrees sit at the floor, a late range can keep no slot.
+        sorted_sizes, hash_counters = [], models.hash_counters
+
+        def counting_hash(seed, slots):
+            sorted_sizes.append(slots.size)
+            return hash_counters(seed, slots)
+
+        monkeypatch.setattr(models, "hash_counters", counting_hash)
+        g = sample_mindeg_subgraph(128, MINDEG_FRACTIONS[0], 5)
+        assert mindeg_rows(g) == naive_mindeg_subgraph(128, MINDEG_FRACTIONS[0], 5)
+        assert len(sorted_sizes) == 1 << models._KEY_RANGE_BITS and 0 in sorted_sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 48), fraction=st.fractions(0, 1, max_denominator=200).filter(bool),
+       seed=st.integers(0, (1 << 64) - 1))
+def test_mindeg_subgraph_is_maximal(n, fraction, seed):
+    # Holds for any visiting order: the floor is kept, and an edge survives
+    # only when deleting it would take an endpoint below the floor.
+    g = sample_mindeg_subgraph(n, fraction, seed)
+    floor = math.ceil(fraction * n)
+    assert g.min_degree() >= floor
+    if floor < n:
+        for i, j in g.edges():
+            assert floor in (g.row(1, i).bit_count(), g.row(2, j).bit_count())
 
 
 def test_params_validation():
