@@ -16,9 +16,10 @@ guards that a ``force`` flag can lift.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, count, permutations, product
+
+import numpy as np
 
 from .errors import InvalidArgumentError, TooLargeError
 from .graph import BipartiteGraph, MonoPartition, components_from_rows, iter_bits, vertex_set
@@ -175,7 +176,7 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
     total = g.n1 + g.n2
     if total > TP_VERTEX_GUARD and not force:
         raise TooLargeError(f"{total} vertices exceeds the guard of {TP_VERTEX_GUARD}; "
-                            "pass force=True to override")
+                            "pass force=True (`bipcover exact --force`) to override")
     walked = _walked_colours(colouring)
     layers = [colouring.layer_rows(c) for c in walked]
     # Per walked colour, adjacency over combined vertex ids 0..n1+n2-1.
@@ -242,13 +243,45 @@ class KnnReport:
     violations: list[int] = field(default_factory=list)  # colouring codes with tc > bound
 
 
+def _orbit_keys(r: int, digits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One key per row multiset (row of ``rows``; ``digits[a, j]`` colours
+    column j in row code a): the lexicographic minimum over G of its permuted
+    row-code count vector, in base n + 1, s digits to an int64 word (the most
+    with (n + 1)**s < 2**63), smallest row code most significant.  G is
+    column x colour permutations, or the identity alone past ``len(rows)``."""
+    row_codes, n = digits.shape
+    whole = math.factorial(n) * math.factorial(r) <= len(rows)
+    columns = np.array(list(permutations(range(n)) if whole else [range(n)]))
+    colours = np.array(list(permutations(range(r)) if whole else [range(r)]))
+    # image[g, a]: the row code that g = (column, colour permutation) makes of a.
+    image = np.einsum("tan,sn->sta", colours[:, digits], r ** columns).reshape(-1, row_codes)
+    s = next(k for k in count(1) if (n + 1) ** (k + 1) >= 1 << 63)
+    width, b = -(-row_codes // s), np.arange(row_codes)
+    place = np.zeros((row_codes, width), np.int64)
+    place[b, b // s] = (n + 1) ** (s - 1 - b % s)
+    table = place[image.T].transpose(0, 2, 1).copy()  # table[a, word, g]
+    keys = np.empty((len(rows), width), np.int64)
+    block = max(1, (1 << 15) // (len(image) * n * width))  # 256 KB of gathered words
+    for start in range(0, len(rows), block):
+        images = table[rows[start:start + block]].sum(axis=1)  # [multiset, word, g]
+        live = np.ones((len(images), len(image)), bool)
+        for w in range(width):
+            word = np.where(live, images[:, w], np.iinfo(np.int64).max).min(axis=1)
+            keys[start:start + block, w] = word
+            live &= images[:, w] == word[:, None]
+    return keys
+
+
 def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> KnnReport:
     """Compute tc over every r-colouring of K_{n,n} and report the maximum.
 
     Colouring ``code`` gives edge (i, j) base-r digit i*n + j, so part-1 row
     i has row code ``code // R**i % R``, one of R = r**n.  tc does not change when
-    the part-1 vertices are permuted, so the enumeration is quotiented: each
-    multiset of row codes is solved once, and the guard counts multisets.
+    the part-1 vertices are permuted, so the walk is over multisets of row
+    codes, and the guard counts multisets.  Nor does it change under the group
+    G of column (part-2) times colour permutations, so tc is solved once per
+    class of equal ``_orbit_keys``: the least permuted row-code count vector
+    over G, which is the identity alone unless n!r! <= the multiset count.
     The counts are unreduced: a multiset weighs the n!/prod(mult!) colourings
     it stands for, and ``violations`` lists every violating code, ascending.
     The multisets come in lexicographic order, which is the order of each
@@ -261,21 +294,41 @@ def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> Knn
     representatives = math.comb(row_codes + n - 1, n)
     if representatives > KNN_ENUMERATION_GUARD and not force:
         raise TooLargeError(f"{representatives} representatives (part-1 row multisets) exceed "
-                            f"the guard of {KNN_ENUMERATION_GUARD}; pass force=True to override")
+                            f"the guard of {KNN_ENUMERATION_GUARD}; "
+                            "pass force=True (`bipcover exact --force`) to override")
     # digits[a][j]: the colour of edge (i, j) when part-1 row i has row code a.
     digits = [[a // r ** j % r for j in range(n)] for a in range(row_codes)]
+    walk = chain.from_iterable(combinations_with_replacement(range(row_codes), n))
+    rows = np.fromiter(walk, np.min_scalar_type(row_codes - 1),
+                       representatives * n).reshape(representatives, n)
+    # Sort by key, stably: each class of equal keys is led by its first multiset.
+    keys = _orbit_keys(r, np.array(digits), rows)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    fresh = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
     universe = (1 << (2 * n)) - 1
-    counts, violations = {}, []
-    for rows in combinations_with_replacement(range(row_codes), n):
+    values = []
+    for lead in rows[order[fresh]].tolist():
         layers = [([0] * n, [0] * n) for _ in range(r)]
-        for (i, a), j in product(enumerate(rows), range(n)):
+        for (i, a), j in product(enumerate(lead), range(n)):
             rows1, rows2 = layers[digits[a][j]]
             rows1[i] |= 1 << j
             rows2[j] |= 1 << i
-        value, _, _ = _min_cover(universe, _maximal(_component_masks(n, n, layers)))
-        counts[value] = counts.get(value, 0) + math.factorial(n) // math.prod(
-            map(math.factorial, Counter(rows).values()))
-        if value > bound:
-            violations += {sum(a * row_codes ** i for i, a in enumerate(perm))
-                           for perm in permutations(rows)}
+        values.append(_min_cover(universe, _maximal(_component_masks(n, n, layers)))[0])
+    value = np.array(values)[(np.cumsum(fresh) - 1)[np.argsort(order)]]
+    # n!/prod(mult!) over each sorted multiset, one row at a time: n! itself overflows.
+    weight = run = np.ones(representatives, np.int64)
+    for i in range(1, n):
+        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1)
+        weight = weight * (i + 1) // run
+    counts = {v: int(weight[value == v].sum()) for v in dict.fromkeys(value.tolist())}
+    violations = []
+    for multiset in rows[value > bound].tolist():
+        # Each distinct ordering (a_0, a_1, ...) of the multiset once, as sum(a_i * R**i).
+        partial = [(0, tuple(multiset))]
+        for i in range(n):
+            partial = [(code + a * row_codes ** i, left[:k] + left[k + 1:])
+                       for code, left in partial
+                       for k, a in enumerate(left) if k == 0 or a != left[k - 1]]
+        violations += (code for code, _ in partial)
     return KnnReport(n, r, bound, r ** (n * n), max(counts), counts, sorted(violations))

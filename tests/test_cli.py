@@ -125,6 +125,12 @@ def test_exact_tp_guard_message(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_exact_knn_guard_names_the_force_flag(capsys):
+    code, out, err = run(capsys, "exact", "--mode", "knn", "--n", "1", "--r", "70000")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "--force" in err
+
+
 def test_check_subcommand(tmp_path, capsys):
     g = tmp_path / "g.txt"
     run(capsys, "sample", "--n1", "20", "--n2", "20", "--p", "1",

@@ -2,8 +2,11 @@
 
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,8 +251,11 @@ class TestSparseColourIndices:
 
 class TestRowMultisetEnumeration:
     # bound 0 flags every colouring, so every orbit is expanded in full.
+    # (2, 7, 1): two-word keys, and 2 * 7! > 1,225 multisets, so G is the
+    # identity; (1, 12, 0) and (25, 1, 0): 12! and 25! must not be enumerated.
     @pytest.mark.parametrize("n, r, bound", [(1, 1, 1), (1, 3, 0), (2, 2, 0), (2, 2, 1),
-                                             (2, 3, 1), (2, 4, 1), (3, 2, 1), (3, 3, 2)])
+                                             (2, 3, 1), (2, 4, 1), (3, 2, 1), (3, 3, 2),
+                                             (2, 7, 1), (1, 12, 0), (25, 1, 0)])
     def test_report_matches_unreduced_walk(self, n, r, bound):
         got, want = exhaustive_knn_check(n, r, bound), naive_knn_check(n, r, bound)
         assert list(got.tc_histogram.items()) == list(want.tc_histogram.items())
@@ -267,6 +273,41 @@ class TestRowMultisetEnumeration:
         with pytest.raises(TooLargeError, match=f"^{representatives} representatives"):
             exhaustive_knn_check(n, r, 2)
         assert exhaustive_knn_check(n, r, 2, force=True).total_colourings == r ** (n * n)
+
+
+    # (3, 4): three-word keys under the whole group of 3! * 4! elements.
+    @pytest.mark.parametrize("n, r", [(3, 2), (4, 2), (2, 3), (3, 3), (3, 4)])
+    def test_orbit_keys_partition_as_the_generators_do(self, n, r):
+        # Referee: union-find closure of the multisets under an adjacent column
+        # transposition and an adjacent colour transposition, which generate
+        # column x colour permutations, acting on sorted row tuples.
+        row_codes = r ** n
+        multisets = list(combinations_with_replacement(range(row_codes), n))
+        assert math.factorial(n) * math.factorial(r) <= len(multisets)  # G is whole
+        digits = [[a // r ** j % r for j in range(n)] for a in range(row_codes)]
+
+        def code(colours):
+            return sum(c * r ** j for j, c in enumerate(colours))
+
+        generators = [[code(d[:j] + [d[j + 1], d[j]] + d[j + 2:]) for d in digits]
+                      for j in range(n - 1)]
+        generators += [[code([{c: c + 1, c + 1: c}.get(x, x) for x in d]) for d in digits]
+                       for c in range(r - 1)]
+        parent = {m: m for m in multisets}
+
+        def find(m):
+            while parent[m] != m:
+                parent[m] = m = parent[parent[m]]
+            return m
+
+        for m, image in product(multisets, generators):
+            parent[find(m)] = find(tuple(sorted(image[a] for a in m)))
+        by_key, by_closure = defaultdict(set), defaultdict(set)
+        keys = exact._orbit_keys(r, np.array(digits), np.array(multisets))
+        for m, key in zip(multisets, keys.tolist()):
+            by_key[tuple(key)].add(m)
+            by_closure[find(m)].add(m)
+        assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_closure.values()))
 
 
 class TestTpSparseColourIndices:
