@@ -315,6 +315,7 @@ def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> Knn
             rows1[i] |= 1 << j
             rows2[j] |= 1 << i
         values.append(_min_cover(universe, _maximal(_component_masks(n, n, layers)))[0])
+    # tc per multiset, in walk order: its class is its rank among the fresh keys.
     value = np.array(values)[(np.cumsum(fresh) - 1)[np.argsort(order)]]
     # n!/prod(mult!) over each sorted multiset, one row at a time: n! itself overflows.
     weight = run = np.ones(representatives, np.int64)

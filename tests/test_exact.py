@@ -274,7 +274,6 @@ class TestRowMultisetEnumeration:
             exhaustive_knn_check(n, r, 2)
         assert exhaustive_knn_check(n, r, 2, force=True).total_colourings == r ** (n * n)
 
-
     # (3, 4): three-word keys under the whole group of 3! * 4! elements.
     @pytest.mark.parametrize("n, r", [(3, 2), (4, 2), (2, 3), (3, 3), (3, 4)])
     def test_orbit_keys_partition_as_the_generators_do(self, n, r):
@@ -297,7 +296,8 @@ class TestRowMultisetEnumeration:
 
         def find(m):
             while parent[m] != m:
-                parent[m] = m = parent[parent[m]]
+                parent[m] = parent[parent[m]]
+                m = parent[m]
             return m
 
         for m, image in product(multisets, generators):
