@@ -158,10 +158,8 @@ def _cmd_cover(args) -> int:
 def _cmd_partition(args) -> int:
     g, colouring = _read(args.graph)
     colouring = _two_colouring(colouring, "partition")
-    params = PartitionParams(delta=as_fraction(args.delta),
-                             subsample_p=(as_fraction(args.subsample_p)
-                                          if args.subsample_p else None),
-                             retry_limit=args.retry_limit, seed=args.seed)
+    params = PartitionParams(delta=as_fraction(args.delta), retry_limit=args.retry_limit,
+                             seed=args.seed)
     run = run_construction(g, colouring, params)
     return _finish(args, run,
                    formats.write_partition(run.output, g, comments=[f"branch {run.case}"]),
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     part = sub.add_parser("partition", help="partition into <= 3 monochromatic parts")
     part.add_argument("graph")
     part.add_argument("--delta", default="0.05")
-    part.add_argument("--subsample-p", default=None)
     part.add_argument("--seed", type=int, default=0)
     part.add_argument("--retry-limit", type=int, default=32)
     part.add_argument("--out", default=None)

@@ -16,8 +16,9 @@ guards that a ``force`` flag can lift.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, count, permutations, product
+from itertools import chain, combinations_with_replacement, count, permutations
 
 import numpy as np
 
@@ -248,11 +249,11 @@ def _orbit_keys(r: int, digits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     column j in row code a): the lexicographic minimum over G of its permuted
     row-code count vector, in base n + 1, s digits to an int64 word (the most
     with (n + 1)**s < 2**63), smallest row code most significant.  G is
-    column x colour permutations, or the identity alone past ``len(rows)``."""
+    column x colour permutations, all n!r! of them: the caller keys each
+    multiset by its own row codes instead when G would outnumber them."""
     row_codes, n = digits.shape
-    whole = math.factorial(n) * math.factorial(r) <= len(rows)
-    columns = np.array(list(permutations(range(n)) if whole else [range(n)]))
-    colours = np.array(list(permutations(range(r)) if whole else [range(r)]))
+    columns = np.array(list(permutations(range(n))))
+    colours = np.array(list(permutations(range(r))))
     # image[g, a]: the row code that g = (column, colour permutation) makes of a.
     image = np.einsum("tan,sn->sta", colours[:, digits], r ** columns).reshape(-1, row_codes)
     s = next(k for k in count(1) if (n + 1) ** (k + 1) >= 1 << 63)
@@ -281,7 +282,8 @@ def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> Knn
     codes, and the guard counts multisets.  Nor does it change under the group
     G of column (part-2) times colour permutations, so tc is solved once per
     class of equal ``_orbit_keys``: the least permuted row-code count vector
-    over G, which is the identity alone unless n!r! <= the multiset count.
+    over G.  Unless n!r! <= the multiset count, G is the identity alone and
+    a multiset's sorted row codes are its key.
     The counts are unreduced: a multiset weighs the n!/prod(mult!) colourings
     it stands for, and ``violations`` lists every violating code, ascending.
     The multisets come in lexicographic order, which is the order of each
@@ -302,19 +304,24 @@ def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> Knn
     rows = np.fromiter(walk, np.min_scalar_type(row_codes - 1),
                        representatives * n).reshape(representatives, n)
     # Sort by key, stably: each class of equal keys is led by its first multiset.
-    keys = _orbit_keys(r, np.array(digits), rows)
+    whole = math.factorial(n) * math.factorial(r) <= representatives
+    keys = _orbit_keys(r, np.array(digits), rows) if whole else rows
     order = np.lexsort(keys.T)
     ranked = keys[order]
     fresh = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
     universe = (1 << (2 * n)) - 1
+    column = [1 << j for j in range(n)]
     values = []
     for lead in rows[order[fresh]].tolist():
-        layers = [([0] * n, [0] * n) for _ in range(r)]
-        for (i, a), j in product(enumerate(lead), range(n)):
-            rows1, rows2 = layers[digits[a][j]]
-            rows1[i] |= 1 << j
-            rows2[j] |= 1 << i
-        values.append(_min_cover(universe, _maximal(_component_masks(n, n, layers)))[0])
+        # Only the colours in use: every vertex has an edge, so no singleton layer is needed.
+        layers = defaultdict(lambda: ([0] * n, [0] * n))
+        for i, a in enumerate(lead):
+            bit = 1 << i
+            for j, c in enumerate(digits[a]):
+                rows1, rows2 = layers[c]
+                rows1[i] |= column[j]
+                rows2[j] |= bit
+        values.append(_min_cover(universe, _maximal(_component_masks(n, n, layers.values())))[0])
     # tc per multiset, in walk order: its class is its rank among the fresh keys.
     value = np.array(values)[(np.cumsum(fresh) - 1)[np.argsort(order)]]
     # n!/prod(mult!) over each sorted multiset, one row at a time: n! itself overflows.

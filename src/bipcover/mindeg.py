@@ -11,9 +11,10 @@ Requires minimum degree at least (13/16 + delta) * n.  Outline:
    carve a base set out of each root's neighbourhood.  The majority
    colour between the two bases orients everything below.
 3. Jokers are minority-base vertices with many majority-coloured edges
-   into the majority base.  The majority base is thinned to a small
-   random sample (so that its part is mostly free for re-assignment),
-   retried until every joker keeps majority edges into the sample.
+   into the majority base.  The majority base is thinned to a random
+   sample, each vertex kept with the fixed probability min(1/25, delta)
+   so that its part is mostly free for re-assignment, retried until
+   every joker keeps majority edges into the sample.
 4. Every remaining vertex on the sample's side prefers a colour in
    which it has many joker neighbours; the jokers are split by the
    shared ``matched_split`` until everyone keeps enough matching jokers.
@@ -45,14 +46,13 @@ from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
                     bit_indices, lowest, part_vertices, select, vertex_masks, vertex_set)
 from .models import as_fraction
 
-SUBSAMPLE_CAP = Fraction(1, 25)  # keeps the sampled side mostly intact
+SUBSAMPLE_CAP = Fraction(1, 25)  # sample probability min(1/25, delta), not a setting
 BRANCHES = ("one-colour", "two-parts", "relink")  # the values of PartitionState.branch
 
 
 @dataclass(frozen=True)
 class PartitionParams:
     delta: Fraction
-    subsample_p: Fraction | None = None  # default min(1/25, delta)
     retry_limit: int = 32
     seed: int = 0
 
@@ -60,11 +60,6 @@ class PartitionParams:
         object.__setattr__(self, "delta", as_fraction(self.delta))
         if not 0 < self.delta < Fraction(3, 16):
             raise InvalidArgumentError("delta must be in (0, 3/16)")
-        sp = self.subsample_p
-        sp = min(SUBSAMPLE_CAP, self.delta) if sp is None else as_fraction(sp)
-        object.__setattr__(self, "subsample_p", sp)
-        if not 0 < sp <= SUBSAMPLE_CAP:
-            raise InvalidArgumentError(f"subsample probability must be in (0, {SUBSAMPLE_CAP}]")
         if self.retry_limit < 1:
             raise InvalidArgumentError("retry limit must be at least 1")
 
@@ -118,7 +113,7 @@ class _Run(ConstructionRun):
         heavy = heavy_masks(self.g, self.col, lambda d, dc: dc >= heavy_thr)
 
         state = PartitionState(
-            n=n, delta=delta, subsample_p=self.params.subsample_p, branch="one-colour",
+            n=n, delta=delta, subsample_p=min(SUBSAMPLE_CAP, delta), branch="one-colour",
             heavy_red=vertex_set(*heavy[RED]), heavy_blue=vertex_set(*heavy[BLUE]))
 
         for missing, keep in ((BLUE, RED), (RED, BLUE)):
@@ -179,7 +174,7 @@ class _Run(ConstructionRun):
 
         # Thin the majority base to a small random sample that every joker
         # still reaches in the majority colour.
-        sp = self.params.subsample_p
+        sp = state.subsample_p
         lo, hi = sp * n / 2, sp * n
         match_thr = delta * sp * n / 200
         sample, failed = retry_draw(

@@ -65,7 +65,6 @@ class SweepConfig:
     p_values: tuple[Fraction, ...] | None = None
     c_values: tuple[Fraction, ...] | None = None  # p = c * sqrt(log n / n)
     delta: Fraction = Fraction(1, 20)
-    epsilon: Fraction = Fraction(1, 10)
     retry_limit: int = 16
     threads: int = 1
 
@@ -89,9 +88,7 @@ class SweepConfig:
             for c, p in zip(self.c_values or (), self.p_grid(n)):
                 if not 0 < p <= 1:
                     raise BipcoverError(f"c value {c} at n = {n} gives p = {p}, outside (0, 1]")
-        if self.algorithm == "almost_cover":  # what every trial's params would reject
-            CoverParams(p=1, epsilon=self.epsilon)
-        elif self.algorithm == "partition3":
+        if self.algorithm == "partition3":  # what every trial's params would reject
             PartitionParams(delta=self.delta)
 
     def p_grid(self, n: int) -> list[Fraction]:
@@ -178,8 +175,7 @@ def _trial(config: SweepConfig, job: tuple[int, int, Fraction, int]) -> SweepRec
         # error a trial records, even when its params are invalid too.
         params = None
         if config.algorithm == "almost_cover":
-            params = CoverParams(p=p, epsilon=config.epsilon,
-                                 retry_limit=config.retry_limit, seed=seed)
+            params = CoverParams(p=p, retry_limit=config.retry_limit, seed=seed)
         elif config.algorithm == "partition3":
             params = PartitionParams(delta=config.delta, seed=seed,
                                      retry_limit=max(config.retry_limit, 32))
@@ -339,7 +335,6 @@ SETTINGS: dict[str, Callable] = {
     "p_values": _listed(as_fraction),
     "c_values": _listed(as_fraction),
     "delta": as_fraction,
-    "epsilon": as_fraction,
     "retry_limit": int,
     "threads": int,
 }

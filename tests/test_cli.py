@@ -286,10 +286,9 @@ def test_sweep_grid_out_of_range_fails_cleanly(tmp_path, capsys, grid, message):
 
 
 @pytest.mark.parametrize("flags, message", (
-    (["--epsilon", "1"], "epsilon must be in (0, 1)"),
     (["--algorithm", "partition3", "--delta", "3/16"], "delta must be in (0, 3/16)"),
     (["--retry-limit", "0"], "retry limit must be at least 1"),
-), ids=("epsilon", "delta", "retry-limit"))
+), ids=("delta", "retry-limit"))
 def test_sweep_construction_settings_out_of_range_fail_cleanly(tmp_path, capsys, flags, message):
     out = tmp_path / "records.csv"
     err = _fails_cleanly(capsys, "sweep", "--n-values", "12", "--p-values", "1/2", *flags,
@@ -298,8 +297,7 @@ def test_sweep_construction_settings_out_of_range_fail_cleanly(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("algorithm, unused", (("almost_cover", ["--delta", "1"]),
-                                               ("partition3", ["--epsilon", "2"])))
+@pytest.mark.parametrize("algorithm, unused", (("almost_cover", ["--delta", "1"]),))
 def test_sweep_ignores_a_setting_its_algorithm_does_not_use(tmp_path, capsys, algorithm,
                                                              unused):
     texts = []
@@ -310,6 +308,26 @@ def test_sweep_ignores_a_setting_its_algorithm_does_not_use(tmp_path, capsys, al
         assert code == 0
         texts.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
     assert texts[0] == texts[1]
+
+
+def test_sweep_rejects_an_epsilon_setting(tmp_path, capsys):
+    # The sweep has no epsilon: its trials run CoverParams' default.
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "records.csv"
+    cfg.write_text("n_values = 12\np_values = 1/2\nepsilon = 0.1\n")
+    err = _fails_cleanly(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert err == "bipcover: unknown sweep setting 'epsilon'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", (
+    ["sweep", "--n-values", "12", "--p-values", "1/2", "--epsilon", "0.1"],
+    ["partition", "g.txt", "--subsample-p", "1/50"],
+), ids=("sweep-epsilon", "partition-subsample-p"))
+def test_retired_flags_are_unknown_to_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):

@@ -251,8 +251,8 @@ class TestSparseColourIndices:
 
 class TestRowMultisetEnumeration:
     # bound 0 flags every colouring, so every orbit is expanded in full.
-    # (2, 7, 1): two-word keys, and 2 * 7! > 1,225 multisets, so G is the
-    # identity; (1, 12, 0) and (25, 1, 0): 12! and 25! must not be enumerated.
+    # (2, 7, 1): 2 * 7! > 1,225 multisets, so G is the identity; (1, 12, 0)
+    # and (25, 1, 0): 12! and 25! must not be enumerated.
     @pytest.mark.parametrize("n, r, bound", [(1, 1, 1), (1, 3, 0), (2, 2, 0), (2, 2, 1),
                                              (2, 3, 1), (2, 4, 1), (3, 2, 1), (3, 3, 2),
                                              (2, 7, 1), (1, 12, 0), (25, 1, 0)])
@@ -263,6 +263,39 @@ class TestRowMultisetEnumeration:
         assert (got.max_tc, got.total_colourings) == (want.max_tc, want.total_colourings)
         if bound == 0:
             assert got.violations == list(range(got.total_colourings))
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (1, 12), (1, 64), (2, 7), (25, 1), (2, 2),
+                                      (3, 2), (3, 3)])
+    def test_orbit_keys_only_for_a_group_no_larger_than_the_walk(self, monkeypatch, n, r):
+        # Past the multiset count, G is the identity and each multiset keys itself.
+        keyed, orbit_keys = [], exact._orbit_keys
+
+        def recorded(*args):
+            keyed.append(1)
+            return orbit_keys(*args)
+
+        monkeypatch.setattr(exact, "_orbit_keys", recorded)
+        exhaustive_knn_check(n, r, 2)
+        whole = math.factorial(n) * math.factorial(r) <= math.comb(r ** n + n - 1, n)
+        assert keyed == [1] * whole
+
+    def test_each_class_lead_walks_only_its_colours(self, monkeypatch):
+        # n = 1: a lead is one edge of one colour, so one layer and one component
+        # call each, not r (4,096 calls at r = 64).
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return components_from_rows(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "components_from_rows", counted)
+        assert exhaustive_knn_check(1, 64, 2).tc_histogram == {1: 64}
+        assert len(calls) <= 64
+
+    def test_one_vertex_per_part_with_many_colours(self):
+        report = exhaustive_knn_check(1, 4096, 2)
+        assert report.tc_histogram == {1: 4096}
+        assert (report.max_tc, report.violations) == (1, [])
 
     @pytest.mark.parametrize("n, r", [(3, 2), (2, 3)])
     def test_guard_counts_representatives(self, monkeypatch, n, r):
@@ -400,15 +433,17 @@ def test_maximal_components_cover_the_universe(host, data):
     walked = map(col.layer_rows, exact._walked_colours(col))
     assert _union(exact._maximal(exact._component_masks(n1, n2, walked))) \
         == (1 << (n1 + n2)) - 1
-    # exhaustive_knn_check's layers: every colour of K_{n,n}, one row code per part-1 vertex
+    # exhaustive_knn_check's layers: the colours in use in K_{n,n}, one row code
+    # per part-1 vertex
     codes = data.draw(st.lists(st.integers(0, r ** n1 - 1), min_size=n1, max_size=n1))
-    layers = [([0] * n1, [0] * n1) for _ in range(r)]
+    layers = {a // r ** j % r: ([0] * n1, [0] * n1) for a in codes for j in range(n1)}
     for i, a in enumerate(codes):
         for j in range(n1):
             rows1, rows2 = layers[a // r ** j % r]
             rows1[i] |= 1 << j
             rows2[j] |= 1 << i
-    assert _union(exact._maximal(exact._component_masks(n1, n1, layers))) == (1 << 2 * n1) - 1
+    assert _union(exact._maximal(exact._component_masks(n1, n1, layers.values()))) \
+        == (1 << 2 * n1) - 1
 
 
 @settings(deadline=None, max_examples=60)

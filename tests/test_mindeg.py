@@ -62,8 +62,6 @@ class TestPreconditions:
     def test_delta_range_checked(self):
         with pytest.raises(InvalidArgumentError):
             PartitionParams(delta=Fraction(1, 4))
-        with pytest.raises(InvalidArgumentError):
-            PartitionParams(delta=DELTA, subsample_p=Fraction(1, 10))
 
 
 class TestDeepPath:
@@ -367,9 +365,8 @@ def test_preference_classes_split_into_the_promised_parts(inputs):
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(delta=Fraction(3, 16)), "delta must be in (0, 3/16)"),
-    (dict(delta=DELTA, subsample_p=Fraction(1, 10)), "subsample probability must be in (0, 1/25]"),
     (dict(delta=DELTA, retry_limit=0), "retry limit must be at least 1"),
-], ids=("delta-too-large", "subsample-too-large", "no-retries"))
+], ids=("delta-too-large", "no-retries"))
 def test_partition_params_checked(kwargs, message):
     with pytest.raises(InvalidArgumentError) as exc:
         PartitionParams(**kwargs)

@@ -303,13 +303,12 @@ def test_run_construction_reports_a_bad_tc_witness(monkeypatch):
     (lambda: small_config(algorithm="tp_exact"), "unknown algorithm 'tp_exact'"),
     (lambda: parse_config_file("trials = 2\nn_values 12\n"),
      "config line 2: expected 'key = value'"),
-    (lambda: small_config(epsilon=Fraction(0)), "epsilon must be in (0, 1)"),
     (lambda: small_config(algorithm="partition3", delta=Fraction(1, 5)),
      "delta must be in (0, 3/16)"),
     (lambda: config_from_mapping({"n_values": "12", "p_values": "1/2", "retry_limit": "0"}),
      "retry limit must be at least 1"),
     (lambda: small_config(threads=-3), "threads must be at least 1"),
-], ids=("unknown-source", "unknown-algorithm", "config-line-without-equals", "epsilon",
+], ids=("unknown-source", "unknown-algorithm", "config-line-without-equals",
         "partition3-delta", "mapped-retry-limit", "threads-below-one"))
 def test_sweep_input_checks(call, message):
     with pytest.raises(BipcoverError) as exc:
