@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import BipartiteGraph, TwoColouring, rows_and_transpose
-from .rng import (LANE, TAG_COLOURING, TAG_GRAPH, TAG_MINDEG, combine, hash_block,
+from .rng import (LANE, MASK64, TAG_COLOURING, TAG_GRAPH, TAG_MINDEG, combine, hash_block,
                   hash_counters, threshold_u64)
 
 
@@ -53,7 +53,7 @@ class ModelParams:
 
 _CHUNK_SLOTS = LANE  # slots hashed and thresholded per block, in L2 cache
 _ORDER_CHUNK = 4096  # slots per bulk step of the min-degree sampler
-_KEY_RANGE_BITS = 4  # the min-degree sampler sorts its slots in 2^4 key ranges
+_CUT_SLACKS = 2  # the min-degree sampler's stage cut, in multiples of the slack fraction
 
 
 def _slot_matrix(seed: int, n1: int, n2: int, probability: Fraction) -> np.ndarray:
@@ -84,6 +84,30 @@ def sample_colouring(g: BipartiteGraph, red_probability, seed: int) -> TwoColour
     return TwoColouring(g, red1, red2)
 
 
+def _delete_in_order(order, n, floor, deg1, deg2, present) -> None:
+    """Visit ``order``'s slots in turn, deleting each whose endpoints both stay above the
+    floor.  Per chunk, a vertex whose degree minus its live slots there is at least the
+    floor passes all its checks, so slots joining two such go at once; the rest in order."""
+    for start in range(0, order.size, _ORDER_CHUNK):
+        slots = order[start:start + _ORDER_CHUNK]
+        i = slots // n  # np.divmod takes ten times as long
+        j = slots - i * n
+        live = (deg1[i] > floor) & (deg2[j] > floor)
+        slots, i, j = slots[live], i[live], j[live]
+        drop = ((deg1 - np.bincount(i, minlength=n) >= floor)[i]
+                & (deg2 - np.bincount(j, minlength=n) >= floor)[j])
+        rest = np.flatnonzero(~drop)
+        d1, d2 = deg1.tolist(), deg2.tolist()
+        for k, a, b in zip(rest.tolist(), i[rest].tolist(), j[rest].tolist()):
+            if d1[a] > floor and d2[b] > floor:
+                d1[a] -= 1
+                d2[b] -= 1
+                drop[k] = True
+        present[slots[drop]] = False
+        deg1 -= np.bincount(i[drop], minlength=n)
+        deg2 -= np.bincount(j[drop], minlength=n)
+
+
 def sample_mindeg_subgraph(n: int, min_degree_fraction, seed: int) -> BipartiteGraph:
     """Spanning subgraph of K_{n,n} with minimum degree >= ceil(fraction * n).
 
@@ -91,18 +115,13 @@ def sample_mindeg_subgraph(n: int, min_degree_fraction, seed: int) -> BipartiteG
     deletes an edge whenever both endpoints stay strictly above the
     floor, so most degrees end up at the floor exactly.
 
-    Runs in bulk with the same result.  The keys ``hash_at(seed, slot)``
-    are distinct, so every sort gives the same order.  The keys' top
-    ``_KEY_RANGE_BITS`` bits split the slots into ascending ranges, taken
-    in turn.  Degrees only fall, so a slot with an endpoint at the floor
-    as its range starts would fail its check: it is dropped, and the rest
-    are sorted by keys hashed again from their slots (no n^2 keys stay
-    alive).  Per chunk of ``_ORDER_CHUNK`` slots, a slot with an endpoint
-    at the floor stays; a vertex whose degree minus its live slots in the
-    chunk is at least the floor passes each of its checks there, so slots
-    joining two such vertices are deleted at once, touching no other
-    vertex, and the rest are checked in order.
+    Runs in two stages with the same result, as the keys ``hash_at(seed, slot)`` are
+    distinct.  Stage 1 sorts the slots keyed below a cut at ``_CUT_SLACKS`` times the
+    slack (n - floor) / n of key space.  Degrees only fall, so a later slot can go only
+    if both its endpoints are above the floor now: stage 2 hashes just those pairs again.
     """
+    if n < 1:
+        raise InvalidArgumentError("part sizes must be at least 1")
     frac = as_fraction(min_degree_fraction)
     if not 0 < frac <= 1:
         raise InvalidArgumentError("min degree fraction must be in (0, 1]")
@@ -110,31 +129,13 @@ def sample_mindeg_subgraph(n: int, min_degree_fraction, seed: int) -> BipartiteG
     present = np.ones(n * n, dtype=bool)
     if floor < n:
         key_seed = combine(seed, TAG_MINDEG)
-        top = hash_block(key_seed, 0, n * n)
-        top = np.right_shift(top, np.uint64(64 - _KEY_RANGE_BITS), out=top).astype(np.uint8)
-        by_range = np.argsort(top, kind="stable")
-        ends = np.searchsorted(top[by_range], np.arange(1, 1 << _KEY_RANGE_BITS, dtype=np.uint8))
+        cut = np.uint64(min((_CUT_SLACKS * (n - floor) << 64) // n, MASK64))
         deg1, deg2 = np.full(n, n), np.full(n, n)
-        for part in np.split(by_range, ends):
-            i = part // n
-            part = part[(deg1[i] > floor) & (deg2[part - i * n] > floor)]
-            order = part[np.argsort(hash_counters(key_seed, part))]
-            for start in range(0, order.size, _ORDER_CHUNK):
-                slots = order[start:start + _ORDER_CHUNK]
-                i = slots // n  # np.divmod takes ten times as long
-                j = slots - i * n
-                live = (deg1[i] > floor) & (deg2[j] > floor)
-                slots, i, j = slots[live], i[live], j[live]
-                drop = ((deg1 - np.bincount(i, minlength=n) >= floor)[i]
-                        & (deg2 - np.bincount(j, minlength=n) >= floor)[j])
-                rest = np.flatnonzero(~drop)
-                d1, d2 = deg1.tolist(), deg2.tolist()
-                for k, a, b in zip(rest.tolist(), i[rest].tolist(), j[rest].tolist()):
-                    if d1[a] > floor and d2[b] > floor:
-                        d1[a] -= 1
-                        d2[b] -= 1
-                        drop[k] = True
-                present[slots[drop]] = False
-                deg1 -= np.bincount(i[drop], minlength=n)
-                deg2 -= np.bincount(j[drop], minlength=n)
+        keys = hash_block(key_seed, 0, n * n)
+        first = np.flatnonzero(keys < cut)
+        _delete_in_order(first[np.argsort(keys[first])], n, floor, deg1, deg2, present)
+        late = np.add.outer(np.flatnonzero(deg1 > floor) * n, np.flatnonzero(deg2 > floor)).ravel()
+        keys = hash_counters(key_seed, late)
+        kept = np.flatnonzero(keys >= cut)
+        _delete_in_order(late[kept[np.argsort(keys[kept])]], n, floor, deg1, deg2, present)
     return BipartiteGraph(n, n, *rows_and_transpose(present.reshape(n, n)))

@@ -127,6 +127,12 @@ class TestMindegSubgraph:
         with pytest.raises(InvalidArgumentError):
             sample_mindeg_subgraph(8, 0, 1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_bad_part_size_rejected(self, n):
+        # The same check and message as ModelParams.
+        with pytest.raises(InvalidArgumentError, match="part sizes must be at least 1"):
+            sample_mindeg_subgraph(n, "1/2", 1)
+
 
 MINDEG_FRACTIONS = (Fraction(13, 16) + Fraction(1, 20), Fraction(1, 2), Fraction(7, 8),
                     Fraction(99, 100), Fraction(1), Fraction(1, 400))
@@ -177,31 +183,74 @@ class TestMindegAgainstSlotWalk:
             assert np.unique(keys).size == n * n
 
 
-class TestMindegKeyRanges:
-    """The split of the slots into key ranges cannot change a graph."""
+CAPPED_CUT = 1 << 20  # a _CUT_SLACKS this large caps the cut: stage 1 visits every slot
+
+
+def degrees_before_cut(n, fraction, seed, cut):
+    """(part-1 degrees, part-2 degrees, slots keyed below ``cut``) after the
+    slot-by-slot greedy has visited every slot keyed below ``cut``."""
+    floor = math.ceil(Fraction(fraction) * n)
+    keys = naive_hash_block(combine(seed, TAG_MINDEG), 0, n * n)
+    deg1, deg2 = [n] * n, [n] * n
+    order = np.argsort(keys, kind="stable")
+    below = order[keys[order] < np.uint64(cut)].tolist()
+    for slot in below:
+        i, j = divmod(slot, n)
+        if deg1[i] > floor and deg2[j] > floor:
+            deg1[i] -= 1
+            deg2[j] -= 1
+    return deg1, deg2, len(below)
+
+
+class TestMindegStages:
+    """Where the cut splits the slot visit into two stages cannot change a
+    graph, and stage 2 hashes only the pairs still live after stage 1."""
 
     @pytest.mark.parametrize("chunk", [1, 64, 4096])
-    @pytest.mark.parametrize("range_bits", [0, 1, 4, 8], ids=["1", "2", "16", "256"])
-    def test_any_range_count(self, monkeypatch, range_bits, chunk):
-        monkeypatch.setattr(models, "_KEY_RANGE_BITS", range_bits)
+    @pytest.mark.parametrize("slacks", [0, models._CUT_SLACKS, CAPPED_CUT],
+                             ids=["stage2-only", "default", "capped"])
+    def test_any_cut(self, monkeypatch, slacks, chunk):
+        monkeypatch.setattr(models, "_CUT_SLACKS", slacks)
         monkeypatch.setattr(models, "_ORDER_CHUNK", chunk)
         for n in (1, 2, 7, 65, 128):
             for fraction in MINDEG_FRACTIONS:
                 g = sample_mindeg_subgraph(n, fraction, 5)
                 assert mindeg_rows(g) == naive_mindeg_subgraph(n, fraction, 5)
 
-    def test_ranges_with_no_live_slot(self, monkeypatch):
-        # Once most degrees sit at the floor, a late range can keep no slot.
-        sorted_sizes, hash_counters = [], models.hash_counters
+    @pytest.mark.parametrize("n, fraction, slacks", [
+        (400, MINDEG_FRACTIONS[0], models._CUT_SLACKS),
+        (128, Fraction(7, 8), models._CUT_SLACKS),
+        (128, MINDEG_FRACTIONS[0], CAPPED_CUT),  # the cut caps: stage 2 keeps no slot
+        (2, Fraction(1, 2), models._CUT_SLACKS),  # every vertex ends stage 1 at the floor
+    ], ids=["n400", "n128", "capped", "all-at-floor"])
+    def test_stage_two_hashes_only_live_pairs(self, monkeypatch, n, fraction, slacks):
+        hashed, visited = [], []
+        hash_counters, delete_in_order = models.hash_counters, models._delete_in_order
 
-        def counting_hash(seed, slots):
-            sorted_sizes.append(slots.size)
-            return hash_counters(seed, slots)
+        def recording_hash(seed, counters):
+            hashed.append(counters.size)
+            return hash_counters(seed, counters)
 
-        monkeypatch.setattr(models, "hash_counters", counting_hash)
-        g = sample_mindeg_subgraph(128, MINDEG_FRACTIONS[0], 5)
-        assert mindeg_rows(g) == naive_mindeg_subgraph(128, MINDEG_FRACTIONS[0], 5)
-        assert len(sorted_sizes) == 1 << models._KEY_RANGE_BITS and 0 in sorted_sizes
+        def recording_delete(order, *args):
+            visited.append(order.size)
+            return delete_in_order(order, *args)
+
+        monkeypatch.setattr(models, "_CUT_SLACKS", slacks)
+        monkeypatch.setattr(models, "hash_counters", recording_hash)
+        monkeypatch.setattr(models, "_delete_in_order", recording_delete)
+        g = sample_mindeg_subgraph(n, fraction, 5)
+        assert mindeg_rows(g) == naive_mindeg_subgraph(n, fraction, 5)
+        floor = math.ceil(fraction * n)
+        cut = min((slacks * (n - floor) << 64) // n, (1 << 64) - 1)
+        deg1, deg2, below = degrees_before_cut(n, fraction, 5, cut)
+        live = sum(d > floor for d in deg1) * sum(d > floor for d in deg2)
+        assert hashed == [live] and visited[0] == below and visited[1] <= live
+        if slacks == CAPPED_CUT:
+            assert visited == [n * n, 0]
+        if n == 2:
+            assert hashed == [0] and visited == [n * n, 0]
+        if n == 400:
+            assert 0 < visited[1] < live < n * n // 100
 
 
 @settings(max_examples=60, deadline=None)
