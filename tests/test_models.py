@@ -202,6 +202,30 @@ def degrees_before_cut(n, fraction, seed, cut):
     return deg1, deg2, len(below)
 
 
+class TestMindegKeyRanges:
+    """Visiting the slots one key range after another, each range in key order,
+    through the sampler's chunk loop gives the slot-walk graph: the sampler's
+    two stages are one such split of key space."""
+
+    @pytest.mark.parametrize("chunk", [1, 64, 4096])
+    @pytest.mark.parametrize("range_bits", [1, 4], ids=["2", "16"])
+    def test_any_range_count(self, monkeypatch, range_bits, chunk):
+        monkeypatch.setattr(models, "_ORDER_CHUNK", chunk)
+        for n in (1, 2, 7, 65, 128):
+            keys = hash_block(combine(5, TAG_MINDEG), 0, n * n)
+            ranges = keys >> np.uint64(64 - range_bits)
+            for fraction in MINDEG_FRACTIONS:
+                floor = math.ceil(fraction * n)
+                deg1, deg2 = np.full(n, n), np.full(n, n)
+                present = np.ones(n * n, dtype=bool)
+                for r in range(1 << range_bits):
+                    slots = np.flatnonzero(ranges == r)
+                    models._delete_in_order(slots[np.argsort(keys[slots])],
+                                            n, floor, deg1, deg2, present)
+                g = BipartiteGraph(n, n, *models.rows_and_transpose(present.reshape(n, n)))
+                assert mindeg_rows(g) == naive_mindeg_subgraph(n, fraction, 5)
+
+
 class TestMindegStages:
     """Where the cut splits the slot visit into two stages cannot change a
     graph, and stage 2 hashes only the pairs still live after stage 1."""
