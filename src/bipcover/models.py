@@ -10,6 +10,7 @@ evaluation order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .graph import BipartiteGraph, TwoColouring, rows_and_transpose
 from .rng import (LANE, MASK64, TAG_COLOURING, TAG_GRAPH, TAG_MINDEG, combine, hash_block,
-                  hash_counters, threshold_u64)
+                  threshold_u64)
 
 
 def as_fraction(x) -> Fraction:
@@ -37,6 +38,13 @@ def as_fraction(x) -> Fraction:
     raise InvalidArgumentError(f"cannot interpret {x!r} as an exact fraction")
 
 
+def _check_part_sizes(*sizes) -> None:
+    if not all(isinstance(size, numbers.Integral) for size in sizes):
+        raise InvalidArgumentError("part sizes must be integers")
+    if min(sizes) < 1:
+        raise InvalidArgumentError("part sizes must be at least 1")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     n1: int
@@ -45,8 +53,7 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_fraction(self.p))
-        if self.n1 < 1 or self.n2 < 1:
-            raise InvalidArgumentError("part sizes must be at least 1")
+        _check_part_sizes(self.n1, self.n2)
         if not 0 <= self.p <= 1:
             raise InvalidArgumentError("edge probability must be in [0, 1]")
 
@@ -118,24 +125,22 @@ def sample_mindeg_subgraph(n: int, min_degree_fraction, seed: int) -> BipartiteG
     Runs in two stages with the same result, as the keys ``hash_at(seed, slot)`` are
     distinct.  Stage 1 sorts the slots keyed below a cut at ``_CUT_SLACKS`` times the
     slack (n - floor) / n of key space.  Degrees only fall, so a later slot can go only
-    if both its endpoints are above the floor now: stage 2 hashes just those pairs again.
+    if both its endpoints are above the floor now: stage 2 sorts just those pairs, by
+    the keys stage 1 hashed.
     """
-    if n < 1:
-        raise InvalidArgumentError("part sizes must be at least 1")
+    _check_part_sizes(n)
     frac = as_fraction(min_degree_fraction)
     if not 0 < frac <= 1:
         raise InvalidArgumentError("min degree fraction must be in (0, 1]")
     floor = math.ceil(frac * n)
     present = np.ones(n * n, dtype=bool)
     if floor < n:
-        key_seed = combine(seed, TAG_MINDEG)
         cut = np.uint64(min((_CUT_SLACKS * (n - floor) << 64) // n, MASK64))
         deg1, deg2 = np.full(n, n), np.full(n, n)
-        keys = hash_block(key_seed, 0, n * n)
+        keys = hash_block(combine(seed, TAG_MINDEG), 0, n * n)
         first = np.flatnonzero(keys < cut)
         _delete_in_order(first[np.argsort(keys[first])], n, floor, deg1, deg2, present)
         late = np.add.outer(np.flatnonzero(deg1 > floor) * n, np.flatnonzero(deg2 > floor)).ravel()
-        keys = hash_counters(key_seed, late)
-        kept = np.flatnonzero(keys >= cut)
-        _delete_in_order(late[kept[np.argsort(keys[kept])]], n, floor, deg1, deg2, present)
+        late = late[keys[late] >= cut]
+        _delete_in_order(late[np.argsort(keys[late])], n, floor, deg1, deg2, present)
     return BipartiteGraph(n, n, *rows_and_transpose(present.reshape(n, n)))

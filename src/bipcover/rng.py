@@ -8,10 +8,9 @@ evaluated first.
 
 Two entry points:
 
-* ``hash_at(seed, i)`` / ``hash_block(seed, start, count)`` /
-  ``hash_counters(seed, counters)`` - keyed counter hashing: scalar, over
-  a counter range and over any counter array.  Used for edge sampling,
-  where the counter is the row-major edge slot index.
+* ``hash_at(seed, i)`` / ``hash_block(seed, start, count)`` - keyed
+  counter hashing, scalar and over a counter range.  Used for edge
+  sampling, where the counter is the row-major edge slot index.
 * ``RandomStream`` - a sequential stream over the same primitive, used
   for algorithm-internal draws (preference coin flips, subsampling).
   ``block(k)`` draws k words at once, the same words as k scalar draws.
@@ -74,16 +73,6 @@ def hash_block(seed: int, start: int, count: int) -> np.ndarray:
             x *= np.uint64(mul)
         x ^= np.right_shift(x, np.uint64(31), out=tx)
     return out
-
-
-def hash_counters(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorised ``hash_at(seed, c)`` for each c of a non-negative integer array."""
-    x = counters.astype(np.uint64) * np.uint64(_GOLDEN) + np.uint64((seed + _GOLDEN) & MASK64)
-    t = np.empty_like(x)  # hash_block's mix, kept inline there: a call per lane slows it
-    for shift, mul in ((30, _MIX1), (27, _MIX2)):
-        x ^= np.right_shift(x, np.uint64(shift), out=t)
-        x *= np.uint64(mul)
-    return x ^ np.right_shift(x, np.uint64(31), out=t)
 
 
 def combine(*parts: int) -> int:

@@ -83,6 +83,8 @@ class SweepConfig:
             if not 0 < p <= 1:
                 raise BipcoverError(f"p value {p} outside (0, 1]")
         for n in self.n_values:
+            if not isinstance(n, int):
+                raise BipcoverError(f"n value {n!r} is not an integer")
             if n < 1:
                 raise BipcoverError(f"n value {n} is below 1")
             for c, p in zip(self.c_values or (), self.p_grid(n)):

@@ -228,7 +228,7 @@ class TestMindegKeyRanges:
 
 class TestMindegStages:
     """Where the cut splits the slot visit into two stages cannot change a
-    graph, and stage 2 hashes only the pairs still live after stage 1."""
+    graph, and stage 2 visits only the pairs still live after stage 1, in key order."""
 
     @pytest.mark.parametrize("chunk", [1, 64, 4096])
     @pytest.mark.parametrize("slacks", [0, models._CUT_SLACKS, CAPPED_CUT],
@@ -248,31 +248,30 @@ class TestMindegStages:
         (2, Fraction(1, 2), models._CUT_SLACKS),  # every vertex ends stage 1 at the floor
     ], ids=["n400", "n128", "capped", "all-at-floor"])
     def test_stage_two_hashes_only_live_pairs(self, monkeypatch, n, fraction, slacks):
-        hashed, visited = [], []
-        hash_counters, delete_in_order = models.hash_counters, models._delete_in_order
-
-        def recording_hash(seed, counters):
-            hashed.append(counters.size)
-            return hash_counters(seed, counters)
+        orders, delete_in_order = [], models._delete_in_order
 
         def recording_delete(order, *args):
-            visited.append(order.size)
+            orders.append(order.tolist())
             return delete_in_order(order, *args)
 
         monkeypatch.setattr(models, "_CUT_SLACKS", slacks)
-        monkeypatch.setattr(models, "hash_counters", recording_hash)
         monkeypatch.setattr(models, "_delete_in_order", recording_delete)
         g = sample_mindeg_subgraph(n, fraction, 5)
         assert mindeg_rows(g) == naive_mindeg_subgraph(n, fraction, 5)
         floor = math.ceil(fraction * n)
         cut = min((slacks * (n - floor) << 64) // n, (1 << 64) - 1)
         deg1, deg2, below = degrees_before_cut(n, fraction, 5, cut)
-        live = sum(d > floor for d in deg1) * sum(d > floor for d in deg2)
-        assert hashed == [live] and visited[0] == below and visited[1] <= live
+        keys = hash_block(combine(5, TAG_MINDEG), 0, n * n).tolist()
+        pairs = [i * n + j for i in range(n) if deg1[i] > floor
+                 for j in range(n) if deg2[j] > floor]
+        live = len(pairs)
+        assert orders[1] == sorted((s for s in pairs if keys[s] >= cut), key=keys.__getitem__)
+        visited = [len(order) for order in orders]
+        assert visited[0] == below and visited[1] <= live
         if slacks == CAPPED_CUT:
             assert visited == [n * n, 0]
         if n == 2:
-            assert hashed == [0] and visited == [n * n, 0]
+            assert live == 0 and visited == [n * n, 0]
         if n == 400:
             assert 0 < visited[1] < live < n * n // 100
 
@@ -296,6 +295,25 @@ def test_params_validation():
         ModelParams(0, 5, Fraction(1, 2))
     with pytest.raises(InvalidArgumentError):
         ModelParams(5, 5, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_bipartite(ModelParams(2.5, 3, "1/2"), 1),
+    lambda: ModelParams(3, 6.0, "1/2"),
+    lambda: ModelParams("3", 3, "1/2"),
+    lambda: sample_mindeg_subgraph(2.5, "1/2", 1),
+    lambda: sample_mindeg_subgraph("3", "1/2", 1),
+], ids=["bipartite-float", "params-whole-float", "params-str", "mindeg-float", "mindeg-str"])
+def test_non_integer_part_size_rejected(call):
+    # The wording parse_graph uses, not a TypeError from deep in numpy.
+    with pytest.raises(InvalidArgumentError, match=r"^part sizes must be integers$"):
+        call()
+
+
+def test_numpy_integer_part_sizes_accepted():
+    assert (sample_bipartite(ModelParams(np.int64(5), 5, "1/2"), 1)
+            == sample_bipartite(ModelParams(5, 5, "1/2"), 1))
+    assert sample_mindeg_subgraph(np.int64(40), "7/8", 1) == sample_mindeg_subgraph(40, "7/8", 1)
 
 
 def test_params_p_normalised_like_cover_params():

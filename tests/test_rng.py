@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bipcover.models import _CHUNK_SLOTS
-from bipcover.rng import (LANE, RandomStream, combine, hash_at, hash_block,
-                          hash_counters, mix64, threshold_u64)
+from bipcover.rng import (LANE, RandomStream, combine, hash_at, hash_block, mix64,
+                          threshold_u64)
 from conftest import naive_hash_block
 
 
@@ -102,14 +102,3 @@ def test_stream_block_across_a_lane_boundary_is_scalar_draws():
     assert stream.block(LANE + 7).tolist() == [ref.next_u64() for _ in range(LANE + 7)]
     assert stream.next_u64() == ref.next_u64()
 
-
-@pytest.mark.parametrize("seed", [0, 0xDEADBEEFCAFE, (1 << 63) + 0x5EED, (1 << 64) - 1])
-def test_counter_array_hash_is_hash_at(seed):
-    counters = np.array([0, 1, LANE - 1, LANE, LANE + 1, 1000 * 1000 - 1], dtype=np.int64)
-    words = hash_counters(seed, counters)
-    assert words.dtype == np.uint64
-    assert words.tolist() == [hash_at(seed, c) for c in counters.tolist()]
-    backwards = np.arange(2 * LANE + 3)[::-1]
-    assert np.array_equal(hash_counters(seed, backwards), hash_block(seed, 0, 2 * LANE + 3)[::-1])
-    empty = hash_counters(seed, np.array([], dtype=np.int64))
-    assert empty.dtype == np.uint64 and empty.shape == (0,)

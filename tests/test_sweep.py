@@ -308,8 +308,9 @@ def test_run_construction_reports_a_bad_tc_witness(monkeypatch):
     (lambda: config_from_mapping({"n_values": "12", "p_values": "1/2", "retry_limit": "0"}),
      "retry limit must be at least 1"),
     (lambda: small_config(threads=-3), "threads must be at least 1"),
+    (lambda: small_config(n_values=(24, 6.0)), "n value 6.0 is not an integer"),
 ], ids=("unknown-source", "unknown-algorithm", "config-line-without-equals",
-        "partition3-delta", "mapped-retry-limit", "threads-below-one"))
+        "partition3-delta", "mapped-retry-limit", "threads-below-one", "n-not-integer"))
 def test_sweep_input_checks(call, message):
     with pytest.raises(BipcoverError) as exc:
         call()

@@ -11,6 +11,12 @@ Extra arguments go to pytest (default: ``-q -p no:cacheprovider``).  The
 script lives outside ``tests/`` and is not part of Tier-1: under the
 tracer the suite runs about four times slower.  The exit status is
 pytest's.
+
+The census counts only the tests that ran: with ``-x`` pytest stops at
+the first failure and the report covers a partial suite.  Wall-time
+bounds, such as ``test_edge_map_cost_follows_colours_in_use``'s, can
+fail under the tracer's slowdown; the line report stays valid, as every
+test still runs.
 """
 
 from __future__ import annotations
