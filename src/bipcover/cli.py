@@ -2,9 +2,11 @@
 
 Subcommands: sample, colour, adversary, cover, partition, exact, check,
 sweep, summarise.  Probabilities are exact rationals: pass either
---p-num/--p-den or --p with a decimal string.  Output files default to
-the directory in the BIPCOVER_OUTDIR environment variable (else the
-current directory) when given as bare file names.
+--p-num/--p-den or --p with a decimal string.  ``exact --mode tp`` counts
+a single vertex as a part; ``cover`` has no epsilon: its audit's degree
+band is fixed at (1 +- 1/10) * p * n.  Output files default to the
+directory in the BIPCOVER_OUTDIR environment variable (else the current
+directory) when given as bare file names.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def _probability(args, num_attr: str, den_attr: str, plain_attr: str,
         if num is None or den is None:
             raise BipcoverError(f"--{num_attr.replace('_', '-')} and "
                                 f"--{den_attr.replace('_', '-')} go together")
-        return Fraction(num, den)
+        # A zero denominator gets the error that --p 1/0 gets.
+        return as_fraction(f"{num}/{den}") if den == 0 else Fraction(num, den)
     if plain is not None:
         return as_fraction(plain)
     if default is not None:
@@ -146,8 +149,7 @@ def _cmd_cover(args) -> int:
     g, colouring = _read(args.graph)
     colouring = _two_colouring(colouring, "cover")
     p = _probability(args, "p_num", "p_den", "p")
-    params = CoverParams(p=p, epsilon=as_fraction(args.epsilon),
-                         retry_limit=args.retry_limit, seed=args.seed)
+    params = CoverParams(p=p, retry_limit=args.retry_limit, seed=args.seed)
     run = run_construction(g, colouring, params)
     return _finish(args, run, formats.write_cover(run.output, g, comments=[f"case {run.case}"]),
                    {"algorithm": "almost_cover", "n": g.n1, "p_num": p.numerator,
@@ -158,8 +160,7 @@ def _cmd_cover(args) -> int:
 def _cmd_partition(args) -> int:
     g, colouring = _read(args.graph)
     colouring = _two_colouring(colouring, "partition")
-    params = PartitionParams(delta=as_fraction(args.delta), retry_limit=args.retry_limit,
-                             seed=args.seed)
+    params = PartitionParams(delta=args.delta, retry_limit=args.retry_limit, seed=args.seed)
     run = run_construction(g, colouring, params)
     return _finish(args, run,
                    formats.write_partition(run.output, g, comments=[f"branch {run.case}"]),
@@ -196,8 +197,7 @@ def _cmd_exact(args) -> int:
         result = tc_exact(g, colouring)
         sets = result.witness
     else:
-        result = tp_exact(g, colouring, allow_singletons=not args.no_singletons,
-                          force=args.force)
+        result = tp_exact(g, colouring, force=args.force)
         sets = result.witness.parts
     witness = [{"colour": int(c), "vertices": sorted(str(v) for v in vs)} for c, vs in sets]
     sys.stdout.write(json.dumps(
@@ -210,8 +210,7 @@ def _cmd_exact(args) -> int:
 def _cmd_check(args) -> int:
     g, _ = _read(args.graph)
     p = _probability(args, "p_num", "p_den", "p")
-    eps = as_fraction(args.epsilon)
-    deg_rep, codeg_rep = check_degrees(g, p, eps)
+    deg_rep, codeg_rep = check_degrees(g, p, args.epsilon)
     pairs = count_no_common_neighbour_pairs(g)
     reports = [deg_rep.as_dict(), codeg_rep.as_dict()]
     out = {"reports": reports,
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     cover = sub.add_parser("cover", help="cover all but O(1/p) vertices with <= 3 trees")
     cover.add_argument("graph")
     _add_p_flags(cover)
-    cover.add_argument("--epsilon", default="0.1")
     cover.add_argument("--seed", type=int, default=0)
     cover.add_argument("--retry-limit", type=int, default=16)
     cover.add_argument("--out", default=None)
@@ -292,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     exact.add_argument("--n", type=int, help="knn: part size")
     exact.add_argument("--r", type=int, default=2, help="knn: colours")
     exact.add_argument("--bound", type=int, default=2, help="knn: flag tc above this")
-    exact.add_argument("--no-singletons", action="store_true",
-                       help="tp: forbid single-vertex parts")
     exact.add_argument("--force", action="store_true",
                        help="override size guards (may be very slow)")
     exact.set_defaults(func=_cmd_exact)

@@ -44,6 +44,9 @@ from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoTree, TreeCover,
 from .models import as_fraction
 
 
+_EPSILON = Fraction(1, 10)  # the audit's degree band is (1 +- epsilon) * p * n
+
+
 class CoverCase(str, Enum):
     SPANNING = "spanning"
     THIRD_TREE = "third_tree"
@@ -53,17 +56,13 @@ class CoverCase(str, Enum):
 @dataclass(frozen=True)
 class CoverParams:
     p: Fraction
-    epsilon: Fraction = Fraction(1, 10)
     retry_limit: int = 16
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_fraction(self.p))
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
         if not 0 < self.p <= 1:
             raise InvalidArgumentError("p must be in (0, 1]")
-        if not 0 < self.epsilon < 1:
-            raise InvalidArgumentError("epsilon must be in (0, 1)")
         if self.retry_limit < 1:
             raise InvalidArgumentError("retry limit must be at least 1")
 
@@ -174,7 +173,7 @@ class _Pipeline(ConstructionRun):
         # Heavy: colour degree strictly above a third of the degree.
         heavy = heavy_masks(self.g, self.col, lambda d, dc: 3 * dc > d)
         state = CoverState(
-            n=self.n, p=self.params.p, epsilon=self.params.epsilon, case=CoverCase.SPANNING,
+            n=self.n, p=self.params.p, epsilon=_EPSILON, case=CoverCase.SPANNING,
             heavy_red=vertex_set(*heavy[RED]), heavy_blue=vertex_set(*heavy[BLUE]))
         for colour in (RED, BLUE):
             rows1, rows2 = self.col.layer_rows(colour)

@@ -4,7 +4,8 @@ A cover by k monochromatic trees exists iff k monochromatic components
 cover the vertex set: every tree lies inside a component of its colour,
 and every component carries a spanning tree.  The cover number therefore
 reduces to minimum set cover over the component lists of all colours,
-solved here by branch and bound.  The partition number is found by
+solved here by branch and bound.  The partition number counts a single
+vertex as a part, as the paper's partitions do, and is found by
 recursive search over colour-connected parts with memoisation on the
 remaining vertex mask.
 
@@ -168,9 +169,9 @@ def _connected_subsets(anchor: int, allowed: int, adj: list[int]) -> list[int]:
     return results
 
 
-def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
-             force: bool = False) -> ExactResult:
-    """Minimum partition of V(G) into parts each connected in one colour.
+def tp_exact(g: BipartiteGraph, colouring, force: bool = False) -> ExactResult:
+    """Minimum partition of V(G) into parts each connected in one colour;
+    a single vertex is such a part.
 
     Exponential search, guarded to 16 vertices unless ``force``.
     """
@@ -182,50 +183,38 @@ def tp_exact(g: BipartiteGraph, colouring, allow_singletons: bool = True,
     layers = [colouring.layer_rows(c) for c in walked]
     # Per walked colour, adjacency over combined vertex ids 0..n1+n2-1.
     colour_adj = [[row << g.n1 for row in rows1] + list(rows2) for rows1, rows2 in layers]
-    r = len(walked)
-    full = (1 << total) - 1
     low = (1 << g.n1) - 1
     nodes = 0
-    memo: dict[int, tuple[int, list[tuple[int, int]]] | None] = {}
+    memo: dict[int, tuple[int, list[tuple[int, int]]]] = {}
 
-    def solve(remaining: int) -> tuple[int, list[tuple[int, int]]] | None:
+    def solve(remaining: int) -> tuple[int, list[tuple[int, int]]]:
         nonlocal nodes
         if remaining in memo:
             return memo[remaining]
         nodes += 1
-        v = (remaining & -remaining).bit_length() - 1
         # A single part absorbing everything left is always optimal; check
         # before enumerating subsets.
-        if allow_singletons or remaining.bit_count() >= 2:
-            for c, (rows1, rows2) in enumerate(layers):
-                if len(components_from_rows(g.n1, g.n2, rows1, rows2,
-                                            remaining & low, remaining >> g.n1)) == 1:
-                    memo[remaining] = (1, [(c, remaining)])
-                    return memo[remaining]
+        for c, (rows1, rows2) in enumerate(layers):
+            if len(components_from_rows(g.n1, g.n2, rows1, rows2,
+                                        remaining & low, remaining >> g.n1)) == 1:
+                memo[remaining] = (1, [(c, remaining)])
+                return memo[remaining]
+        v = (remaining & -remaining).bit_length() - 1
         best: tuple[int, list[tuple[int, int]]] | None = None
         tried: set[int] = set()
-        for c in range(r):
-            for part in _connected_subsets(v, remaining, colour_adj[c]):
+        for c, adj in enumerate(colour_adj):
+            for part in _connected_subsets(v, remaining, adj):
                 if part in tried:
                     continue
                 tried.add(part)
-                if not allow_singletons and part.bit_count() < 2:
-                    continue
-                # Nonempty: part == remaining met the one-part check, or was a banned singleton.
+                # Nonempty: part == remaining met the one-part check.
                 sub = solve(remaining & ~part)
-                if sub is None:
-                    continue
-                cand = (sub[0] + 1, [(c, part)] + sub[1])
-                if best is None or cand[0] < best[0]:
-                    best = cand
+                if best is None or sub[0] + 1 < best[0]:
+                    best = (sub[0] + 1, [(c, part)] + sub[1])
         memo[remaining] = best
         return best
 
-    solution = solve(full)
-    if solution is None:
-        raise InvalidArgumentError(
-            "no partition exists without singleton parts on this instance")
-    value, raw_parts = solution
+    value, raw_parts = solve((1 << total) - 1)
     parts = [(colouring.label(walked[c]), vertex_set(mask & low, mask >> g.n1))
              for c, mask in raw_parts]
     return ExactResult(value, MonoPartition(tuple(parts)), nodes)

@@ -13,6 +13,7 @@ pure query.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -187,6 +188,8 @@ def _is_index(x, n: int) -> bool:
 
 
 def _check_part_sizes(n1: int, n2: int) -> None:
+    if not all(isinstance(size, numbers.Integral) for size in (n1, n2)):
+        raise InvalidArgumentError("part sizes must be integers")
     if n1 < 1 or n2 < 1:
         raise InvalidArgumentError("both parts must be nonempty")
 
@@ -234,7 +237,7 @@ class BipartiteGraph:
     @classmethod
     def complete(cls, n1: int, n2: int) -> "BipartiteGraph":
         _check_part_sizes(n1, n2)  # before the shift, which rejects a negative n2
-        return cls.from_rows(n1, n2, [(1 << n2) - 1] * n1)
+        return cls.from_rows(n1, n2, [(1 << int(n2)) - 1] * n1)  # int rows for numpy sizes
 
     def part_size(self, part: int) -> int:
         return len(self.rows(part))
@@ -247,9 +250,6 @@ class BipartiteGraph:
 
     def row(self, part: int, index: int) -> int:
         return self.rows(part)[index]
-
-    def check_vertex(self, v: Vertex) -> None:
-        vertex_masks(self, (v,))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self._rows1[i] >> j & 1)

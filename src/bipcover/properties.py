@@ -16,9 +16,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cover import CoverParams
 from .errors import InvalidArgumentError
 from .graph import BipartiteGraph, Vertex, pack_rows
+from .models import as_fraction
 
 
 @dataclass
@@ -66,10 +66,11 @@ def check_degrees(g: BipartiteGraph, p, epsilon) -> tuple[PropertyReport, Proper
     if g.n1 != g.n2:
         raise InvalidArgumentError("property checks expect a balanced graph")
     n = g.n1
-    # The bands are the ones a cover run with these parameters relies on,
-    # so p and epsilon must lie in the ranges the cover accepts.
-    params = CoverParams(p=p, epsilon=epsilon)
-    p, eps = params.p, params.epsilon
+    p, eps = as_fraction(p), as_fraction(epsilon)
+    if not 0 < p <= 1:
+        raise InvalidArgumentError("p must be in (0, 1]")
+    if not 0 < eps < 1:
+        raise InvalidArgumentError("epsilon must be in (0, 1)")
     d_lo, d_hi = (1 - eps) * p * n, (1 + eps) * p * n
     c_lo, c_hi = (1 - eps) * p * p * n, (1 + eps) * p * p * n
     d_band, c_band = (float(d_lo), float(d_hi)), (float(c_lo), float(c_hi))

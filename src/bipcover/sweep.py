@@ -69,6 +69,11 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # Grid values from text or numbers, as the params read them.
+        for name in ("p_values", "c_values"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(as_fraction, getattr(self, name))))
+        object.__setattr__(self, "delta", as_fraction(self.delta))
         if self.trials < 1:
             raise BipcoverError("trials must be at least 1")
         if self.threads < 1:

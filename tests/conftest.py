@@ -96,14 +96,19 @@ def naive_validate_cover(g, colouring, cover) -> bool:
     return union == all_vertices and total == len(all_vertices)
 
 
+def _in_graph(g, v) -> bool:
+    """Whether ``v`` is a vertex of ``g``: part 1 or 2 and an ``int`` index
+    in that part's range."""
+    return v.part in (1, 2) and isinstance(v.index, int) \
+        and 0 <= v.index < (g.n1 if v.part == 1 else g.n2)
+
+
 def _reference_check_tree(g, colouring, tree, label, report: list[str]) -> None:
     if not tree.vertices:
         report.append(f"{label}: empty vertex set")
         return
     for v in tree.vertices:
-        try:
-            g.check_vertex(v)
-        except InvalidArgumentError:
+        if not _in_graph(g, v):
             report.append(f"{label}: vertex {v} not in graph")
             return
     if len(tree.edges) != len(tree.vertices) - 1:
@@ -179,9 +184,7 @@ def reference_validate_partition(g, colouring, partition) -> list[str]:
             report.append(f"part {k}: empty")
             continue
         for v in part:
-            try:
-                g.check_vertex(v)
-            except InvalidArgumentError:
+            if not _in_graph(g, v):
                 report.append(f"part {k}: vertex {v} not in graph")
                 return report
         overlap = seen & part
@@ -231,8 +234,9 @@ def set_partitions(items: list):
         yield [[head]] + smaller
 
 
-def naive_tp(g, colouring, allow_singletons=True) -> int | None:
-    """Minimum monochromatic-connected partition size by full enumeration.
+def naive_tp(g, colouring) -> int:
+    """Minimum monochromatic-connected partition size by full enumeration;
+    a single vertex is a block.
 
     Block feasibility is cached per vertex set; the same blocks recur
     across the Bell-number many partitions.
@@ -242,13 +246,11 @@ def naive_tp(g, colouring, allow_singletons=True) -> int | None:
 
     def block_ok(block: frozenset) -> bool:
         if block not in cache:
-            cache[block] = _block_ok(g, colouring, set(block), allow_singletons)
+            cache[block] = _block_ok(g, colouring, set(block))
         return cache[block]
 
     best = None
     for blocks in set_partitions(vertices):
-        if not allow_singletons and any(len(b) == 1 for b in blocks):
-            continue
         if best is not None and len(blocks) >= best:
             continue
         if all(block_ok(frozenset(block)) for block in blocks):
@@ -256,9 +258,7 @@ def naive_tp(g, colouring, allow_singletons=True) -> int | None:
     return best
 
 
-def _block_ok(g, colouring, block: set[Vertex], allow_singletons: bool) -> bool:
-    if len(block) == 1:
-        return allow_singletons
+def _block_ok(g, colouring, block: set[Vertex]) -> bool:
     for colour in map(colouring.label, range(colouring.num_colours)):
         edges = []
         for v in block:

@@ -311,7 +311,7 @@ def test_sweep_ignores_a_setting_its_algorithm_does_not_use(tmp_path, capsys, al
 
 
 def test_sweep_rejects_an_epsilon_setting(tmp_path, capsys):
-    # The sweep has no epsilon: its trials run CoverParams' default.
+    # The sweep has no epsilon: the cover's audit band is fixed at 1/10.
     cfg, out = tmp_path / "sweep.cfg", tmp_path / "records.csv"
     cfg.write_text("n_values = 12\np_values = 1/2\nepsilon = 0.1\n")
     err = _fails_cleanly(capsys, "sweep", "--config", str(cfg), "--out", str(out))
@@ -319,15 +319,17 @@ def test_sweep_rejects_an_epsilon_setting(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", (
-    ["sweep", "--n-values", "12", "--p-values", "1/2", "--epsilon", "0.1"],
-    ["partition", "g.txt", "--subsample-p", "1/50"],
-), ids=("sweep-epsilon", "partition-subsample-p"))
-def test_retired_flags_are_unknown_to_argparse(capsys, argv):
+@pytest.mark.parametrize("argv, unknown", (
+    (["sweep", "--n-values", "12", "--p-values", "1/2", "--epsilon", "0.1"], "--epsilon 0.1"),
+    (["partition", "g.txt", "--subsample-p", "1/50"], "--subsample-p 1/50"),
+    (["cover", "g.txt", "--p", "0.5", "--epsilon", "0.1"], "--epsilon 0.1"),
+    (["exact", "--mode", "tp", "g.txt", "--no-singletons"], "--no-singletons"),
+), ids=("sweep-epsilon", "partition-subsample-p", "cover-epsilon", "exact-no-singletons"))
+def test_retired_flags_are_unknown_to_argparse(capsys, argv, unknown):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert "unrecognized arguments: " + unknown in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):
@@ -475,19 +477,38 @@ TEST_ONLY_PUBLIC = {
     "classify_case": "the referee of which cover case a colouring falls in",
 }
 
+# Public methods (Class.method) the package itself never calls, each kept on purpose.
+TEST_ONLY_METHODS = {
+    "BipartiteGraph.from_edges": "test builder: a graph from an edge list",
+    "BipartiteGraph.complete": "test builder: the complete bipartite graph",
+    "TwoColouring.from_edge_map": "test builder: a red/blue colouring from an edge map",
+    "TwoColouring.monochromatic": "test builder: every edge in one colour",
+    "TwoColouring.swapped": "test builder: red and blue exchanged, for colour symmetry",
+    "TwoColouring.edge_colours": "referee: every edge's colour, read edge by edge",
+    "RColouring.colour_of": "referee: one edge's colour, read layer by layer",
+    "RandomStream.coin": "referee: the scalar draw that coin_split takes per word",
+    "RandomStream.bernoulli": "referee: the scalar draw that bernoulli_subset takes per word",
+    "AuditReport.entry": "test reader: one audit entry by name",
+}
+
+
+def _named(node) -> set[str]:
+    """Every name, attribute and import alias that ``node`` mentions."""
+    return {ref.id if isinstance(ref, ast.Name) else
+            ref.attr if isinstance(ref, ast.Attribute) else ref.name
+            for ref in ast.walk(node) if isinstance(ref, (ast.Name, ast.Attribute, ast.alias))}
+
 
 def test_every_public_name_has_a_caller_in_the_package():
     # Public API that only the tests reach grows back unseen; a name counts
     # as called when any package module but __init__ names it outside its
-    # own definition.  A TEST_ONLY_PUBLIC entry must still name an uncalled
-    # public def, so a stale one fails too.
+    # own definition, and a method when one names it outside its own body.
+    # A TEST_ONLY_PUBLIC or TEST_ONLY_METHODS entry must still name an
+    # uncalled public def, so a stale one fails too.
     package = Path(bipcover.__file__).parent
     tops = [(path.stem, top) for path in sorted(package.glob("*.py")) if path.stem != "__init__"
             for top in ast.parse(path.read_text()).body]
-    names = [{ref.id if isinstance(ref, ast.Name) else
-              ref.attr if isinstance(ref, ast.Attribute) else ref.name
-              for ref in ast.walk(top) if isinstance(ref, (ast.Name, ast.Attribute, ast.alias))}
-             for _, top in tops]
+    names = [_named(top) for _, top in tops]
     public = {k: node.name for k, (_, node) in enumerate(tops)
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")}
@@ -498,6 +519,18 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert uncalled == []
     assert sorted(set(TEST_ONLY_PUBLIC) - set(public.values())) == []  # no longer defined
     assert sorted(set(TEST_ONLY_PUBLIC) & called) == []  # now called by the package
+
+    methods = {f"{top.name}.{stmt.name}": (k, stmt) for k, (_, top) in enumerate(tops)
+               if isinstance(top, ast.ClassDef) for stmt in top.body
+               if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")}
+    called = {key for key, (k, stmt) in methods.items()
+              if any(stmt.name in named for j, named in enumerate(names) if j != k)
+              or any(stmt.name in _named(other) for other in tops[k][1].body
+                     if other is not stmt)}
+    uncalled = sorted(set(methods) - called - set(TEST_ONLY_METHODS))
+    assert uncalled == []
+    assert sorted(set(TEST_ONLY_METHODS) - set(methods)) == []  # no longer defined
+    assert sorted(set(TEST_ONLY_METHODS) & called) == []  # now called by the package
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -512,8 +545,13 @@ def test_every_public_name_has_a_caller_in_the_package():
     (["check", "{bare}", "--p", "0.5", "--epsilon", "3"], "epsilon must be in (0, 1)"),
     (["sweep", "--n-values", "6", "--p-values", "1/2", "--trials", "2", "--threads", "0"],
      "threads must be at least 1"),
+    (["sample", "--n1", "3", "--n2", "3", "--p-num", "1", "--p-den", "0"],
+     "cannot interpret '1/0' as an exact fraction"),
+    (["colour", "{bare}", "--red-num", "1", "--red-den", "0"],
+     "cannot interpret '1/0' as an exact fraction"),
 ], ids=("cover-bare", "exact-bare", "colour-coloured", "p-num-alone", "p-den-alone",
-        "no-probability", "check-p-negative", "check-epsilon-above-one", "sweep-threads-zero"))
+        "no-probability", "check-p-negative", "check-epsilon-above-one", "sweep-threads-zero",
+        "p-den-zero", "red-den-zero"))
 def test_input_checks_fail_cleanly(tmp_path, capsys, argv, message):
     bare, coloured = tmp_path / "bare.txt", tmp_path / "coloured.txt"
     bare.write_text("bipartite 2 2\n0 0\n1 1\n")
@@ -523,15 +561,17 @@ def test_input_checks_fail_cleanly(tmp_path, capsys, argv, message):
 
 
 def test_exact_tp_writes_its_partition_witness(tmp_path, capsys):
-    # Without singletons, 1:1 needs its blue edge, so 2:1 leaves the red path.
+    # 1:0 keeps one of its two edges, whose colours differ, so the other end
+    # and the isolated 1:1 are single-vertex parts, each named by colour 0.
     g = tmp_path / "g.txt"
-    g.write_text("bipartite 2 2\n0 0 R\n0 1 R\n1 1 B\n")
-    code, out, _ = run(capsys, "exact", "--mode", "tp", str(g), "--no-singletons")
+    g.write_text("bipartite 2 2\n0 0 R\n0 1 B\n")
+    code, out, _ = run(capsys, "exact", "--mode", "tp", str(g))
     assert code == 0
     data = json.loads(out)
-    assert data["value"] == 2
-    assert sorted(data["witness"], key=lambda w: w["colour"]) == [
-        {"colour": 0, "vertices": ["1:0", "2:0"]}, {"colour": 1, "vertices": ["1:1", "2:1"]}]
+    assert data["value"] == 3
+    assert data["witness"] == [{"colour": 0, "vertices": ["1:0", "2:0"]},
+                               {"colour": 0, "vertices": ["1:1"]},
+                               {"colour": 0, "vertices": ["2:1"]}]
 
 
 def test_adversary_lower4_writes_its_witness(tmp_path, capsys):

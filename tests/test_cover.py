@@ -262,13 +262,13 @@ class TestAudit:
 
 @pytest.mark.parametrize("n", (20, 21))
 def test_audit_degree_band_fraction_matches_fraction_band(n):
-    # (1 -+ 1/5) * p * n is 8, 12 at n = 20 (integer band edges) and
-    # 8.4, 12.6 at n = 21.
-    p, eps = Fraction(1, 2), Fraction(1, 5)
+    # The audit's epsilon is fixed at 1/10: (1 -+ 1/10) * p * n is 9, 11 at
+    # n = 20 (integer band edges) and 9.45, 11.55 at n = 21.
+    p, eps = Fraction(1, 2), Fraction(1, 10)
     for seed in range(4):
         g = sample_bipartite(ModelParams(n, n, p), seed)
         col = sample_colouring(g, Fraction(1, 2), seed)
-        params = CoverParams(p=p, epsilon=eps, seed=seed)
+        params = CoverParams(p=p, seed=seed)
         _, state = almost_cover(g, col, params)
         measured = audit_state(g, col, state).entry("degree-band-fraction").measured
         _, d_bad, _, _ = naive_degree_bands(g, p, eps)
@@ -319,10 +319,8 @@ def test_every_joker_has_a_majority_parent(n, c, seed, source):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(p=Fraction(0)), "p must be in (0, 1]"),
     (dict(p=Fraction(3, 2)), "p must be in (0, 1]"),
-    (dict(p=Fraction(1, 2), epsilon=Fraction(1)), "epsilon must be in (0, 1)"),
-    (dict(p=Fraction(1, 2), epsilon=Fraction(0)), "epsilon must be in (0, 1)"),
     (dict(p=Fraction(1, 2), retry_limit=0), "retry limit must be at least 1"),
-], ids=("p-zero", "p-above-one", "epsilon-one", "epsilon-zero", "no-retries"))
+], ids=("p-zero", "p-above-one", "no-retries"))
 def test_cover_params_checked(kwargs, message):
     with pytest.raises(InvalidArgumentError) as exc:
         CoverParams(**kwargs)

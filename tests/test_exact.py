@@ -83,11 +83,7 @@ class TestTpExact:
     def test_k22_split_colouring(self):
         g, col = graph_from_coloured_edges(
             2, 2, [(0, 0, RED), (0, 1, RED), (1, 0, BLUE), (1, 1, BLUE)])
-        with_singletons = tp_exact(g, col, allow_singletons=True)
-        without = tp_exact(g, col, allow_singletons=False)
-        assert with_singletons.value == 2
-        assert without.value == 2
-        assert all(len(part) >= 2 for _, part in without.witness.parts)
+        assert tp_exact(g, col).value == 2
 
     def test_witness_validates(self):
         g = sample_bipartite(ModelParams(4, 4, Fraction(1, 2)), 5)
@@ -131,18 +127,6 @@ class TestTpExact:
             g = sample_bipartite(ModelParams(n1, n2, Fraction(rnd.randint(1, 4), 4)), seed)
             col = RColouring.from_edge_map(g, 3, {e: rnd.randrange(3) for e in g.edges()})
             assert tp_exact(g, col).value == naive_tp(g, col)
-
-    def test_no_singleton_agreement_and_infeasibility(self):
-        from bipcover.errors import InvalidArgumentError
-        for seed in range(12):
-            g = sample_bipartite(ModelParams(3, 3, Fraction(1, 2)), seed)
-            col = sample_colouring(g, Fraction(1, 2), seed)
-            expected = naive_tp(g, col, allow_singletons=False)
-            if expected is None:
-                with pytest.raises(InvalidArgumentError):
-                    tp_exact(g, col, allow_singletons=False)
-            else:
-                assert tp_exact(g, col, allow_singletons=False).value == expected
 
     def test_cover_never_exceeds_partition(self):
         for seed in range(40):
@@ -347,12 +331,9 @@ class TestTpSparseColourIndices:
     # Colour indices 0 or 3, and 15, on a 4x4 file: 16 layers, two with edges.
     # Vertex 1:3 is isolated, so a singleton part names colour 0, used or not.
     @pytest.mark.parametrize("low, walked", [(0, [0, 1, 15]), (3, [0, 3, 15])])
-    @pytest.mark.parametrize("allow_singletons", [True, False])
-    def test_walks_used_layers_and_one_empty(self, monkeypatch, low, walked, allow_singletons):
+    def test_walks_used_layers_and_one_empty(self, monkeypatch, low, walked):
         cmap = {(0, 0): low, (0, 1): 15, (1, 1): low, (1, 2): 15, (2, 2): low,
                 (2, 0): 15, (0, 3): low}
-        if not allow_singletons:
-            cmap[(3, 3)] = 15
         g, col = parse_graph("bipartite 4 4\n" + "".join(
             f"{i} {j} {c}\n" for (i, j), c in cmap.items()))
         calls = []
@@ -363,10 +344,10 @@ class TestTpSparseColourIndices:
             return layer_rows(self, colour)
 
         monkeypatch.setattr(RColouring, "layer_rows", counted)
-        result = tp_exact(g, col, allow_singletons=allow_singletons)
+        result = tp_exact(g, col)
         assert calls == walked
         monkeypatch.setattr(exact, "_walked_colours", lambda c: list(range(c.num_colours)))
-        every_layer = tp_exact(g, col, allow_singletons=allow_singletons)
+        every_layer = tp_exact(g, col)
         assert (result.value, result.witness, result.nodes_explored) == \
             (every_layer.value, every_layer.witness, every_layer.nodes_explored)
         assert validate_partition(g, col, result.witness).ok
@@ -447,20 +428,15 @@ def test_maximal_components_cover_the_universe(host, data):
 
 
 @settings(deadline=None, max_examples=60)
-@given(small_coloured_hosts(), st.booleans())
-def test_tp_search_never_reaches_an_empty_remainder(host, allow_singletons):
+@given(small_coloured_hosts())
+def test_tp_search_never_reaches_an_empty_remainder(host):
     # A part equal to the remaining set is connected, so the one-part check
-    # returns before the search recurses on nothing (a banned singleton is
-    # skipped instead); an empty remainder would end in a negative shift.
+    # returns before the search recurses on nothing; an empty remainder
+    # would end in a negative shift.
     n1, n2, _, cmap = host
     g = BipartiteGraph.from_edges(n1, n2, list(cmap))
     col = TwoColouring.from_edge_map(g, {e: c % 2 for e, c in cmap.items()})
-    expected = naive_tp(g, col, allow_singletons)
-    if expected is None:
-        with pytest.raises(InvalidArgumentError, match="no partition exists"):
-            tp_exact(g, col, allow_singletons)
-    else:
-        assert tp_exact(g, col, allow_singletons).value == expected
+    assert tp_exact(g, col).value == naive_tp(g, col)
 
 
 @pytest.mark.parametrize("n, r", [(0, 2), (2, 0)])

@@ -983,6 +983,15 @@ GRAPH_INPUT_ERRORS = [
     ("from-rows-empty-part", lambda: BipartiteGraph.from_rows(0, 2, []),
      "both parts must be nonempty"),
     ("complete-empty-part", lambda: BipartiteGraph.complete(0, 3), "both parts must be nonempty"),
+    ("complete-float-part", lambda: BipartiteGraph.complete(2.5, 3),
+     "part sizes must be integers"),
+    ("complete-str-part", lambda: BipartiteGraph.complete("3", 2), "part sizes must be integers"),
+    ("from-edges-float-part", lambda: BipartiteGraph.from_edges(2.5, 3, []),
+     "part sizes must be integers"),
+    ("from-rows-float-part", lambda: BipartiteGraph.from_rows(2, 2.5, [0, 0]),
+     "part sizes must be integers"),
+    ("from-rows-whole-float-part", lambda: BipartiteGraph.from_rows(2.0, 0, []),
+     "part sizes must be integers"),
     ("part-1-row-count", lambda: BipartiteGraph.from_rows(2, 2, [1]),
      "expected 2 part-1 rows, got 1"),
     ("part-size-of-part-3", lambda: BipartiteGraph.complete(2, 2).part_size(3),
@@ -1038,6 +1047,13 @@ def test_numpy_integer_endpoints_accepted():
     assert g == BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0)])
     assert RColouring.from_edge_map(g, 3, {(0, 0): 2, (i, j): np.int64(1)}) == \
         RColouring.from_edge_map(g, 3, {(0, 0): 2, (1, 0): 1})
+
+
+def test_numpy_integer_part_sizes_accepted():
+    n1, n2 = np.int64(2), np.uint8(3)
+    assert BipartiteGraph.complete(n1, n2) == BipartiteGraph.complete(2, 3)
+    assert BipartiteGraph.from_edges(n1, n2, [(1, 2)]) == BipartiteGraph.from_edges(2, 3, [(1, 2)])
+    assert BipartiteGraph.from_rows(n1, n2, [1, 6]) == BipartiteGraph.from_rows(2, 3, [1, 6])
 
 
 @pytest.mark.parametrize("colours, message", [

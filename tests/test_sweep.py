@@ -309,9 +309,27 @@ def test_run_construction_reports_a_bad_tc_witness(monkeypatch):
      "retry limit must be at least 1"),
     (lambda: small_config(threads=-3), "threads must be at least 1"),
     (lambda: small_config(n_values=(24, 6.0)), "n value 6.0 is not an integer"),
+    (lambda: small_config(p_values=("half",)), "cannot interpret 'half' as an exact fraction"),
+    (lambda: small_config(p_values=None, c_values=(None,)),
+     "cannot interpret None as an exact fraction"),
+    (lambda: small_config(delta="1/0"), "cannot interpret '1/0' as an exact fraction"),
+    (lambda: small_config(p_values=("3/2",)), "p value 3/2 outside (0, 1]"),
 ], ids=("unknown-source", "unknown-algorithm", "config-line-without-equals",
-        "partition3-delta", "mapped-retry-limit", "threads-below-one", "n-not-integer"))
+        "partition3-delta", "mapped-retry-limit", "threads-below-one", "n-not-integer",
+        "p-value-unreadable", "c-value-unreadable", "delta-unreadable", "p-value-text"))
 def test_sweep_input_checks(call, message):
     with pytest.raises(BipcoverError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_sweep_config_reads_text_grid_values():
+    # Text reads as the exact fraction it spells, as ModelParams reads its p.
+    assert small_config(p_values=["2/5"]) == small_config()
+    assert small_config(p_values=None, c_values=("5",)).c_values == (Fraction(5),)
+    text = small_config(algorithm="partition3", n_values=(64,), trials=1, delta="1/20")
+    assert text.delta == Fraction(1, 20)
+    strip = [[(r.csv_row().rsplit(",", 1)[0], r.audit_ok) for r in run_sweep(config)]
+             for config in (text, small_config(algorithm="partition3", n_values=(64,),
+                                               trials=1, delta=Fraction(1, 20)))]
+    assert strip[0] == strip[1]
