@@ -21,7 +21,6 @@ Vertex tokens are ``part:index`` (e.g. ``2:5``) and edge tokens ``i-j``.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -32,32 +31,66 @@ from .graph import (BipartiteGraph, Colour, MonoPartition, RColouring, TreeCover
                     rows_to_matrix)
 
 Colouring = TwoColouring | RColouring
-_RB = {"R": Colour.RED, "B": Colour.BLUE}
+
+# The code points str.split() splits on, and those of them that end a line for
+# splitlines() ("\r\n" ends one).  _CLASS is 2 at a line break, 1 at any other
+# code point that ends a token (whitespace or '#'), else 0.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_SPACES = _BREAKS + "\t\x1f \xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200b)))
+_CLASS = np.zeros(0x110000, np.uint8)
+_CLASS[[*map(ord, _SPACES), ord("#")]] = 1
+_CLASS[list(map(ord, _BREAKS))] = 2
 
 
-def _read_ints(tokens: np.ndarray, table: dict[str, int], lo: int,
-               hi: int) -> tuple[np.ndarray, int]:
-    """Value of each token up to the first one ``int`` rejects, as int64,
-    and that token's position (len(tokens) if none).
+def _scan(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The code points; a (start, stop) row per token, the fields
+    ``line.split("#", 1)[0].split()`` of each line of ``text.splitlines()``
+    in turn; and for each line with fields its first row and its number."""
+    points = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii() else
+              np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32))
+    cls = _CLASS.take(points)
+    breaks = np.flatnonzero(cls == 2)
+    breaks = breaks[(points[breaks] != 10) | (points[breaks - 1] != 13) | (breaks == 0)]
+    blank = cls != 0
+    if "#" in text:  # blank each line from its first '#' to its break
+        hashes = np.flatnonzero(points == ord("#"))
+        ends = np.append(breaks, len(points))[np.searchsorted(breaks, hashes)]
+        first = np.diff(ends, prepend=-1) != 0
+        steps = np.zeros(len(points) + 1, np.int8)
+        steps[hashes[first]], steps[ends[first]] = 1, -1
+        blank |= np.cumsum(steps[:-1], dtype=np.int8).view(bool)
+    bounds = np.flatnonzero(np.diff(blank, prepend=True, append=True)).reshape(-1, 2)
+    # after[k]: the first token after break k, a break put before the text being break 0.
+    after = np.searchsorted(bounds[:, 0], np.append(-1, breaks))
+    lines = np.flatnonzero((np.diff(after, append=len(bounds) + 1) != 0) & (after < len(bounds)))
+    return points, bounds, after[lines], lines + 1
 
-    A token found in ``table`` takes its value there (no table value is
-    -1); any other is read by ``int``.  Values beyond int64 are clipped to
-    [lo, hi], which the callers choose so that no range check changes its
-    verdict.
-    """
-    values = np.fromiter(map(table.get, tokens, repeat(-1)), np.int64, len(tokens))
-    misses = np.flatnonzero(values == -1)
-    try:
-        values[misses] = np.fromiter(map(int, tokens[misses]), np.int64, len(misses))
-        return values, len(tokens)
-    except (ValueError, OverflowError):
-        pass
-    for k in misses.tolist():  # only after the bulk conversion failed
+
+def _read_ints(text: str, points: np.ndarray, bounds: np.ndarray, rows: np.ndarray, lo: int,
+               hi: int, letters: str = "") -> tuple[np.ndarray, int]:
+    """Value of each token text[start:stop], (start, stop) in bounds[rows], as
+    int64 up to the first one ``int`` rejects, and that one's position
+    (len(rows) if none).  Runs of at most 18 ASCII digits, and one-character
+    tokens in ``letters`` (valued at their index there), are read in bulk;
+    any other by ``int``, clipped to [lo, hi], chosen by the callers so that
+    no range check changes its verdict."""
+    starts, stops = bounds.take(rows, axis=0).T
+    lengths = stops - starts
+    values = np.zeros(len(starts), np.int64)
+    plain = lengths <= 18  # below 10**18, inside int64
+    for k in range(int(lengths.max(initial=0, where=plain)), 0, -1):
+        digit = points[np.maximum(stops - k, starts)] - 48  # wraps above 9 off the digits
+        plain &= digit <= 9
+        values = values * 10 + np.where(lengths >= k, digit, 0)
+    for value, letter in enumerate(letters):
+        hit = (lengths == 1) & (points[starts] == ord(letter))
+        values, plain = np.where(hit, value, values), plain | hit
+    for k in np.flatnonzero(~plain).tolist():  # only tokens outside the bulk forms
         try:
-            values[k] = min(max(int(tokens[k]), lo), hi)
+            values[k] = min(max(int(text[starts[k]:stops[k]]), lo), hi)
         except ValueError:
             return values, k
-    return values, len(tokens)
+    return values, len(starts)
 
 
 def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
@@ -73,11 +106,11 @@ def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
     return n1, n2
 
 
-def _parse_edge_lines(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                      linenos: np.ndarray, n1: int, n2: int
+def _parse_edge_lines(text: str, points: np.ndarray, bounds: np.ndarray, firsts: np.ndarray,
+                      counts: np.ndarray, linenos: np.ndarray, n1: int, n2: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Endpoint arrays and colour codes (None for a bare graph) of the edge
-    lines, whose fields are tokens[starts[k]:starts[k] + counts[k]].
+    lines, whose fields are tokens firsts[k]:firsts[k] + counts[k] (see _scan).
 
     The checks run in bulk.  Each looks only at the lines before the first
     failure found so far, so the error names the first bad line and, within
@@ -89,17 +122,15 @@ def _parse_edge_lines(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray
     if stop < len(counts):
         error = f"line {linenos[stop]}: expected '<i> <j> [colour]'"
     size = max(n1, n2)
-    # The lookup table only saves int() calls; it never outgrows the input.
-    table = {str(k): k for k in range(min(size, len(tokens)))}
-    ends, parsed = _read_ints(tokens[(starts[:stop, None] + (0, 1)).ravel()], table, -1, size)
-    if parsed < 2 * stop:
-        stop = parsed // 2
+    (i, parsed_i), (j, parsed_j) = (_read_ints(text, points, bounds, firsts[:stop] + k, -1, size)
+                                    for k in (0, 1))
+    if min(parsed_i, parsed_j) < stop:
+        stop = min(parsed_i, parsed_j)
         error = f"line {linenos[stop]}: endpoints must be integers"
-    i, j = ends[0:2 * stop:2], ends[1:2 * stop:2]
     bad = first_hit((i < 0) | (i >= n1) | (j < 0) | (j >= n2), stop)
     if bad < stop:
         stop = bad
-        a, b = map(int, tokens[starts[stop]:starts[stop] + 2])
+        a, b = (int(text[slice(*bounds[firsts[stop] + k])]) for k in (0, 1))
         error = f"line {linenos[stop]}: edge ({a},{b}) out of range"
     i, j = i[:stop], j[:stop]
     keys = i * n2 + j
@@ -112,11 +143,11 @@ def _parse_edge_lines(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray
     # is rejected (0 and 1, red and blue, always pass); larger ones are
     # clipped to the bound, which is kept in int64.
     bound = max(min(n1 * n2, np.iinfo(np.int64).max), 2)
-    colour_tokens = tokens[starts[:stop][counts[:stop] == 3] + 2]
-    codes, parsed = _read_ints(colour_tokens, _RB, -1, bound)
+    colours = firsts[:stop][counts[:stop] == 3] + 2
+    codes, parsed = _read_ints(text, points, bounds, colours, -1, bound, "RB")  # Colour 0, 1
     bad = first_hit((codes < 0) | (codes >= bound), parsed)
-    if bad < len(colour_tokens):
-        token = colour_tokens[bad]
+    if bad < len(codes):
+        token = text[slice(*bounds[colours[bad]])]
         if bad == parsed:
             error = f"bad colour token {token!r}"
         elif codes[bad] < 0:
@@ -125,9 +156,9 @@ def _parse_edge_lines(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray
             error = f"colour index {int(token)} out of range 0..{bound - 1}"
     if error is not None:
         raise FormatError(error)
-    if 0 < len(colour_tokens) < len(counts):
+    if 0 < len(codes) < len(counts):
         raise FormatError("mix of coloured and uncoloured edge lines")
-    return i, j, codes if len(colour_tokens) else None
+    return i, j, codes if len(codes) else None
 
 
 def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]:
@@ -136,22 +167,13 @@ def parse_graph(source: str | TextIO) -> tuple[BipartiteGraph, Colouring | None]
     A malformed file raises FormatError for its first bad line.
     """
     text = source if isinstance(source, str) else source.read()
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-        text = "\n".join(lines)
-    # Every line break splitlines() knows is whitespace to split(), so the
-    # tokens of the whole text are the lines' fields end to end.
-    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    del lines
-    tokens = np.array(text.split(), dtype=object)
-    content = np.flatnonzero(counts)
-    if not content.size:
+    points, bounds, firsts, linenos = _scan(text)
+    if not firsts.size:
         raise FormatError("missing 'bipartite <n1> <n2>' header")
-    counts = counts[content]
-    starts = np.cumsum(counts) - counts
-    n1, n2 = _parse_header(tokens[:counts[0]].tolist(), content[0] + 1)
-    i, j, codes = _parse_edge_lines(tokens, starts[1:], counts[1:], content[1:] + 1, n1, n2)
+    counts = np.diff(firsts, append=len(bounds))
+    n1, n2 = _parse_header([text[a:b] for a, b in bounds[:counts[0]].tolist()], linenos[0])
+    i, j, codes = _parse_edge_lines(text, points, bounds, firsts[1:], counts[1:], linenos[1:],
+                                    n1, n2)
     graph = BipartiteGraph(n1, n2, *rows_from_edges(n1, n2, i, j))
     if codes is None:
         return graph, None

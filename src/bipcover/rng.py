@@ -43,7 +43,7 @@ TAG_SWEEP = 0x737765657054524C  # "sweepTRL"
 
 
 def mix64(x: int) -> int:
-    """Finalizer of splitmix64: a 64-bit bijective scrambler."""
+    """A splitmix64-style finalizer, a 64-bit bijection (``_MIX2`` is not splitmix64's)."""
     x &= MASK64
     x = ((x ^ (x >> 30)) * _MIX1) & MASK64
     x = ((x ^ (x >> 27)) * _MIX2) & MASK64

@@ -69,10 +69,13 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self):
-        # Grid values from text or numbers, as the params read them.
-        for name in ("p_values", "c_values"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(as_fraction, getattr(self, name))))
+        # Grids are lists or tuples; p and c values from text or numbers, as the params read them.
+        for name in ("n_values", "p_values", "c_values"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) and (grid is not None or name == "n_values"):
+                raise BipcoverError(f"{name} must be a list or tuple")
+            if grid is not None and name != "n_values":
+                object.__setattr__(self, name, tuple(map(as_fraction, grid)))
         object.__setattr__(self, "delta", as_fraction(self.delta))
         if self.trials < 1:
             raise BipcoverError("trials must be at least 1")

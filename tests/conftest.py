@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from bipcover import (BLUE, RED, BipartiteGraph, Colour, RColouring, TwoColouring, Vertex)
-from bipcover.errors import InvalidArgumentError
+from bipcover.errors import FormatError, InvalidArgumentError
 from bipcover.exact import KnnReport, _component_masks, _maximal, _min_cover
 from bipcover.graph import components_from_rows, select, vertex_masks
 from bipcover.rng import _GOLDEN, _MIX1, _MIX2, MASK64, TAG_MINDEG, combine
@@ -478,3 +478,63 @@ def reference_colour_blowup_pair(n: int, r: int):
         two = TwoColouring.from_edge_map(g, {e: Colour(c) for e, c in colours.items()})
         return g, two
     return g, RColouring.from_edge_map(g, r, colours)
+
+
+# ---------------------------------------------------------------------------
+# Graph files through Python's own string methods
+
+
+def reference_parse_graph(text: str):
+    """``formats.parse_graph`` as a per-line string reader: ``splitlines``,
+    ``split("#", 1)``, per-line ``str.split`` and ``int``.  Each edge line
+    runs its checks in order (field count, integer endpoints, range,
+    duplicate, colour token), so the first bad line raises; a mix of
+    coloured and bare lines is rejected only after every line passed."""
+    content = [(lineno, fields) for lineno, line in enumerate(text.splitlines(), start=1)
+               if (fields := line.split("#", 1)[0].split())]
+    if not content:
+        raise FormatError("missing 'bipartite <n1> <n2>' header")
+    (lineno, header), *edge_lines = content
+    if header[0] != "bipartite" or len(header) != 3:
+        raise FormatError(f"line {lineno}: expected 'bipartite <n1> <n2>'")
+    try:
+        n1, n2 = int(header[1]), int(header[2])
+    except ValueError:
+        raise FormatError(f"line {lineno}: part sizes must be integers") from None
+    if n1 < 1 or n2 < 1:
+        raise FormatError(f"line {lineno}: part sizes must be positive")
+    slots = max(n1 * n2, 2)  # a colour index must be below it; 0 and 1 always pass
+    colours: dict[tuple[int, int], int | None] = {}
+    for lineno, fields in edge_lines:
+        if len(fields) not in (2, 3):
+            raise FormatError(f"line {lineno}: expected '<i> <j> [colour]'")
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: endpoints must be integers") from None
+        if not (0 <= a < n1 and 0 <= b < n2):
+            raise FormatError(f"line {lineno}: edge ({a},{b}) out of range")
+        if (a, b) in colours:
+            raise FormatError(f"line {lineno}: duplicate edge ({a},{b})")
+        colour = None
+        if len(fields) == 3 and fields[2] in ("R", "B"):
+            colour = "RB".index(fields[2])
+        elif len(fields) == 3:
+            try:
+                colour = int(fields[2])
+            except ValueError:
+                raise FormatError(f"bad colour token {fields[2]!r}") from None
+            if colour < 0:
+                raise FormatError(f"negative colour index {colour}")
+            if colour >= slots:
+                raise FormatError(f"colour index {colour} out of range 0..{slots - 1}")
+        colours[a, b] = colour
+    used = set(colours.values())
+    if None in used and len(used) > 1:
+        raise FormatError("mix of coloured and uncoloured edge lines")
+    g = BipartiteGraph.from_edges(n1, n2, colours)
+    if not colours or None in used:
+        return g, None
+    if max(used) <= 1:
+        return g, TwoColouring.from_edge_map(g, colours)
+    return g, RColouring.from_edge_map(g, max(used) + 1, colours)

@@ -4,15 +4,17 @@ import io
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bipcover import formats
 from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
                       sample_bipartite, sample_colouring)
 from bipcover.adversary import colour_blowup_pair
 from bipcover.errors import FormatError
 from bipcover.formats import parse_graph, write_graph
 from bipcover.models import ModelParams
-from conftest import matching_graph
+from conftest import matching_graph, reference_parse_graph
 
 
 def test_graph_round_trip_uncoloured():
@@ -285,3 +287,100 @@ def test_write_graph_without_edges_on_many_colours():
     g = BipartiteGraph.from_edges(2, 3, [])
     col = RColouring(g, [((0, 0), (0, 0, 0))] * 3)
     assert write_graph(g, col) == "bipartite 2 3\n"
+
+
+# The scanner against Python's own string methods.  Noise draws every kind
+# of whitespace and line break, '#', signs, underscores, letters, the two
+# neighbours of the ASCII digits, a non-ASCII digit (ARABIC-INDIC DIGIT
+# ONE), an index beyond int64 and one that int64 arithmetic wraps to 1.
+NOISE = [*"0123456789", " ", "\t", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+         "\x1f", "\x85", "\xa0", "\u2028", "\u3000", "#", "+", "-", "_", "R", "B", "x", "/", ":",
+         "\u0661", "9" * 20, str(2 ** 64 + 1)]
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+# Headers keep the part sizes small, as parse_graph holds an n1 x n2 matrix.
+HEADERS = ["bipartite {} {}", "bipartite\t{}\u3000{} # sizes", "bipartite +{} {}",
+           "bipartite {} \u0661", "bipartite {}", "bipartite {} {} 1", "graph {} {}",
+           "bipartite 0 {}", "bipartite {} -{}", "bipartite x {}", "# bipartite {} {}"]
+
+
+@st.composite
+def noisy_graph_files(draw):
+    """A header line (valid for half the files), then either write_graph's
+    edge lines or noise lines, with a few edits: a line repeated elsewhere,
+    noise appended to a line, or noise spliced over a short stretch."""
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    noise = st.lists(st.sampled_from(NOISE), min_size=1, max_size=4).map("".join)
+    header = draw(st.one_of(st.just(HEADERS[0]), st.sampled_from(HEADERS))).format(n1, n2)
+    rng = draw(st.randoms(use_true_random=False))
+    g = BipartiteGraph.from_rows(n1, n2, [rng.getrandbits(n2) for _ in range(n1)])
+    edges = list(g.edges())
+    kind = draw(st.sampled_from(("noise", "bare", "two", "many")))
+    if kind == "noise":
+        lines = draw(st.lists(st.lists(noise, min_size=2, max_size=3).map(" ".join), max_size=6))
+    else:
+        col = None
+        if kind == "two" and edges:
+            col = TwoColouring.from_edge_map(g, {e: rng.choice((RED, BLUE)) for e in edges})
+        elif kind == "many" and edges:
+            r = draw(st.integers(3, max(3, n1 * n2 + 1)))
+            col = RColouring.from_edge_map(g, r, {e: rng.randrange(r) for e in edges})
+        lines = write_graph(g, col).splitlines()[1:]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("repeat", "append", "splice"))) if lines else "splice"
+        if edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), rng.choice(lines))
+        elif edit == "append":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] += draw(noise)
+        else:
+            body = "\n".join(lines)
+            at, cut = draw(st.integers(0, len(body))), draw(st.integers(0, 2))
+            lines = (body[:at] + draw(noise) + body[at + cut:]).split("\n")
+    breaks = st.sampled_from(LINE_BREAKS)
+    return (draw(st.sampled_from(("", "# lead # twice\n", "\n\r\n"))) + header + draw(breaks)
+            + "".join(line + draw(breaks) for line in lines))
+
+
+def assert_reads_as_the_reference(text):
+    """parse_graph gives the reference reader's graph and colouring, or
+    raises FormatError with its message."""
+    try:
+        expected = reference_parse_graph(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            parse_graph(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_graph(text) == expected
+
+
+@settings(deadline=None, max_examples=500)
+@given(noisy_graph_files())
+def test_scanner_matches_the_reference_reader(text):
+    assert_reads_as_the_reference(text)
+
+
+# Tokens at the edges of the bulk reader: the digits' ASCII neighbours,
+# 18- to 20-digit runs (one wraps int64 arithmetic to 1), signs,
+# underscores, a non-ASCII digit and letters next to R and B.
+EDGE_TOKENS = ["1", "+1", "-0", "1_0", "\u0661", "1:", "/1", "0" * 17 + "1", "0" * 19 + "1",
+               str(2 ** 64 + 1), "9" * 20, "R", "B", "Rx", "BR", "x"]
+
+
+@pytest.mark.parametrize("field", (0, 1, 2))
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_scanner_reads_edge_tokens_as_the_reference(token, field):
+    fields = ["1", "0", "B"]
+    fields[field] = token
+    assert_reads_as_the_reference("bipartite 2 2\n0 0 R\n" + " ".join(fields) + "\n")
+
+
+def test_scanner_character_sets():
+    # str.split() splits on the isspace() code points; splitlines() breaks
+    # lines on some of them.  The scanner's table holds those two sets.
+    spaces = {c for c in range(0x110000) if chr(c).isspace()}
+    breaks = {c for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert set(map(ord, formats._SPACES)) == spaces
+    assert set(map(ord, formats._BREAKS)) == breaks
+    assert set(np.flatnonzero(formats._CLASS).tolist()) == spaces | {ord("#")}
+    assert set(np.flatnonzero(formats._CLASS == 2).tolist()) == breaks

@@ -314,9 +314,14 @@ def test_run_construction_reports_a_bad_tc_witness(monkeypatch):
      "cannot interpret None as an exact fraction"),
     (lambda: small_config(delta="1/0"), "cannot interpret '1/0' as an exact fraction"),
     (lambda: small_config(p_values=("3/2",)), "p value 3/2 outside (0, 1]"),
+    (lambda: small_config(n_values=12), "n_values must be a list or tuple"),
+    (lambda: small_config(n_values=None), "n_values must be a list or tuple"),
+    (lambda: small_config(p_values=None, c_values=5), "c_values must be a list or tuple"),
+    (lambda: small_config(p_values="1/2"), "p_values must be a list or tuple"),
 ], ids=("unknown-source", "unknown-algorithm", "config-line-without-equals",
         "partition3-delta", "mapped-retry-limit", "threads-below-one", "n-not-integer",
-        "p-value-unreadable", "c-value-unreadable", "delta-unreadable", "p-value-text"))
+        "p-value-unreadable", "c-value-unreadable", "delta-unreadable", "p-value-text",
+        "n-values-scalar", "n-values-none", "c-values-scalar", "p-values-string"))
 def test_sweep_input_checks(call, message):
     with pytest.raises(BipcoverError) as exc:
         call()
