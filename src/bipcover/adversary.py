@@ -66,22 +66,16 @@ def colour_lower3(g: BipartiteGraph) -> tuple[TwoColouring, Lower3Witness]:
             x_mask = full1 & ~nb & ~(1 << r_idx)
             y_mask = full2 & ~nr & ~(1 << b_idx)
             if x_mask and y_mask:
-                return _lower3_colouring(g, r_idx, b_idx, x_mask, y_mask)
+                # Every edge is zoned: X rows miss b (X misses N(b)), N(b) rows
+                # off Y are blue, r's row is N(r).
+                red1 = [nr if i == r_idx else g.row(1, i) & (nr if x_mask >> i & 1 else y_mask)
+                        for i in range(g.n1)]
+                witness = Lower3Witness(Vertex(1, r_idx), Vertex(2, b_idx),
+                                        vertex_set(x_mask, 0), vertex_set(0, y_mask))
+                return TwoColouring.from_red_rows(g, red1), witness
     raise ConstructionInfeasibleError(
         "no anchor pair with both remainder zones nonempty; "
         "some vertex has fewer than two non-neighbours")
-
-
-def _lower3_colouring(g: BipartiteGraph, r_idx: int, b_idx: int,
-                      x_mask: int, y_mask: int) -> tuple[TwoColouring, Lower3Witness]:
-    nr = g.row(1, r_idx)
-    # Every edge is zoned: X rows miss b (X misses N(b)), N(b) rows off Y are blue, r's row is N(r).
-    red1 = [nr if i == r_idx else g.row(1, i) & (nr if x_mask >> i & 1 else y_mask)
-            for i in range(g.n1)]
-    colouring = TwoColouring.from_red_rows(g, red1)
-    witness = Lower3Witness(Vertex(1, r_idx), Vertex(2, b_idx),
-                            vertex_set(x_mask, 0), vertex_set(0, y_mask))
-    return colouring, witness
 
 
 def _first_disjoint_pair(rows: tuple[int, ...], allowed: int) -> tuple[int, int] | None:

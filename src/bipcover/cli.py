@@ -2,7 +2,9 @@
 
 Subcommands: sample, colour, adversary, cover, partition, exact, check,
 sweep, summarise.  Probabilities are exact rationals: pass either
---p-num/--p-den or --p with a decimal string.  ``exact --mode tp`` counts
+--p-num/--p-den or --p with a decimal string.  Defaults come from the
+library: retry limits and delta from CoverParams and PartitionParams, the
+knn bound 2r - 2 from ``exhaustive_knn_check``.  ``exact --mode tp`` counts
 a single vertex as a part; ``cover`` has no epsilon: its audit's degree
 band is fixed at (1 +- 1/10) * p * n.  Output files default to the
 directory in the BIPCOVER_OUTDIR environment variable (else the current
@@ -270,16 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     cover.add_argument("graph")
     _add_p_flags(cover)
     cover.add_argument("--seed", type=int, default=0)
-    cover.add_argument("--retry-limit", type=int, default=16)
+    cover.add_argument("--retry-limit", type=int, default=CoverParams.retry_limit)
     cover.add_argument("--out", default=None)
     cover.add_argument("--audit", default=None, help="JSON-lines audit sink")
     cover.set_defaults(func=_cmd_cover)
 
     part = sub.add_parser("partition", help="partition into <= 3 monochromatic parts")
     part.add_argument("graph")
-    part.add_argument("--delta", default="0.05")
+    part.add_argument("--delta", default=PartitionParams.delta)
     part.add_argument("--seed", type=int, default=0)
-    part.add_argument("--retry-limit", type=int, default=32)
+    part.add_argument("--retry-limit", type=int, default=PartitionParams.retry_limit)
     part.add_argument("--out", default=None)
     part.add_argument("--audit", default=None)
     part.set_defaults(func=_cmd_partition)
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     exact.add_argument("graph", nargs="?")
     exact.add_argument("--n", type=int, help="knn: part size")
     exact.add_argument("--r", type=int, default=2, help="knn: colours")
-    exact.add_argument("--bound", type=int, default=2, help="knn: flag tc above this")
+    exact.add_argument("--bound", type=int, help="knn: flag tc above this (default 2r - 2)")
     exact.add_argument("--force", action="store_true",
                        help="override size guards (may be very slow)")
     exact.set_defaults(func=_cmd_exact)

@@ -58,27 +58,25 @@ def _min_cover(universe: int, sets: list[int]) -> tuple[int, list[int], int]:
     """Exact minimum set cover by branch and bound.
 
     Returns (size, chosen set indices, nodes explored).  ``sets`` must cover
-    ``universe``, as the maximal components of all layers, singletons included, do.
+    ``universe`` and come largest first, as ``_maximal``'s list of the maximal
+    components of all layers, singletons included, does.
     """
-    order = sorted(range(len(sets)), key=lambda k: -sets[k].bit_count())
-    sets_by_size = [sets[k] for k in order]
-
     covering: dict[int, list[int]] = {}
     cover_union: dict[int, int] = {}
     for v in iter_bits(universe):
         bit = 1 << v
-        covering[v] = [k for k, s in enumerate(sets_by_size) if s & bit]
+        covering[v] = [k for k, s in enumerate(sets) if s & bit]
         cover_union[v] = 0
         for k in covering[v]:
-            cover_union[v] |= sets_by_size[k]
+            cover_union[v] |= sets[k]
 
     # Greedy upper bound.
     best: list[int] = []
     left = universe
     while left:
-        k = max(range(len(sets_by_size)), key=lambda t: (sets_by_size[t] & left).bit_count())
+        k = max(range(len(sets)), key=lambda t: (sets[t] & left).bit_count())
         best.append(k)
-        left &= ~sets_by_size[k]
+        left &= ~sets[k]
     best_size = len(best)
 
     nodes = 0
@@ -105,16 +103,16 @@ def _min_cover(universe: int, sets: list[int]) -> tuple[int, list[int], int]:
             return
         # Branch on the uncovered vertex with fewest candidate sets.
         v = min(iter_bits(left),
-                key=lambda u: sum(1 for k in covering[u] if sets_by_size[k] & left))
+                key=lambda u: sum(1 for k in covering[u] if sets[k] & left))
         candidates = sorted((k for k in covering[v]),
-                            key=lambda k: -(sets_by_size[k] & left).bit_count())
+                            key=lambda k: -(sets[k] & left).bit_count())
         for k in candidates:
             chosen.append(k)
-            search(left & ~sets_by_size[k], chosen)
+            search(left & ~sets[k], chosen)
             chosen.pop()
 
     search(universe, [])
-    return best_size, [order[k] for k in best], nodes
+    return best_size, best, nodes
 
 
 def _maximal(masks) -> list[int]:
@@ -262,8 +260,11 @@ def _orbit_keys(r: int, digits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> KnnReport:
-    """Compute tc over every r-colouring of K_{n,n} and report the maximum.
+def exhaustive_knn_check(n: int, r: int, bound: int | None = None,
+                         force: bool = False) -> KnnReport:
+    """Compute tc over every r-colouring of K_{n,n} and report the maximum
+    and the colourings with tc above ``bound``: by default the Gyarfas-Lehel
+    bound 2r - 2, or 1 for r = 1, whose one colouring has tc 1.
 
     Colouring ``code`` gives edge (i, j) base-r digit i*n + j, so part-1 row
     i has row code ``code // R**i % R``, one of R = r**n.  tc does not change when
@@ -281,6 +282,7 @@ def exhaustive_knn_check(n: int, r: int, bound: int, force: bool = False) -> Knn
     """
     if n < 1 or r < 1:
         raise InvalidArgumentError("n and r must be positive")
+    bound = max(1, 2 * r - 2) if bound is None else bound
     row_codes = r ** n
     representatives = math.comb(row_codes + n - 1, n)
     if representatives > KNN_ENUMERATION_GUARD and not force:

@@ -66,14 +66,14 @@ def _scan(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return points, bounds, after[lines], lines + 1
 
 
-def _read_ints(text: str, points: np.ndarray, bounds: np.ndarray, rows: np.ndarray, lo: int,
+def _read_ints(text: str, points: np.ndarray, bounds: np.ndarray, rows: np.ndarray,
                hi: int, letters: str = "") -> tuple[np.ndarray, int]:
     """Value of each token text[start:stop], (start, stop) in bounds[rows], as
     int64 up to the first one ``int`` rejects, and that one's position
     (len(rows) if none).  Runs of at most 18 ASCII digits, and one-character
     tokens in ``letters`` (valued at their index there), are read in bulk;
-    any other by ``int``, clipped to [lo, hi], chosen by the callers so that
-    no range check changes its verdict."""
+    any other by ``int``, clipped to [-1, hi]: the callers' valid values lie in
+    [0, hi), so no range check changes its verdict."""
     starts, stops = bounds.take(rows, axis=0).T
     lengths = stops - starts
     values = np.zeros(len(starts), np.int64)
@@ -87,7 +87,7 @@ def _read_ints(text: str, points: np.ndarray, bounds: np.ndarray, rows: np.ndarr
         values, plain = np.where(hit, value, values), plain | hit
     for k in np.flatnonzero(~plain).tolist():  # only tokens outside the bulk forms
         try:
-            values[k] = min(max(int(text[starts[k]:stops[k]]), lo), hi)
+            values[k] = min(max(int(text[starts[k]:stops[k]]), -1), hi)
         except ValueError:
             return values, k
     return values, len(starts)
@@ -122,7 +122,7 @@ def _parse_edge_lines(text: str, points: np.ndarray, bounds: np.ndarray, firsts:
     if stop < len(counts):
         error = f"line {linenos[stop]}: expected '<i> <j> [colour]'"
     size = max(n1, n2)
-    (i, parsed_i), (j, parsed_j) = (_read_ints(text, points, bounds, firsts[:stop] + k, -1, size)
+    (i, parsed_i), (j, parsed_j) = (_read_ints(text, points, bounds, firsts[:stop] + k, size)
                                     for k in (0, 1))
     if min(parsed_i, parsed_j) < stop:
         stop = min(parsed_i, parsed_j)
@@ -144,7 +144,7 @@ def _parse_edge_lines(text: str, points: np.ndarray, bounds: np.ndarray, firsts:
     # clipped to the bound, which is kept in int64.
     bound = max(min(n1 * n2, np.iinfo(np.int64).max), 2)
     colours = firsts[:stop][counts[:stop] == 3] + 2
-    codes, parsed = _read_ints(text, points, bounds, colours, -1, bound, "RB")  # Colour 0, 1
+    codes, parsed = _read_ints(text, points, bounds, colours, bound, "RB")  # Colour 0, 1
     bad = first_hit((codes < 0) | (codes >= bound), parsed)
     if bad < len(codes):
         token = text[slice(*bounds[colours[bad]])]

@@ -60,10 +60,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def bit_indices(mask: int) -> list[int]:
-    """Indices of set bits, ascending.  Past about 32 set bits one numpy
-    expansion beats the ``iter_bits`` loop, whose cost follows the set bits."""
-    if mask.bit_count() <= 32:
-        return list(iter_bits(mask))
+    """Indices of set bits, ascending, in one numpy expansion."""
     buf = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     return np.flatnonzero(np.unpackbits(buf, bitorder="little")).tolist()
 

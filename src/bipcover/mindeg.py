@@ -52,7 +52,7 @@ BRANCHES = ("one-colour", "two-parts", "relink")  # the values of PartitionState
 
 @dataclass(frozen=True)
 class PartitionParams:
-    delta: Fraction
+    delta: Fraction = Fraction(1, 20)
     retry_limit: int = 32
     seed: int = 0
 

@@ -81,7 +81,7 @@ def check_degrees(g: BipartiteGraph, p, epsilon) -> tuple[PropertyReport, Proper
     degree_report = PropertyReport("degree-band")
     codegree_report = PropertyReport("codegree-band")
     for part in (1, 2):
-        rows = [g.row(part, i) for i in range(n)]
+        rows = g.rows(part)
         for i, row in enumerate(rows):
             degree_report.checked_instances += 1
             d = row.bit_count()
@@ -102,7 +102,7 @@ def count_no_common_neighbour_pairs(g: BipartiteGraph) -> tuple[int, int]:
     """Per part, how many same-part pairs share no neighbour at all."""
     counts = []
     for part, width in ((1, g.n2), (2, g.n1)):
-        rows = [g.row(part, i) for i in range(g.part_size(part))]
+        rows = g.rows(part)
         counts.append(sum(int(np.count_nonzero(tail == 0))
                           for tail in _codegree_tails(rows, width)))
     return counts[0], counts[1]

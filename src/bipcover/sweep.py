@@ -64,8 +64,8 @@ class SweepConfig:
     algorithm: str = "almost_cover"
     p_values: tuple[Fraction, ...] | None = None
     c_values: tuple[Fraction, ...] | None = None  # p = c * sqrt(log n / n)
-    delta: Fraction = Fraction(1, 20)
-    retry_limit: int = 16
+    delta: Fraction = PartitionParams.delta
+    retry_limit: int = CoverParams.retry_limit
     threads: int = 1
 
     def __post_init__(self):
@@ -187,8 +187,8 @@ def _trial(config: SweepConfig, job: tuple[int, int, Fraction, int]) -> SweepRec
         if config.algorithm == "almost_cover":
             params = CoverParams(p=p, retry_limit=config.retry_limit, seed=seed)
         elif config.algorithm == "partition3":
-            params = PartitionParams(delta=config.delta, seed=seed,
-                                     retry_limit=max(config.retry_limit, 32))
+            retry = max(config.retry_limit, PartitionParams.retry_limit)
+            params = PartitionParams(delta=config.delta, seed=seed, retry_limit=retry)
         run = run_construction(g, colouring, params)
         fields = dict(trees=run.trees, uncovered=run.uncovered, valid=run.report.ok,
                       case=run.case,
@@ -281,7 +281,7 @@ def summarise(records: list[SweepRecord]) -> str:
     for r in records:
         cells.setdefault((r.n, r.p, r.source, r.algorithm), []).append(r)
     lines = [SUMMARY_HEADER]
-    for key in sorted(cells, key=lambda k: (k[0], k[1], k[2], k[3])):
+    for key in sorted(cells):
         n, p, source, algorithm = key
         rs = cells[key]
         trials = len(rs)

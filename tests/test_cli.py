@@ -112,6 +112,15 @@ def test_exact_knn(capsys):
     data = json.loads(out)
     assert data["max_tc"] == 2
     assert data["total_colourings"] == 16
+    # Without --bound the bound is 2r - 2, which is 2 here: the same report.
+    assert run(capsys, "exact", "--mode", "knn", "--n", "2", "--r", "2") == (code, out, "")
+
+
+def test_exact_knn_bound_follows_r(capsys):
+    code, out, _ = run(capsys, "exact", "--mode", "knn", "--n", "3", "--r", "3")
+    data = json.loads(out)
+    assert (code, data["bound"], data["max_tc"]) == (0, 4, 3)
+    assert data["violations"] == [] and data["violation_count"] == 0
 
 
 def test_exact_tp_guard_message(tmp_path, capsys):

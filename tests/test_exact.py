@@ -141,6 +141,11 @@ class TestExhaustive:
         assert report.max_tc == 1
         assert report.total_colourings == 1
 
+    def test_one_colour_bound_is_one(self):
+        # 2r - 2 would be 0, but the one colouring of K_{n,n} has tc 1.
+        report = exhaustive_knn_check(2, 1)
+        assert (report.bound, report.max_tc, report.violations) == (1, 1, [])
+
     def test_n2_all_sixteen(self):
         report = exhaustive_knn_check(2, 2, 2)
         assert report.total_colourings == 16

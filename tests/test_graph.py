@@ -3,7 +3,6 @@
 import ast
 import random
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -636,18 +635,21 @@ class TestColouringLayers:
         for i, j in g.edges():
             assert col.colour_of(i, j) == naive_colour_of(col, i, j) == (14399 if i % 2 else 0)
 
-    def test_edge_map_cost_follows_colours_in_use(self):
-        # Colour indices 0 and n1*n2 - 1 only: 14,400 layers, two built.
+    def test_edge_map_cost_follows_colours_in_use(self, monkeypatch):
+        # Colour indices 0 and n1*n2 - 1 only: 14,400 layers, two built and
+        # two checked against their transpose, one per colour in use.
         g = BipartiteGraph.complete(120, 120)
         colours = {(i, j): 14399 if (i + j) % 2 else 0 for i, j in g.edges()}
-        seconds = []
-        for _ in range(3):
-            start = time.perf_counter()
-            col = RColouring.from_edge_map(g, 14400, colours)
-            seconds.append(time.perf_counter() - start)
+        calls = {"rows_from_edges": 0, "transpose_rows": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(graph, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(graph, name, counted)
+        col = RColouring.from_edge_map(g, 14400, colours)
+        assert calls == {"rows_from_edges": 2, "transpose_rows": 2}
         assert (g, col) == parse_graph(write_graph(g, col))
         assert col.used_colours == (0, 14399)
-        assert min(seconds) < 0.1
 
     @settings(deadline=None, max_examples=80)
     @given(st.data())

@@ -13,10 +13,7 @@ tracer the suite runs about four times slower.  The exit status is
 pytest's.
 
 The census counts only the tests that ran: with ``-x`` pytest stops at
-the first failure and the report covers a partial suite.  Wall-time
-bounds, such as ``test_edge_map_cost_follows_colours_in_use``'s, can
-fail under the tracer's slowdown; the line report stays valid, as every
-test still runs.
+the first failure and the report covers a partial suite.
 """
 
 from __future__ import annotations
