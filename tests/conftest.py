@@ -16,7 +16,16 @@ from bipcover import (BLUE, RED, BipartiteGraph, Colour, RColouring, TwoColourin
 from bipcover.errors import FormatError, InvalidArgumentError
 from bipcover.exact import KnnReport, _component_masks, _maximal, _min_cover
 from bipcover.graph import components_from_rows, select, vertex_masks
-from bipcover.rng import _GOLDEN, _MIX1, _MIX2, MASK64, TAG_MINDEG, combine
+from bipcover.rng import combine
+
+# The hash constants, written out so that a change to ``bipcover.rng``'s
+# own copies is judged against these.  MIX2 is not splitmix64's published
+# second multiplier, 0x94D049BB133111EB; every seeded output depends on this one.
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D49BF24592E92D
+TAG_MINDEG = 0x6D696E6465677261  # "mindegra"
 
 
 def graph_from_coloured_edges(n1, n2, coloured):
@@ -381,9 +390,9 @@ def naive_hash_block(seed: int, start: int, count: int) -> np.ndarray:
     """``hash_at(seed, start + k)`` for k in range(count), all at once, each
     step on a fresh temporary."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    x = idx * np.uint64(_GOLDEN) + np.uint64(seed & MASK64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    x = idx * np.uint64(GOLDEN) + np.uint64(seed & MASK64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(MIX2)
     return x ^ (x >> np.uint64(31))
 
 

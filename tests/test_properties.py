@@ -4,13 +4,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bipcover import (BipartiteGraph, check_degrees, count_no_common_neighbour_pairs,
                       sample_bipartite)
 from bipcover.errors import InvalidArgumentError
 from bipcover.models import ModelParams
-from bipcover.properties import _codegree_tails
+from bipcover.properties import _BLOCK, _codegree_blocks
 from conftest import naive_degree_bands
 
 
@@ -85,13 +86,32 @@ class TestCodegreeKernel:
         assert {3, 4, 6, 7} <= on_edge
 
     @pytest.mark.parametrize("width", (0, 1, 63, 64, 65, 130))
-    def test_tails_match_pair_loop(self, width):
-        rng = random.Random(width)
-        rows = [rng.getrandbits(width) for _ in range(7)]
-        rows[2] = (1 << width) - 1
-        tails = [t.tolist() for t in _codegree_tails(rows, width)]
-        assert tails == [[(rows[i] & rows[j]).bit_count() for j in range(i + 1, 7)]
-                         for i in range(6)]
+    def test_blocks_match_pair_loop(self, width):
+        for count in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+            rng = random.Random(width * 1000 + count)
+            rows = [rng.getrandbits(width) for _ in range(count)]
+            rows[count // 2] = (1 << width) - 1
+            starts, upper_pairs = [], []
+            for b, co, upper in _codegree_blocks(rows, width):
+                starts.append(b)
+                assert co.dtype == np.int32
+                assert co.tolist() == [[(rows[i] & rows[j]).bit_count() for j in range(b, count)]
+                                       for i in range(b, min(b + _BLOCK, count))]
+                assert upper.shape == co.shape
+                upper_pairs += [(b + a, b + k) for a, k in zip(*np.nonzero(upper))]
+            assert starts == list(range(0, count, _BLOCK))
+            assert upper_pairs == [(i, j) for i in range(count) for j in range(i + 1, count)]
+
+    @pytest.mark.parametrize("n", (_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1))
+    @pytest.mark.parametrize("p", (Fraction(1, 2), Fraction(1, 20)))
+    def test_block_edges_match_oracles(self, n, p):
+        rows = list(sample_bipartite(ModelParams(n, n, p), n).rows(1))
+        rows[0], rows[n // 2] = 0, (1 << n) - 1  # an isolated vertex and a full one
+        g = BipartiteGraph.from_rows(n, n, rows)
+        # The transpose puts the isolated and the full vertex in part 2.
+        for h in (g, BipartiteGraph.from_rows(n, n, g.rows(2))):
+            assert self.assert_matches_oracle(h, p, Fraction(1, 5))
+            assert count_no_common_neighbour_pairs(h) == _bit_count_pair_counts(h)
 
     def test_no_common_pairs_unbalanced(self):
         for n1, n2 in ((1, 1), (1, 7), (9, 2), (30, 65)):
@@ -128,6 +148,15 @@ class TestNoCommonNeighbourPairs:
         expected = math.comb(n, 2) * (1 - float(pf) ** 2) ** n
         sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (len(counts) - 1))
         assert abs(mean - expected) <= 3 * sd
+
+
+def _bit_count_pair_counts(g):
+    counts = []
+    for part in (1, 2):
+        rows = g.rows(part)
+        counts.append(sum((rows[i] & rows[j]).bit_count() == 0
+                          for i in range(len(rows)) for j in range(i + 1, len(rows))))
+    return tuple(counts)
 
 
 def _naive_pair_counts(g):

@@ -24,6 +24,15 @@ def test_hash_is_order_independent():
     assert hash_at(5, 0) != hash_at(6, 0)
 
 
+@pytest.mark.parametrize("seed, counter, expected", [
+    (0, 0, 0x7F67A05516270239),
+    (20250808, 1, 0x4B298496DCF1AE30),
+    ((1 << 64) - 1, 999999, 0x4EF741405F004C82),
+])
+def test_hash_at_known_answers(seed, counter, expected):
+    assert hash_at(seed, counter) == expected
+
+
 def test_mix64_is_bijective_on_samples():
     values = {mix64(x) for x in range(10000)}
     assert len(values) == 10000

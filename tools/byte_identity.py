@@ -8,8 +8,11 @@ unless a change says why (ROADMAP's invariant):
   sources, on a small seeded grid at the default settings;
 - ``cover`` and ``partition`` files with their ``--audit`` lines, for
   seeded graph files under a random and an adversarial colouring;
-- ``bipcover check`` on one file, and ``exact --mode tc`` on a small
-  file under both colourings;
+- ``bipcover check`` on three files: 60 x 60, which fits in one block of
+  the codegree kernel, and 150 x 150 at p = 1/2 (three blocks, codegree
+  violations) and p = 1/20 (an isolated vertex, pairs with no common
+  neighbour, exit 1); and ``exact --mode tc`` on a small file under both
+  colourings;
 - ``exact --mode knn`` with an explicit ``--bound``, for (n, r) = (3, 2)
   and (2, 3).
 
@@ -86,6 +89,10 @@ def commands(out: Path) -> None:
             "--seed", "15", "--out", path(f"partition-{colouring}.txt"),
             "--audit", path("audit.jsonl"))
     run("check", "check", path("sparse.txt"), "--p", "0.5", "--epsilon", "0.2")
+    for p, seed in (("0.5", "19"), ("0.05", "18")):  # seed 18 leaves vertex 1:82 isolated
+        run(f"sample-{p}", "sample", "--n1", "150", "--n2", "150", "--p", p,
+            "--seed", seed, "--out", path(f"check-{p}.txt"))
+        run(f"check-{p}", "check", path(f"check-{p}.txt"), "--p", p, "--epsilon", "0.2")
     run("sample-tiny", "sample", "--n1", "5", "--n2", "6", "--p", "0.6",
         "--seed", "16", "--out", path("tiny.txt"))
     run("colour-tiny", "colour", path("tiny.txt"), "--seed", "17",
