@@ -10,6 +10,7 @@ by their edge count into a mask, and ``tag`` fills the vertex-keyed maps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
@@ -57,6 +58,7 @@ def reaching(rows: Sequence[int], mask: int, target: int, floor) -> int:
     """The bits x of ``mask`` with at least ``floor`` bits of ``rows[x]`` in
     ``target``: on a part's (colour) rows, the vertices of ``mask`` with at
     least ``floor`` (colour) edges into the opposite-part mask ``target``."""
+    floor = math.ceil(floor)  # a count reaches floor iff it reaches its ceiling
     return select(mask, lambda x: (rows[x] & target).bit_count() >= floor)
 
 

@@ -104,8 +104,8 @@ def pack_rows(rows: Sequence[int], width: int) -> np.ndarray:
 
 def _packed_rows(packed: np.ndarray) -> tuple[int, ...]:
     """The bit rows of packed bytes, little bit order (``pack_rows`` inverted)."""
-    buf, step = packed.tobytes(), packed.shape[1]
-    return tuple(int.from_bytes(buf[i * step:(i + 1) * step], "little") for i in range(len(packed)))
+    buf, step, from_bytes = packed.tobytes(), packed.shape[1], int.from_bytes
+    return tuple([from_bytes(buf[i * step:(i + 1) * step], "little") for i in range(len(packed))])
 
 
 def rows_to_matrix(rows: Sequence[int], width: int) -> np.ndarray:

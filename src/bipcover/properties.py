@@ -7,11 +7,11 @@ share no neighbour.  Together they are the report ``bipcover check``
 prints.  The bounds on the sets a run actually built are checked by the
 run's own audit (``audit_state``, ``audit_partition_state``).
 
-Both pair scans read one kernel, ``_codegree_blocks``: a part's rows are
-packed into 64-bit words stored word-major, so each word plane is one
-contiguous array, and the codegrees of a block of ``_BLOCK`` rows against
-every later row accumulate plane by plane.  Each scan keeps the pairs
-j > i of a block through its ``upper`` mask.
+Both pair scans pack a part's rows into 64-bit word planes stored
+word-major (``_word_planes``), and take a block of ``_BLOCK`` rows against
+every later row at a time, keeping its pairs j > i through ``upper``.  The
+band check sums the codegrees plane by plane; the count stops each block at
+the first plane after which every pair shares a word.
 """
 
 from __future__ import annotations
@@ -53,21 +53,25 @@ class PropertyReport:
 _BLOCK = 64  # rows per block: a block's uint64 plane AND at n = 1000 is 512 KB
 
 
+def _word_planes(rows: Sequence[int], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(words, upper): ``words[w]`` holds every row's w-th 64-bit word, and
+    ``upper[a, k]`` is k > a, the pairs j > i of a block of rows b, b + 1, ..."""
+    words = pack_rows(rows, (width + 63) // 64 * 64).view(np.uint64).T.copy()
+    return words, np.triu(np.ones((_BLOCK, len(rows)), dtype=bool), 1)
+
+
 def _codegree_blocks(rows: Sequence[int], width: int
                      ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """For each block of rows b .. b + h - 1, yield (b, co, upper).
 
     ``co`` is the int32 (h x (len(rows) - b)) array with ``co[a, k] =
     |N(b + a) cap N(b + k)|``; ``upper`` masks its pairs k > a (j > i), so
-    that each pair is read once and no row is paired with itself.
-    Rows are packed once into word planes (``words[w]`` holds every row's
-    w-th 64-bit word); per block and plane, one broadcast AND, one popcount
-    and one add.  Exact at any width, and no BLAS call, so no thread pool
-    is left spinning after the check.
+    that each pair is read once and no row is paired with itself.  Per
+    block and word plane, one broadcast AND, one popcount and one add.
+    Exact at any width, and no BLAS call, so no thread pool is left
+    spinning after the check.
     """
-    n = len(rows)
-    words = pack_rows(rows, (width + 63) // 64 * 64).view(np.uint64).T.copy()
-    upper = np.triu(np.ones((_BLOCK, n), dtype=bool), 1)
+    n, (words, upper) = len(rows), _word_planes(rows, width)
     both = np.empty(_BLOCK * n, dtype=np.uint64)
     ones = np.empty(_BLOCK * n, dtype=np.uint8)
     for b in range(0, n, _BLOCK):
@@ -124,10 +128,18 @@ def check_degrees(g: BipartiteGraph, p, epsilon) -> tuple[PropertyReport, Proper
 
 
 def count_no_common_neighbour_pairs(g: BipartiteGraph) -> tuple[int, int]:
-    """Per part, how many same-part pairs share no neighbour at all."""
+    """Per part, how many same-part pairs share no neighbour at all; each
+    block stops at the first word plane after which no such pair is left."""
     counts = []
     for part, width in ((1, g.n2), (2, g.n1)):
         rows = g.rows(part)
-        counts.append(sum(int(np.count_nonzero((co == 0) & upper))
-                          for _, co, upper in _codegree_blocks(rows, width)))
+        (words, upper), n, total = _word_planes(rows, width), len(rows), 0
+        for b in range(0, n, _BLOCK):
+            zero = upper[:min(_BLOCK, n - b), :n - b].copy()  # pairs sharing no word yet
+            for plane in words:
+                zero &= (plane[b:b + len(zero), None] & plane[b:]) == 0
+                if not zero.any():
+                    break
+            total += int(np.count_nonzero(zero))
+        counts.append(total)
     return counts[0], counts[1]

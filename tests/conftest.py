@@ -15,8 +15,7 @@ import numpy as np
 from bipcover import (BLUE, RED, BipartiteGraph, Colour, RColouring, TwoColouring, Vertex)
 from bipcover.errors import FormatError, InvalidArgumentError
 from bipcover.exact import KnnReport, _component_masks, _maximal, _min_cover
-from bipcover.graph import components_from_rows, select, vertex_masks
-from bipcover.rng import combine
+from bipcover.graph import components_from_rows, vertex_masks
 
 # The hash constants, written out so that a change to ``bipcover.rng``'s
 # own copies is judged against these.  MIX2 is not splitmix64's published
@@ -305,7 +304,7 @@ def naive_mindeg_subgraph(n, fraction, seed) -> tuple[tuple[int, ...], tuple[int
     slot-by-slot greedy: visit the slots in stable key order and delete
     each one whose endpoints both sit above the floor."""
     floor = math.ceil(Fraction(fraction) * n)
-    order = np.argsort(naive_hash_block(combine(seed, TAG_MINDEG), 0, n * n), kind="stable")
+    order = np.argsort(naive_hash_block(naive_combine(seed, TAG_MINDEG), 0, n * n), kind="stable")
     deg1, deg2 = [n] * n, [n] * n
     edges = []
     for slot in order.tolist():
@@ -396,15 +395,35 @@ def naive_hash_block(seed: int, start: int, count: int) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def naive_combine(*parts: int) -> int:
+    """``rng.combine``: fold each part into an accumulator through the finalizer."""
+    acc = 0x243F6A8885A308D3
+    for part in parts:
+        x = (acc ^ ((part & MASK64) + GOLDEN)) & MASK64
+        x = ((x ^ (x >> 30)) * MIX1) & MASK64
+        x = ((x ^ (x >> 27)) * MIX2) & MASK64
+        acc = x ^ (x >> 31)
+    return acc
+
+
+def _naive_keep_bits(mask: int, keep) -> int:
+    """The bits i of ``mask`` with ``keep()`` truthy, one call per bit, ascending."""
+    kept = 0
+    for i in range(mask.bit_length()):
+        if mask >> i & 1 and keep():
+            kept |= 1 << i
+    return kept
+
+
 def naive_coin_split(rng, mask: int) -> tuple[int, int]:
     """(heads, tails) by one scalar coin per bit, ascending."""
-    heads = select(mask, lambda _: rng.coin())
+    heads = _naive_keep_bits(mask, rng.coin)
     return heads, mask & ~heads
 
 
 def naive_bernoulli_subset(rng, mask: int, probability: Fraction) -> int:
     """The bits of ``mask`` kept by one scalar Bernoulli draw each, ascending."""
-    return select(mask, lambda _: rng.bernoulli(probability))
+    return _naive_keep_bits(mask, lambda: rng.bernoulli(probability))
 
 
 def naive_heavy_masks(g: BipartiteGraph, colouring: TwoColouring, is_heavy):

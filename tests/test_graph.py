@@ -481,6 +481,7 @@ class TestBitMatrix:
         assert transpose_rows((), 5) == (0,) * 5
         assert transpose_rows((0, 0), 0) == ()
         assert rows_to_matrix((), 9).shape == (0, 9)
+        assert rows_from_matrix(np.zeros((3, 0), dtype=np.uint8)) == (0, 0, 0)
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2 ** 32 - 1),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bipcover import (BipartiteGraph, check_degrees, count_no_common_neighbour_pairs,
-                      sample_bipartite)
+                      properties, sample_bipartite)
 from bipcover.errors import InvalidArgumentError
 from bipcover.models import ModelParams
 from bipcover.properties import _BLOCK, _codegree_blocks
@@ -148,6 +148,69 @@ class TestNoCommonNeighbourPairs:
         expected = math.comb(n, 2) * (1 - float(pf) ** 2) ** n
         sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (len(counts) - 1))
         assert abs(mean - expected) <= 3 * sd
+
+
+class _CountedPlanes:
+    """Word planes that record how many of them each block's loop reads."""
+
+    def __init__(self, words):
+        self.words, self.reads = words, []
+
+    def __iter__(self):
+        self.reads.append(0)
+        for plane in self.words:
+            self.reads[-1] += 1
+            yield plane
+
+
+class TestNoCommonEarlyStop:
+    """The count's per-block early stop, each case against the bit-count pair loop."""
+
+    @pytest.fixture
+    def plane_reads(self, monkeypatch):
+        """Per part, a ``_CountedPlanes`` of the count's word planes."""
+        parts, word_planes = [], properties._word_planes
+
+        def counted(rows, width):
+            words, upper = word_planes(rows, width)
+            parts.append(_CountedPlanes(words))
+            return parts[-1], upper
+
+        monkeypatch.setattr(properties, "_word_planes", counted)
+        return parts
+
+    @pytest.mark.parametrize("width", (64, 130))
+    def test_only_common_neighbour_in_last_plane(self, width, plane_reads):
+        # Row i holds bit i % (width - 1); odd rows also hold the last bit,
+        # which is all that two odd rows share when their low bits differ.
+        count = 2 * _BLOCK + 1
+        rows = [1 << (i % (width - 1)) | (i % 2) << (width - 1) for i in range(count)]
+        g = BipartiteGraph.from_rows(count, width, rows)
+        expected = _bit_count_pair_counts(g)
+        assert count_no_common_neighbour_pairs(g) == expected
+        assert expected[0] <= math.comb(count, 2) - math.comb(count // 2, 2)  # odd pairs share
+        assert plane_reads[0].reads[:2] == [(width + 63) // 64] * 2  # the last block is one row
+
+    def test_zero_rows_never_stop_early(self, plane_reads):
+        rows = [0] * (_BLOCK + 5) + [random.Random(3).getrandbits(130) for _ in range(_BLOCK)]
+        g = BipartiteGraph.from_rows(len(rows), 130, rows)
+        assert count_no_common_neighbour_pairs(g) == _bit_count_pair_counts(g)
+        assert plane_reads[0].reads[0] == 3  # the first block is all zero rows
+
+    def test_full_rows_stop_after_first_plane(self, plane_reads):
+        g = BipartiteGraph.complete(2 * _BLOCK + 1, 130)
+        assert count_no_common_neighbour_pairs(g) == _bit_count_pair_counts(g) == (0, 0)
+        assert [part.reads for part in plane_reads] == [[1, 1, 1], [1, 1, 1]]
+
+    @pytest.mark.parametrize("n1, n2", ((2 * _BLOCK + 2, 1), (1, 63), (_BLOCK + 1, 63),
+                                        (2 * _BLOCK + 2, 64), (2 * _BLOCK + 1, 65)))
+    @pytest.mark.parametrize("p", (Fraction(1, 2), Fraction(1, 20)))
+    def test_unbalanced_hosts(self, n1, n2, p):
+        rows = list(sample_bipartite(ModelParams(n1, n2, p), n1 * n2).rows(1))
+        rows[n1 // 2] = 0  # an isolated vertex in part 1
+        g = BipartiteGraph.from_rows(n1, n2, rows)
+        for h in (g, BipartiteGraph.from_rows(n2, n1, g.rows(2))):
+            assert count_no_common_neighbour_pairs(h) == _bit_count_pair_counts(h)
 
 
 def _bit_count_pair_counts(g):

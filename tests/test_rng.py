@@ -8,7 +8,7 @@ import pytest
 from bipcover.models import _CHUNK_SLOTS
 from bipcover.rng import (LANE, RandomStream, combine, hash_at, hash_block, mix64,
                           threshold_u64)
-from conftest import naive_hash_block
+from conftest import naive_combine, naive_hash_block
 
 
 def test_scalar_and_vector_hashes_agree():
@@ -68,6 +68,12 @@ def test_threshold_extremes():
 def test_combine_sensitivity():
     assert combine(1, 2, 3) != combine(1, 3, 2)
     assert combine(0) != combine(0, 0)
+
+
+@pytest.mark.parametrize("parts", [(), (0,), (0, 0), (1, 2, 3), (-1,), (1 << 64, 2**64 - 1),
+                                   (20250808, 1, 7), (0x6D696E6465677261, 12345)])
+def test_combine_matches_plain_fold(parts):
+    assert combine(*parts) == naive_combine(*parts)
 
 
 def test_block_dtype_and_mask():
