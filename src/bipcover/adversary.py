@@ -19,12 +19,13 @@ Choices are lowest-index-first throughout so outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ConstructionInfeasibleError, InvalidArgumentError
-from .graph import (BipartiteGraph, Colour, RColouring, TwoColouring, Vertex,
-                    bit_indices, colour_layers, iter_bits, rows_from_edges, vertex_set)
+from .graph import (BipartiteGraph, Colour, RColouring, TwoColouring, Vertex, bit_indices,
+                    colour_layers, iter_bits, rows_from_edges, rows_to_matrix, vertex_set)
 
 
 @dataclass(frozen=True)
@@ -56,35 +57,32 @@ def colour_lower3(g: BipartiteGraph) -> tuple[TwoColouring, Lower3Witness]:
     Raises ConstructionInfeasibleError when no anchor pair leaves both
     remainder zones nonempty (e.g. on complete graphs).
     """
+    rows1, rows2 = g.rows(1), g.rows(2)
     full1 = (1 << g.n1) - 1
     full2 = (1 << g.n2) - 1
-    for r_idx in range(g.n1):
-        nr = g.row(1, r_idx)
-        non_nbrs = full2 & ~nr
-        for b_idx in iter_bits(non_nbrs):
-            nb = g.row(2, b_idx)
+    for r_idx, nr in enumerate(rows1):
+        for b_idx in iter_bits(full2 & ~nr):
+            nb = rows2[b_idx]
             x_mask = full1 & ~nb & ~(1 << r_idx)
             y_mask = full2 & ~nr & ~(1 << b_idx)
             if x_mask and y_mask:
-                # Every edge is zoned: X rows miss b (X misses N(b)), N(b) rows
-                # off Y are blue, r's row is N(r).
-                red1 = [nr if i == r_idx else g.row(1, i) & (nr if x_mask >> i & 1 else y_mask)
-                        for i in range(g.n1)]
+                # Every edge is zoned: a red row is its row inside its zone's red partners.
+                xr = x_mask | 1 << r_idx
+                in_xr, in_nr, in_y = rows_to_matrix([xr, nr, y_mask], max(g.n1, g.n2)).tolist()
+                red1 = tuple([row & (nr if a else y_mask) for row, a in zip(rows1, in_xr)])
+                red2 = tuple([row & (xr if a else nb if b else 0)
+                              for row, a, b in zip(rows2, in_nr, in_y)])
                 witness = Lower3Witness(Vertex(1, r_idx), Vertex(2, b_idx),
                                         vertex_set(x_mask, 0), vertex_set(0, y_mask))
-                return TwoColouring.from_red_rows(g, red1), witness
+                return TwoColouring(g, red1, red2), witness
     raise ConstructionInfeasibleError(
         "no anchor pair with both remainder zones nonempty; "
         "some vertex has fewer than two non-neighbours")
 
 
 def _first_disjoint_pair(rows: tuple[int, ...], allowed: int) -> tuple[int, int] | None:
-    idxs = bit_indices(allowed)
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            if rows[idxs[a]] & rows[idxs[b]] == 0:
-                return idxs[a], idxs[b]
-    return None
+    pairs = combinations(bit_indices(allowed), 2)  # (a, b), a < b, in lexicographic order
+    return next(((a, b) for a, b in pairs if rows[a] & rows[b] == 0), None)
 
 
 def colour_lower4(g: BipartiteGraph) -> tuple[TwoColouring, Lower4Witness]:

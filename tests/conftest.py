@@ -15,7 +15,7 @@ import numpy as np
 from bipcover import (BLUE, RED, BipartiteGraph, Colour, RColouring, TwoColouring, Vertex)
 from bipcover.errors import FormatError, InvalidArgumentError
 from bipcover.exact import KnnReport, _component_masks, _maximal, _min_cover
-from bipcover.graph import components_from_rows, vertex_masks
+from bipcover.graph import components_from_rows
 
 # The hash constants, written out so that a change to ``bipcover.rng``'s
 # own copies is judged against these.  MIX2 is not splitmix64's published
@@ -111,6 +111,23 @@ def _in_graph(g, v) -> bool:
         and 0 <= v.index < (g.n1 if v.part == 1 else g.n2)
 
 
+def naive_split_vertices(g, vertices) -> tuple[int, int, list]:
+    """(part-1 mask, part-2 mask, the vertices outside ``g`` in iteration
+    order), one vertex and one bit at a time: a vertex is in ``g`` when its
+    part equals 1 or 2 and its index is an ``int`` in that part's range."""
+    m1 = m2 = 0
+    foreign = []
+    for v in vertices:
+        i = v.index if isinstance(v.index, int) else -1
+        if v.part == 1 and 0 <= i < g.n1:
+            m1 |= 1 << i
+        elif v.part == 2 and 0 <= i < g.n2:
+            m2 |= 1 << i
+        else:
+            foreign.append(v)
+    return m1, m2, foreign
+
+
 def _reference_check_tree(g, colouring, tree, label, report: list[str]) -> None:
     if not tree.vertices:
         report.append(f"{label}: empty vertex set")
@@ -200,7 +217,7 @@ def reference_validate_partition(g, colouring, partition) -> list[str]:
             report.append(f"part {k} overlaps an earlier part at {sorted(overlap)[0]}")
         seen |= part
         inside = components_from_rows(g.n1, g.n2, *colouring.layer_rows(colour),
-                                      *vertex_masks(g, part))
+                                      *naive_split_vertices(g, part)[:2])
         if len(inside) != 1:
             report.append(f"part {k}: {len(inside)} {colour.token}-components, expected 1")
     missing = set(g.vertices()) - seen

@@ -10,10 +10,10 @@ from bipcover import (BLUE, RED, BipartiteGraph, RColouring, TwoColouring,
                       Vertex, colour_blowup_pair, colour_lower3, colour_lower4,
                       lower4_witness_valid, monochromatic_components,
                       sample_bipartite, tc_exact)
-from bipcover.adversary import Lower4Witness
+from bipcover.adversary import Lower3Witness, Lower4Witness
 from bipcover.errors import ConstructionInfeasibleError, InvalidArgumentError
 from bipcover.models import ModelParams
-from conftest import matching_graph, reference_colour_blowup_pair
+from conftest import matching_graph, naive_transpose, reference_colour_blowup_pair
 
 
 class TestLower3:
@@ -98,6 +98,49 @@ class TestLower3Zones:
         for i, j, colour in colouring.edge_colours():
             zones = zone1[Vertex(1, i)], zone2[Vertex(2, j)]
             assert LOWER3_ZONE_COLOURS[zones] is colour, zones
+        red1, red2 = colouring.layer_rows(RED)
+        assert red2 == naive_transpose(red1, g.n2)
+
+
+def reference_lower3(g):
+    """(part-1 red rows, witness) of the zone colouring as first written, one
+    row and one anchor pair at a time; None when no anchor pair works."""
+    full1, full2 = (1 << g.n1) - 1, (1 << g.n2) - 1
+    for r in range(g.n1):
+        nr = g.row(1, r)
+        for b in range(g.n2):
+            x, y = full1 & ~g.row(2, b) & ~(1 << r), full2 & ~nr & ~(1 << b)
+            if not nr >> b & 1 and x and y:
+                red1 = tuple(nr if i == r else g.row(1, i) & (nr if x >> i & 1 else y)
+                             for i in range(g.n1))
+                return red1, Lower3Witness(
+                    Vertex(1, r), Vertex(2, b),
+                    frozenset(Vertex(1, i) for i in range(g.n1) if x >> i & 1),
+                    frozenset(Vertex(2, j) for j in range(g.n2) if y >> j & 1))
+    return None
+
+
+@pytest.mark.parametrize("n1, n2", [(30, 30), (24, 37), (37, 24)])
+@pytest.mark.parametrize("p", [Fraction(1, 20), Fraction(1, 2), Fraction(9, 10)])
+@pytest.mark.parametrize("blocked", [0, 3, "all"])
+def test_lower3_part_2_red_rows_are_the_transpose(n1, n2, p, blocked):
+    # The first ``blocked`` part-1 vertices cannot anchor: every even one
+    # misses no part-2 vertex, every odd one only 2:0, so no remainder zone.
+    blocked = n1 if blocked == "all" else blocked
+    rows = list(sample_bipartite(ModelParams(n1, n2, p), n1 * n2).rows(1))
+    for i in range(blocked):
+        rows[i] = (1 << n2) - 1 - i % 2
+    g = BipartiteGraph.from_rows(n1, n2, rows)
+    reference = reference_lower3(g)
+    if reference is None:
+        with pytest.raises(ConstructionInfeasibleError):
+            colour_lower3(g)
+        return
+    colouring, witness = colour_lower3(g)
+    red1, red2 = colouring.layer_rows(RED)
+    assert (red1, witness) == reference
+    assert red2 == naive_transpose(red1, n2)
+    assert witness.anchor_red.index >= blocked
 
 
 class TestLower4:

@@ -247,6 +247,26 @@ def test_reaching_matches_a_per_vertex_count(rows, data):
     assert reaching(rows, mask, target, floor) == expected
 
 
+@pytest.mark.parametrize("width", (0, 1, 63, 64, 65, 1000))
+def test_select_and_reaching_match_plain_bit_loops(width):
+    rnd = random.Random(width)
+    rows = [rnd.getrandbits(width) for _ in range(width)]
+    target = rnd.getrandbits(width)
+    verdicts = [rnd.random() < 0.5 for _ in range(width)]
+    for mask in {0, (1 << width) - 1, rnd.getrandbits(width), 1 << width >> 1}:
+        bits = [i for i in range(width) if mask >> i & 1]
+        seen = []
+        assert select(mask, lambda i: seen.append(i) or verdicts[i]) == \
+            sum(1 << i for i in bits if verdicts[i])
+        assert seen == bits  # keep is called once per set bit, ascending
+        counts = [bin(rows[x] & target).count("1") for x in range(width)]
+        for floor in (-1, 0, 1, Fraction(1, 3), Fraction(width, 4), Fraction(width + 1, 2),
+                      width + 1):
+            # Each count meets the Fraction itself here, which checks reaching's ceiling.
+            assert reaching(rows, mask, target, floor) == \
+                sum(1 << x for x in bits if counts[x] >= floor)
+
+
 def test_tag_overrides_an_existing_key_in_place():
     # The preference digests rest on this: a vertex keeps its first place.
     prefs = {Vertex(2, 5): RED, Vertex(1, 3): BLUE}

@@ -29,7 +29,7 @@ from conftest import (graph_from_coloured_edges, matching_graph, naive_colour_of
                       naive_components, naive_matrix, naive_rows_from_edges,
                       naive_transpose, naive_validate_cover,
                       naive_validate_partition)
-from conftest import reference_validate_cover, reference_validate_partition
+from conftest import naive_split_vertices, reference_validate_cover, reference_validate_partition
 
 
 def v1(i):
@@ -393,6 +393,30 @@ def bit_rows(count: int, width: int, fill: str, seed: int = 0) -> tuple[int, ...
 
 
 masks_to_300_bits = st.integers(0, 300).flatmap(lambda w: st.integers(0, (1 << w) - 1))
+
+
+# Parts 1.0 and True equal 1.  Index True is an int, np.int64 and 0.5 are not.
+odd_vertices = st.builds(Vertex, st.sampled_from((1, 2, 1.0, True, 0, 3)),
+                         st.one_of(st.integers(-3, 12), st.just(True), st.just(0.5),
+                                   st.integers(-1, 12).map(np.int64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.lists(odd_vertices, max_size=24))
+@example(3, 3, [Vertex(1, np.int64(0)), Vertex(True, True), Vertex(1.0, 2), Vertex(2, -1)])
+def test_split_vertices_matches_the_plain_loop(n1, n2, vertices):
+    g = BipartiteGraph.complete(n1, n2)
+    m1, m2, foreign = graph.split_vertices(g, vertices)
+    r1, r2, naive_foreign = naive_split_vertices(g, vertices)
+    assert (m1, m2) == (r1, r2) and type(m1) is type(m2) is int
+    assert len(foreign) == len(naive_foreign)
+    assert all(v is w for v, w in zip(foreign, naive_foreign))  # the same objects, in order
+    if foreign:  # vertex_masks names the first
+        with pytest.raises(InvalidArgumentError) as exc:
+            graph.vertex_masks(g, vertices)
+        assert str(exc.value) == f"vertex {foreign[0]!r} not in this graph"
+    else:
+        assert graph.vertex_masks(g, vertices) == (m1, m2)
 
 
 class TestSharedVertices:

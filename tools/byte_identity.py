@@ -8,6 +8,8 @@ unless a change says why (ROADMAP's invariant):
   sources, on a small seeded grid at the default settings;
 - ``cover`` and ``partition`` files with their ``--audit`` lines, for
   seeded graph files under a random and an adversarial colouring;
+- ``adversary --mode lower3`` on a 40 x 52 host whose vertices 1:0 (no
+  non-neighbour) and 1:1 (one) cannot anchor, so its zones start further in;
 - ``bipcover check`` on three files: 60 x 60, which fits in one block of
   the codegree kernel, and 150 x 150 at p = 1/2 (three blocks, codegree
   violations) and p = 1/20 (an isolated vertex, pairs with no common
@@ -39,7 +41,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from bipcover.cli import main as cli_main  # noqa: E402
 from bipcover.formats import write_graph  # noqa: E402
-from bipcover.models import sample_mindeg_subgraph  # noqa: E402
+from bipcover.graph import BipartiteGraph  # noqa: E402
+from bipcover.models import ModelParams, sample_bipartite, sample_mindeg_subgraph  # noqa: E402
 from bipcover.sweep import SweepConfig, records_to_csv, run_sweep, summarise  # noqa: E402
 
 
@@ -88,6 +91,13 @@ def commands(out: Path) -> None:
         run(f"partition-{colouring}", "partition", path(f"dense-{colouring}.txt"),
             "--seed", "15", "--out", path(f"partition-{colouring}.txt"),
             "--audit", path("audit.jsonl"))
+    # 1:0 misses no part-2 vertex and 1:1 misses only 2:0: neither leaves a
+    # remainder zone, so lower3 anchors further in, on unequal parts.
+    late = list(sample_bipartite(ModelParams(40, 52, Fraction(1, 2)), 20).rows(1))
+    late[:2] = (1 << 52) - 1, (1 << 52) - 2
+    (out / "late-anchor.txt").write_text(write_graph(BipartiteGraph.from_rows(40, 52, late)))
+    run("lower3-late-anchor", "adversary", "--mode", "lower3", path("late-anchor.txt"),
+        "--out", path("late-anchor-lower3.txt"))
     run("check", "check", path("sparse.txt"), "--p", "0.5", "--epsilon", "0.2")
     for p, seed in (("0.5", "19"), ("0.05", "18")):  # seed 18 leaves vertex 1:82 isolated
         run(f"sample-{p}", "sample", "--n1", "150", "--n2", "150", "--p", p,
