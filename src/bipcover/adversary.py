@@ -19,7 +19,6 @@ Choices are lowest-index-first throughout so outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -66,23 +65,25 @@ def colour_lower3(g: BipartiteGraph) -> tuple[TwoColouring, Lower3Witness]:
             x_mask = full1 & ~nb & ~(1 << r_idx)
             y_mask = full2 & ~nr & ~(1 << b_idx)
             if x_mask and y_mask:
-                # Every edge is zoned: a red row is its row inside its zone's red partners.
-                xr = x_mask | 1 << r_idx
-                in_xr, in_nr, in_y = rows_to_matrix([xr, nr, y_mask], max(g.n1, g.n2)).tolist()
-                red1 = tuple([row & (nr if a else y_mask) for row, a in zip(rows1, in_xr)])
-                red2 = tuple([row & (xr if a else nb if b else 0)
-                              for row, a, b in zip(rows2, in_nr, in_y)])
+                # Every edge is zoned: X rows miss b (X misses N(b)), N(b) rows
+                # off Y are blue, r's row is N(r).
+                in_xr = rows_to_matrix([x_mask | 1 << r_idx], g.n1)[0].tolist()
+                red1 = [row & (nr if a else y_mask) for row, a in zip(rows1, in_xr)]
                 witness = Lower3Witness(Vertex(1, r_idx), Vertex(2, b_idx),
                                         vertex_set(x_mask, 0), vertex_set(0, y_mask))
-                return TwoColouring(g, red1, red2), witness
+                return TwoColouring.from_red_rows(g, red1), witness
     raise ConstructionInfeasibleError(
         "no anchor pair with both remainder zones nonempty; "
         "some vertex has fewer than two non-neighbours")
 
 
 def _first_disjoint_pair(rows: tuple[int, ...], allowed: int) -> tuple[int, int] | None:
-    pairs = combinations(bit_indices(allowed), 2)  # (a, b), a < b, in lexicographic order
-    return next(((a, b) for a, b in pairs if rows[a] & rows[b] == 0), None)
+    idxs = bit_indices(allowed)
+    for a in range(len(idxs)):
+        for b in range(a + 1, len(idxs)):
+            if rows[idxs[a]] & rows[idxs[b]] == 0:
+                return idxs[a], idxs[b]
+    return None
 
 
 def colour_lower4(g: BipartiteGraph) -> tuple[TwoColouring, Lower4Witness]:

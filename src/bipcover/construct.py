@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import (BLUE, RED, BipartiteGraph, Colour, TwoColouring, Vertex, bit_indices,
-                    edges_between, lowest, mask_of, part_vertices, rows_from_matrix, select_flags)
+                    edges_between, lowest, part_vertices, rows_from_matrix, select_flags)
 from .rng import RandomStream, threshold_u64
 
 T = TypeVar("T")
@@ -59,8 +59,7 @@ def reaching(rows: Sequence[int], mask: int, target: int, floor) -> int:
     ``target``: on a part's (colour) rows, the vertices of ``mask`` with at
     least ``floor`` (colour) edges into the opposite-part mask ``target``."""
     floor = math.ceil(floor)  # a count reaches floor iff it reaches its ceiling
-    return mask_of([x for x in bit_indices(mask) if (rows[x] & target).bit_count() >= floor],
-                   mask.bit_length())
+    return select_flags(mask, [(rows[x] & target).bit_count() >= floor for x in bit_indices(mask)])
 
 
 def tag(into: dict[Vertex, T], *entries: tuple[int, int, T]) -> dict[Vertex, T]:
@@ -80,8 +79,8 @@ def heavy_masks(g: BipartiteGraph, colouring: TwoColouring,
     and colour on the int arrays of the part's degrees."""
     masks = []
     for part in (1, 2):
-        d, red = (np.fromiter(map(int.bit_count, rows), np.int64, len(rows))
-                  for rows in (g.rows(part), colouring.layer_rows(RED)[part - 1]))
+        d = np.array([row.bit_count() for row in g.rows(part)])
+        red = np.array([row.bit_count() for row in colouring.layer_rows(RED)[part - 1]])
         # The colouring is total, so every other edge is blue.
         masks.append(rows_from_matrix(np.array([is_heavy(d, red), is_heavy(d, d - red)])))
     return dict(zip((RED, BLUE), zip(*masks)))

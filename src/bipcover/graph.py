@@ -18,7 +18,6 @@ import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import reduce
-from itertools import combinations, compress, count
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -85,16 +84,9 @@ def lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def mask_of(indices: Sequence[int], width: int) -> int:
-    """The mask with the bits ``indices``, each in range(``width``), set at once."""
-    flags = np.zeros(width, dtype=bool)
-    flags[np.array(indices, dtype=np.intp)] = True
-    return rows_from_matrix(flags[None])[0]
-
-
 def select(mask: int, keep: Callable[[int], object]) -> int:
     """The bits i of ``mask`` for which ``keep(i)`` is truthy, tested ascending."""
-    return mask_of([i for i in bit_indices(mask) if keep(i)], mask.bit_length())
+    return sum(1 << i for i in bit_indices(mask) if keep(i))
 
 
 def edges_between(rows: Sequence[int], mask_x: int, mask_y: int) -> int:
@@ -386,39 +378,40 @@ class RColouring:
         return hash((self.graph, self._layers))
 
 
-def _blue_rows(part: int, red: Sequence[int], rows: tuple[int, ...]) -> tuple[int, ...]:
-    """``rows`` minus ``red``, once each red row is checked to mark edges only."""
+def _check_red_rows(part: int, red: Sequence[int], rows: tuple[int, ...]) -> None:
     if len(red) != len(rows):
         raise InvalidArgumentError(f"one red row per part-{part} vertex required")
-    # The first row whose red bits are not all edges: r & row != r.
-    bad = next(compress(count(), map(operator.ne, map(operator.and_, red, rows), red)), None)
-    if bad is not None:
-        raise InvalidArgumentError(f"red row of {part}:{bad} marks a non-edge")
-    return tuple(map(operator.xor, rows, red))  # row ^ red is row & ~red for red inside row
+    inside = list(map(operator.eq, map(operator.and_, red, rows), red))  # r & row == r
+    if not all(inside):
+        raise InvalidArgumentError(f"red row of {part}:{inside.index(False)} marks a non-edge")
 
 
 class TwoColouring(RColouring):
     """Red/blue label per edge: the r = 2 case of RColouring.
 
     Red rows must mark edges of the graph only, and red2 must be red1's
-    transpose.  Only the first is checked: the second is one ``transpose_rows``,
+    transpose.  Only the first is checked: the in-package builders take both
+    sides from one matrix (``rows_and_transpose``) or red2 as the transpose of
+    red1 (``from_red_rows``), and the check would be one more ``transpose_rows``,
     about 0.5 ms per n = 1000 colouring on a 2-vCPU host, on every sweep trial.
-    Builders derive red2 from one matrix (``rows_and_transpose``), by transposing
-    (``from_red_rows``) or zone by zone (``colour_lower3``, tested against the
-    transpose).  Blue rows are the adjacency rows minus the red: a total colouring.
+    The blue rows are the rows minus the red rows: the colouring is total on E(G).
     """
 
     __slots__ = ()
 
     def __init__(self, graph: BipartiteGraph, red1: tuple[int, ...], red2: tuple[int, ...]):
-        blue1, blue2 = _blue_rows(1, red1, graph._rows1), _blue_rows(2, red2, graph._rows2)
-        self._adopt(graph, ((red1, red2), (blue1, blue2)))  # red and blue partition E(G)
+        _check_red_rows(1, red1, graph._rows1)
+        _check_red_rows(2, red2, graph._rows2)
+        # Checked red rows lie inside their rows: row ^ red = row & ~red partitions E(G).
+        blue1 = tuple(map(operator.xor, graph._rows1, red1))
+        blue2 = tuple(map(operator.xor, graph._rows2, red2))
+        self._adopt(graph, ((red1, red2), (blue1, blue2)))
 
     @classmethod
     def from_red_rows(cls, graph: BipartiteGraph, red1: Iterable[int]) -> "TwoColouring":
         """Checked part-1 red rows; the part-2 red rows are their transpose."""
         r1 = tuple(red1)
-        _blue_rows(1, r1, graph._rows1)  # checked first: bits outside part 2 overflow the transpose
+        _check_red_rows(1, r1, graph._rows1)  # bits outside part 2 overflow the transpose
         return cls(graph, r1, transpose_rows(r1, graph.n2))
 
     @classmethod
@@ -450,16 +443,17 @@ class TwoColouring(RColouring):
 
 def split_vertices(g: BipartiteGraph, vertices: Iterable[Vertex]) -> tuple[int, int, list]:
     """(part-1 mask, part-2 mask, the vertices outside ``g`` in iteration order)."""
-    ones, twos, foreign = [], [], []
+    m1 = m2 = 0
+    foreign = []
     for v in vertices:
         i = v.index if isinstance(v.index, int) else -1  # a non-integer index is foreign
         if v.part == 1 and 0 <= i < g.n1:
-            ones.append(i)
+            m1 |= 1 << i
         elif v.part == 2 and 0 <= i < g.n2:
-            twos.append(i)
+            m2 |= 1 << i
         else:
             foreign.append(v)
-    return mask_of(ones, g.n1), mask_of(twos, g.n2), foreign
+    return m1, m2, foreign
 
 
 def vertex_masks(g: BipartiteGraph, vertices: Iterable[Vertex]) -> tuple[int, int]:
@@ -586,20 +580,20 @@ def _check_tree(g: BipartiteGraph, colouring: TwoColouring, tree: MonoTree, labe
     if len(tree.edges) != len(tree.vertices) - 1:
         report.add(f"{label}: {len(tree.edges)} edges for {len(tree.vertices)} vertices")
     rows1, rows2 = [0] * g.n1, [0] * g.n2
-    tree_rows, inside = colouring.layer_rows(tree.colour)[0], tree.vertices
+    tree_rows = colouring.layer_rows(tree.colour)[0]
     for a, b in tree.edges:
         u, w = (a, b) if a.part == 1 else (b, a)
         if u.part != 1 or w.part != 2:
             report.add(f"{label}: edge {a}-{b} does not join the two parts")
-        elif u not in inside or w not in inside:
+        elif u not in tree.vertices or w not in tree.vertices:
             report.add(f"{label}: edge {a}-{b} leaves the tree's vertex set")
-        elif tree_rows[u.index] & (bit := 1 << w.index):
-            rows1[u.index] |= bit
-            rows2[w.index] |= 1 << u.index
-        else:  # has_edge only names the fault
+        elif not tree_rows[u.index] >> w.index & 1:  # has_edge only names the fault
             fault = (f"is not {tree.colour.token}" if g.has_edge(u.index, w.index)
                      else "not present in the graph")
             report.add(f"{label}: edge {a}-{b} {fault}")
+        else:
+            rows1[u.index] |= 1 << w.index
+            rows2[w.index] |= 1 << u.index
     # Connectivity over the tree's own edges; with the edge count check
     # this certifies acyclicity as well.
     if len(components_from_rows(g.n1, g.n2, rows1, rows2, m1, m2)) != 1:
@@ -626,9 +620,11 @@ def validate_cover(g: BipartiteGraph, colouring: TwoColouring,
     for t, tree in enumerate(cover.trees):
         _check_tree(g, colouring, tree, f"tree {t}", report, m1s[t], m2s[t], outs[t])
     names = [f"tree {t}" for t in range(len(cover.trees))] + ["uncovered"]
-    for (a, group_a), (b, group_b) in combinations(zip(names, groups), 2):
-        if shared := group_a & group_b:
-            report.add(f"{a} and {b} share {min(shared)}")
+    for a in range(len(groups)):
+        for b in range(a + 1, len(groups)):
+            shared = groups[a] & groups[b]
+            if shared:
+                report.add(f"{names[a]} and {names[b]} share {min(shared)}")
     _report_gap(g, reduce(operator.or_, m1s), reduce(operator.or_, m2s), "unaccounted", report)
     foreign = set().union(*outs)
     if foreign:
@@ -680,8 +676,8 @@ def spanning_tree_of(g: BipartiteGraph, colouring: TwoColouring, colour: Colour,
             fresh = side_rows[x] & unreached[1 - side]
             if fresh:
                 unreached[1 - side] ^= fresh
-                ys, u = bit_indices(fresh), near[x]
-                edges += [(u, far[y]) for y in ys] if side == 0 else [(far[y], u) for y in ys]
+                ys = bit_indices(fresh)
+                edges.extend((near[x], far[y]) if side == 0 else (far[y], near[x]) for y in ys)
                 nxt += ys
         side, frontier = 1 - side, nxt
     if any(unreached):

@@ -41,9 +41,9 @@ from fractions import Fraction
 from .construct import (AuditReport, ConstructionRun, bernoulli_subset, heavy_masks,
                         majority_colour, orient, pick_roots, reaching, retry_draw, tag)
 from .errors import InvalidArgumentError, PartitionFailureError
-from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition, TwoColouring, Vertex,
-                    bit_indices, components_from_rows, edges_between, lowest, mask_of,
-                    part_vertices, select, vertex_masks, vertex_set)
+from .graph import (BLUE, RED, BipartiteGraph, Colour, MonoPartition,
+                    TwoColouring, Vertex, components_from_rows, edges_between,
+                    bit_indices, lowest, part_vertices, select, vertex_masks, vertex_set)
 from .models import as_fraction
 
 SUBSAMPLE_CAP = Fraction(1, 25)  # sample probability min(1/25, delta), not a setting
@@ -92,8 +92,11 @@ class PartitionState:
 
 
 def _lowest_k(mask: int, k: int) -> int:
-    """The ``k`` lowest bits of ``mask`` (all of them when it has fewer)."""
-    return mask_of(bit_indices(mask)[:k], mask.bit_length())
+    # k never exceeds the mask: heavy_thr - 1 >= base_size, and u0 sees over relink_size
+    rest = mask
+    for _ in range(k):
+        rest &= rest - 1  # clears the lowest set bit
+    return mask ^ rest
 
 
 class _Run(ConstructionRun):
